@@ -10,6 +10,12 @@
 //! sample reachability, centrality, communities, blast radius — is computed
 //! over the merged graph.
 //!
+//! Building is two steps. Parsing a unit yields its [`UnitLinks`] — each
+//! function's name and the distinct names it calls — and
+//! [`CorpusGraph::link`] turns any sequence of link summaries into the
+//! graph. A long-lived store of units (the `serve` crate's `graph` request)
+//! keeps the summaries and relinks without reparsing.
+//!
 //! Everything here is dependency-free and byte-deterministic at any
 //! `--jobs`: parallel stages work on fixed-size chunks whose partial results
 //! are merged in chunk order, so float accumulation order never depends on
@@ -17,12 +23,12 @@
 
 use crate::reachability::Surface;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use vulnman_lang::absint::CallGraph as SccGraph;
+use std::sync::{Arc, Mutex, OnceLock};
+use vulnman_lang::absint::callgraph::strongly_connected;
 use vulnman_lang::cache::AnalysisCache;
-use vulnman_lang::ParseError;
+use vulnman_lang::{ParseError, Program, Symbol};
 use vulnman_obs::Registry;
 use vulnman_synth::sample::Sample;
 
@@ -37,21 +43,73 @@ pub struct UnitRef<'a> {
     pub source: &'a str,
 }
 
+/// Everything linking needs from one parsed unit: each function definition's
+/// name with the distinct names it calls, in definition order. The symbols
+/// are the parse's own interned names, so extraction copies no string
+/// bytes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct UnitLinks {
+    functions: Vec<(Symbol, Vec<Symbol>)>,
+}
+
+impl UnitLinks {
+    /// Extracts the link summary of a parsed unit.
+    pub fn of(program: &Program) -> UnitLinks {
+        let functions = program
+            .functions
+            .iter()
+            .map(|f| {
+                let mut callees = f.callees();
+                callees.sort_unstable();
+                callees.dedup();
+                (f.name.clone(), callees)
+            })
+            .collect();
+        UnitLinks { functions }
+    }
+}
+
+/// One unit as [`CorpusGraph::link`] sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct LinkUnit<'a> {
+    /// Stable unit identifier (sample id).
+    pub id: u64,
+    /// Linkage domain: calls resolve only within a project.
+    pub project: &'a str,
+    /// The unit's extracted link summary.
+    pub links: &'a UnitLinks,
+}
+
 /// A function node of the corpus graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnNode {
     /// Defining unit id.
     pub unit: u64,
     /// Project of the defining unit.
-    pub project: String,
+    pub project: Symbol,
     /// Unqualified function name.
-    pub name: String,
+    pub name: Symbol,
 }
 
 impl FnNode {
-    /// Unit-qualified node name, unique across the corpus.
+    /// Unit-qualified node name, unique across the corpus:
+    /// `u{unit:06}::{name}`. Written digit by digit, since a relink
+    /// formats one per node.
     pub fn qualified(&self) -> String {
-        format!("u{:06}::{}", self.unit, self.name)
+        let mut digits = [b'0'; 20];
+        let mut start = digits.len();
+        let mut rest = self.unit;
+        while rest > 0 || start > digits.len() - 6 {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        let mut out = String::with_capacity(digits.len() - start + 3 + self.name.len());
+        out.push('u');
+        out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+        out.push_str("::");
+        out.push_str(&self.name);
+        out
     }
 }
 
@@ -107,23 +165,28 @@ pub struct CorpusGraphReport {
 #[derive(Debug)]
 pub struct CorpusGraph {
     nodes: Vec<FnNode>,
-    /// `(unit, name) -> node index`.
-    index: BTreeMap<(u64, String), usize>,
+    /// [`FnNode::qualified`] per node, formatted once.
+    qualified: Vec<String>,
+    /// `(unit, name) -> node index`, built on the first lookup by name.
+    index: OnceLock<HashMap<(u64, String), usize>>,
     /// Sorted, deduped adjacency.
     callees: Vec<Vec<usize>>,
     callers: Vec<Vec<usize>>,
-    /// Sorted external callee names per node.
-    externals: Vec<Vec<String>>,
+    /// Distinct (function, external callee) pairs.
+    externals: usize,
     cross_unit_edges: usize,
     sccs: usize,
-    // Derived analytics, computed once at build time.
+    // Derived analytics, computed once at link time.
     downstream: Vec<usize>,
     upstream: Vec<usize>,
     blast: Vec<f64>,
     surface: Vec<Surface>,
-    betweenness: Vec<f64>,
     community: Vec<usize>,
     n_communities: usize,
+    /// Betweenness is read only by [`CorpusGraph::report`], so it is
+    /// computed on the first report, over `jobs` workers.
+    betweenness: OnceLock<Vec<f64>>,
+    jobs: usize,
 }
 
 /// Pre-registers every `graph.*` instrument so the metrics schema is
@@ -180,12 +243,9 @@ impl CorpusGraph {
         Self::build_with(&units, cache, jobs, metrics)
     }
 
-    /// Builds the corpus graph: parses every unit (`jobs`-way sharded,
-    /// optionally through `cache`), resolves calls (local first, then
-    /// sibling units of the same project, first-defining-unit wins), and
-    /// computes reachability closures, surfaces, centrality, communities,
-    /// and blast radii. Output is byte-identical at any `jobs` and with the
-    /// cache on or off.
+    /// Parses every unit (`jobs`-way sharded, optionally through `cache`),
+    /// extracts its [`UnitLinks`] and [`link`](Self::link)s the result.
+    /// Output is byte-identical at any `jobs` and with the cache on or off.
     ///
     /// # Errors
     ///
@@ -196,121 +256,130 @@ impl CorpusGraph {
         jobs: usize,
         metrics: &Registry,
     ) -> Result<CorpusGraph, ParseError> {
-        let span = metrics.span("graph.build");
-        let programs = parse_units(units, cache, jobs)?;
+        let links: Vec<UnitLinks> =
+            parse_units(units, cache, jobs)?.iter().map(|p| UnitLinks::of(p)).collect();
+        let linked: Vec<LinkUnit<'_>> = units
+            .iter()
+            .zip(&links)
+            .map(|(u, links)| LinkUnit { id: u.id, project: u.project, links })
+            .collect();
+        Ok(Self::link(&linked, jobs, metrics))
+    }
 
-        // Nodes, in (unit order, definition order).
-        let mut nodes: Vec<FnNode> = Vec::new();
-        let mut index: BTreeMap<(u64, String), usize> = BTreeMap::new();
+    /// Links pre-extracted units into the corpus graph: resolves calls
+    /// (local first, then sibling units of the same project, first-defining
+    /// unit wins; a name defined twice under one unit id keeps its first
+    /// definition) and computes reachability closures, surfaces,
+    /// communities, and blast radii. Betweenness waits for the first
+    /// [`report`](Self::report), which computes it over `jobs` workers.
+    /// The `span.graph.build` histogram times the link.
+    pub fn link(units: &[LinkUnit<'_>], jobs: usize, metrics: &Registry) -> CorpusGraph {
+        let span = metrics.span("graph.build");
+        let total: usize = units.iter().map(|u| u.links.functions.len()).sum();
+
+        // Nodes, in (unit order, definition order), each with the unit it
+        // came from and its callee names.
+        let mut nodes: Vec<FnNode> = Vec::with_capacity(total);
+        let mut sites: Vec<(&LinkUnit<'_>, &[Symbol])> = Vec::with_capacity(total);
+        // Keys borrow the summaries' names, so lookups allocate nothing.
+        // `vulnman serve` links names its clients chose, so the maps keep
+        // std's randomly keyed hasher: a crafted set of colliding names
+        // cannot make a relink quadratic.
+        let mut defs: HashMap<(u64, &str), usize> = HashMap::with_capacity(total);
         // First defining node per (project, name): the linkage winner.
-        let mut project_defs: BTreeMap<(String, String), usize> = BTreeMap::new();
-        for (u, program) in units.iter().zip(&programs) {
-            for f in &program.functions {
-                let key = (u.id, f.name.to_string());
-                if index.contains_key(&key) {
-                    // Duplicate definition within a unit: first wins.
-                    continue;
-                }
+        let mut project_defs: HashMap<(&str, &str), usize> = HashMap::with_capacity(total);
+        let mut project = Symbol::new("");
+        for u in units {
+            if project != u.project {
+                project = Symbol::new(u.project);
+            }
+            for (name, calls) in &u.links.functions {
                 let idx = nodes.len();
-                project_defs.entry((u.project.to_string(), key.1.clone())).or_insert(idx);
-                index.insert(key.clone(), idx);
-                nodes.push(FnNode { unit: u.id, project: u.project.to_string(), name: key.1 });
+                if *defs.entry((u.id, name.as_str())).or_insert(idx) != idx {
+                    continue; // duplicate definition under this unit id
+                }
+                project_defs.entry((u.project, name.as_str())).or_insert(idx);
+                nodes.push(FnNode { unit: u.id, project: project.clone(), name: name.clone() });
+                sites.push((u, calls));
             }
         }
 
         // Resolve calls: local definition first, then the project-wide
-        // first definition; anything else is an external.
+        // first definition; anything else is an external, and the most
+        // exposed external input source is the node's own surface.
         let n = nodes.len();
-        let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut callees: Vec<Vec<usize>> = Vec::with_capacity(n);
         let mut callers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut externals: Vec<Vec<String>> = vec![Vec::new(); n];
+        let mut surface: Vec<Surface> = Vec::with_capacity(n);
+        let mut externals = 0usize;
         let mut cross_unit_edges = 0usize;
-        let mut resolved = vec![false; n];
-        for (u, program) in units.iter().zip(&programs) {
-            for f in &program.functions {
-                let Some(&i) = index.get(&(u.id, f.name.to_string())) else { continue };
-                if std::mem::replace(&mut resolved[i], true) {
-                    continue; // shadowed duplicate definition in this unit
-                }
-                let mut edge_set: BTreeSet<usize> = BTreeSet::new();
-                let mut ext_set: BTreeSet<String> = BTreeSet::new();
-                for callee in f.callees() {
-                    let cname = callee.to_string();
-                    let target = index
-                        .get(&(u.id, cname.clone()))
-                        .or_else(|| project_defs.get(&(u.project.to_string(), cname.clone())))
-                        .copied();
-                    match target {
-                        Some(j) if j != i => {
-                            edge_set.insert(j);
-                        }
-                        Some(_) => {} // self-recursion: not an edge for metrics
-                        None => {
-                            ext_set.insert(cname);
-                        }
+        for (i, (u, calls)) in sites.iter().enumerate() {
+            let mut edges: Vec<usize> = Vec::with_capacity(calls.len());
+            let mut surf = Surface::Local;
+            for name in *calls {
+                let key = name.as_str();
+                match defs.get(&(u.id, key)).or_else(|| project_defs.get(&(u.project, key))) {
+                    Some(&j) if j != i => edges.push(j),
+                    Some(_) => {} // self-recursion: not an edge for metrics
+                    None => {
+                        externals += 1;
+                        surf = surf.min(Surface::of_source(key).unwrap_or(Surface::Local));
                     }
                 }
-                cross_unit_edges += edge_set.iter().filter(|&&j| nodes[j].unit != u.id).count();
-                for &j in &edge_set {
-                    callers[j].push(i);
-                }
-                callees[i] = edge_set.into_iter().collect();
-                externals[i] = ext_set.into_iter().collect();
+            }
+            // Distinct names resolve to distinct nodes, so `edges` is
+            // already deduped; callers fill in ascending caller order.
+            edges.sort_unstable();
+            cross_unit_edges += edges.iter().filter(|&&j| nodes[j].unit != u.id).count();
+            for &j in &edges {
+                callers[j].push(i);
+            }
+            callees.push(edges);
+            surface.push(surf);
+        }
+
+        // Reachability closures (bitset rows), summarized bottom-up over
+        // the SCC condensation exactly like absint return summaries: a
+        // component's closure is the union of its members and all callee
+        // closures, and every member of a cycle shares it.
+        let comps = strongly_connected(&callees);
+        let words = n.div_ceil(64).max(1);
+        let mut comp_of = vec![0usize; n];
+        for (c, comp) in comps.iter().enumerate() {
+            for &m in comp {
+                comp_of[m] = c;
             }
         }
-        for c in &mut callers {
-            c.sort_unstable();
-            c.dedup();
-        }
-
-        // SCC condensation in bottom-up order, via the absint call-graph
-        // machinery over qualified node names.
-        let qualified: Vec<String> = nodes.iter().map(FnNode::qualified).collect();
-        let scc_graph = SccGraph::from_edges(qualified, &callees);
-        let comps = scc_graph.sccs();
-
-        // Reachability closures (bitsets), summarized bottom-up over the
-        // condensation exactly like absint return summaries: a component's
-        // closure is the union of its members and all callee closures, and
-        // every member of a cycle shares it.
-        let words = n.div_ceil(64);
-        let mut closure: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-        let mut surface: Vec<Surface> = (0..n)
-            .map(|i| {
-                externals[i]
-                    .iter()
-                    .filter_map(|e| Surface::of_source(e))
-                    .min()
-                    .unwrap_or(Surface::Local)
-            })
-            .collect();
-        for comp in &comps {
-            let mut bits = vec![0u64; words];
+        let mut closure = vec![0u64; n * words];
+        let mut bits = vec![0u64; words];
+        for (c, comp) in comps.iter().enumerate() {
+            bits.fill(0);
             let mut surf = Surface::Local;
             for &m in comp {
                 bits[m / 64] |= 1 << (m % 64);
                 surf = surf.min(surface[m]);
-                for &c in &callees[m] {
-                    if !comp.contains(&c) {
-                        for (w, &cw) in bits.iter_mut().zip(&closure[c]) {
+                for &callee in &callees[m] {
+                    if comp_of[callee] != c {
+                        let row = &closure[callee * words..(callee + 1) * words];
+                        for (w, &cw) in bits.iter_mut().zip(row) {
                             *w |= cw;
                         }
-                        surf = surf.min(surface[c]);
+                        surf = surf.min(surface[callee]);
                     }
                 }
             }
             for &m in comp {
-                closure[m] = bits.clone();
+                closure[m * words..(m + 1) * words].copy_from_slice(&bits);
                 surface[m] = surf;
             }
         }
-        let downstream: Vec<usize> = closure
-            .iter()
-            .map(|bits| bits.iter().map(|w| w.count_ones() as usize).sum::<usize>() - 1)
+        let rows = || closure.chunks_exact(words);
+        let downstream: Vec<usize> = rows()
+            .map(|row| row.iter().map(|w| w.count_ones() as usize).sum::<usize>() - 1)
             .collect();
         let mut upstream = vec![0usize; n];
-        for (i, bits) in closure.iter().enumerate() {
-            for (w, &word) in bits.iter().enumerate() {
+        for (i, row) in rows().enumerate() {
+            for (w, &word) in row.iter().enumerate() {
                 let mut word = word;
                 while word != 0 {
                     let b = word.trailing_zeros() as usize;
@@ -327,13 +396,13 @@ impl CorpusGraph {
         // universe is its project and corpus-wide normalization would cap
         // every score at (project size / corpus size) — near zero for any
         // real fleet of projects.
-        let mut project_size: BTreeMap<&str, usize> = BTreeMap::new();
-        for node in &nodes {
-            *project_size.entry(node.project.as_str()).or_insert(0) += 1;
+        let mut project_size: HashMap<&str, usize> = HashMap::default();
+        for (u, _) in &sites {
+            *project_size.entry(u.project).or_insert(0) += 1;
         }
         let blast: Vec<f64> = (0..n)
             .map(|i| {
-                let size = project_size[nodes[i].project.as_str()];
+                let size = project_size[sites[i].0.project];
                 if size < 2 {
                     0.0
                 } else {
@@ -342,12 +411,12 @@ impl CorpusGraph {
             })
             .collect();
 
-        let betweenness = betweenness_centrality(&callees, jobs);
         let (community, n_communities) = label_propagation(&callees, &callers);
-
-        let mut g = CorpusGraph {
+        let qualified = nodes.iter().map(FnNode::qualified).collect();
+        let g = CorpusGraph {
             nodes,
-            index,
+            qualified,
+            index: OnceLock::new(),
             callees,
             callers,
             externals,
@@ -357,27 +426,36 @@ impl CorpusGraph {
             upstream,
             blast,
             surface,
-            betweenness,
             community,
             n_communities,
+            betweenness: OnceLock::new(),
+            jobs,
         };
         g.record(metrics);
         span.stop();
-        Ok(g)
+        g
     }
 
-    fn record(&mut self, metrics: &Registry) {
+    fn record(&self, metrics: &Registry) {
         metrics.counter("graph.builds").add(1);
         metrics.counter("graph.nodes").add(self.nodes.len() as u64);
         metrics.counter("graph.edges").add(self.edge_count() as u64);
         metrics.counter("graph.cross_unit_edges").add(self.cross_unit_edges as u64);
-        metrics.counter("graph.externals").add(self.external_count() as u64);
+        metrics.counter("graph.externals").add(self.externals as u64);
         metrics.counter("graph.sccs").add(self.sccs as u64);
         metrics.counter("graph.communities").add(self.n_communities as u64);
         let hist = metrics.histogram("graph.blast_per_mille");
         for &b in &self.blast {
             hist.observe((b * 1000.0).round() as u64);
         }
+    }
+
+    /// Node index of `function` defined in `unit`, if present.
+    fn node(&self, unit: u64, function: &str) -> Option<usize> {
+        let index = self.index.get_or_init(|| {
+            self.nodes.iter().enumerate().map(|(i, f)| ((f.unit, f.name.to_string()), i)).collect()
+        });
+        index.get(&(unit, function.to_string())).copied()
     }
 
     /// Function nodes in corpus order.
@@ -397,26 +475,24 @@ impl CorpusGraph {
 
     /// Distinct (function, external callee) pairs.
     pub fn external_count(&self) -> usize {
-        self.externals.iter().map(Vec::len).sum()
+        self.externals
     }
 
     /// Blast-radius score of `function` defined in `unit`, if present.
     pub fn blast_of(&self, unit: u64, function: &str) -> Option<f64> {
-        self.index.get(&(unit, function.to_string())).map(|&i| self.blast[i])
+        self.node(unit, function).map(|i| self.blast[i])
     }
 
     /// Cross-sample surface of `function` defined in `unit`, if present.
     pub fn surface_of(&self, unit: u64, function: &str) -> Option<Surface> {
-        self.index.get(&(unit, function.to_string())).map(|&i| self.surface[i])
+        self.node(unit, function).map(|i| self.surface[i])
     }
 
     /// Whether `caller` (in `caller_unit`) resolves a call to `callee` (in
     /// `callee_unit`).
     pub fn calls(&self, caller_unit: u64, caller: &str, callee_unit: u64, callee: &str) -> bool {
-        let (Some(&i), Some(&j)) = (
-            self.index.get(&(caller_unit, caller.to_string())),
-            self.index.get(&(callee_unit, callee.to_string())),
-        ) else {
+        let (Some(i), Some(j)) = (self.node(caller_unit, caller), self.node(callee_unit, callee))
+        else {
             return false;
         };
         self.callees[i].binary_search(&j).is_ok()
@@ -425,27 +501,32 @@ impl CorpusGraph {
     /// Qualified names ranked by blast radius (descending), ties broken by
     /// qualified name so the ranking is a pure function of the corpus.
     pub fn blast_ranked(&self) -> Vec<(String, f64)> {
-        let mut ranked: Vec<(String, f64)> =
-            self.nodes.iter().enumerate().map(|(i, f)| (f.qualified(), self.blast[i])).collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        ranked
+        let mut order: Vec<usize> = (0..self.nodes.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            self.blast[b]
+                .total_cmp(&self.blast[a])
+                .then_with(|| self.qualified[a].cmp(&self.qualified[b]))
+        });
+        order.into_iter().map(|i| (self.qualified[i].clone(), self.blast[i])).collect()
     }
 
-    /// The full deterministic report.
+    /// The full deterministic report. The first call computes betweenness.
     pub fn report(&self) -> CorpusGraphReport {
+        let betweenness =
+            self.betweenness.get_or_init(|| betweenness_centrality(&self.callees, self.jobs));
         let functions: BTreeMap<String, FnReport> = self
             .nodes
             .iter()
             .enumerate()
             .map(|(i, f)| {
                 (
-                    f.qualified(),
+                    self.qualified[i].clone(),
                     FnReport {
                         unit: f.unit,
-                        project: f.project.clone(),
+                        project: f.project.to_string(),
                         in_degree: self.callers[i].len(),
                         out_degree: self.callees[i].len(),
-                        betweenness: self.betweenness[i],
+                        betweenness: betweenness[i],
                         community: self.community[i],
                         downstream: self.downstream[i],
                         upstream: self.upstream[i],
@@ -459,7 +540,7 @@ impl CorpusGraph {
             nodes: self.nodes.len(),
             edges: self.edge_count(),
             cross_unit_edges: self.cross_unit_edges,
-            externals: self.external_count(),
+            externals: self.externals,
             sccs: self.sccs,
             communities: self.n_communities,
             functions,
@@ -473,12 +554,12 @@ fn parse_units(
     units: &[UnitRef<'_>],
     cache: &AnalysisCache,
     jobs: usize,
-) -> Result<Vec<std::sync::Arc<vulnman_lang::Program>>, ParseError> {
+) -> Result<Vec<Arc<Program>>, ParseError> {
     let jobs = jobs.max(1);
     if jobs == 1 || units.len() < 4 {
         return units.iter().map(|u| cache.parse(u.source)).collect();
     }
-    type ParseSlot = Mutex<Option<Result<std::sync::Arc<vulnman_lang::Program>, ParseError>>>;
+    type ParseSlot = Mutex<Option<Result<Arc<Program>, ParseError>>>;
     let results: Vec<ParseSlot> = units.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -595,29 +676,33 @@ fn label_propagation(callees: &[Vec<usize>], callers: &[Vec<usize>]) -> (Vec<usi
     let n = callees.len();
     let neighbors: Vec<Vec<usize>> = (0..n)
         .map(|i| {
-            let set: BTreeSet<usize> = callees[i].iter().chain(&callers[i]).copied().collect();
-            set.into_iter().collect()
+            let mut adj: Vec<usize> = callees[i].iter().chain(&callers[i]).copied().collect();
+            adj.sort_unstable();
+            adj.dedup();
+            adj
         })
         .collect();
     let mut labels: Vec<usize> = (0..n).collect();
+    let mut around: Vec<usize> = Vec::new();
     for _ in 0..MAX_LPA_SWEEPS {
         let mut changed = false;
         for i in 0..n {
             if neighbors[i].is_empty() {
                 continue;
             }
-            let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
-            for &j in &neighbors[i] {
-                *counts.entry(labels[j]).or_insert(0) += 1;
+            around.clear();
+            around.extend(neighbors[i].iter().map(|&j| labels[j]));
+            around.sort_unstable();
+            // Max count, smallest label on ties: runs come in ascending
+            // label order and only a strictly longer run replaces the best.
+            let mut best = (around[0], 0);
+            for run in around.chunk_by(|a, b| a == b) {
+                if run.len() > best.1 {
+                    best = (run[0], run.len());
+                }
             }
-            // Max count, smallest label on ties (BTreeMap iterates
-            // ascending, so the first max wins).
-            let (&best, _) = counts
-                .iter()
-                .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-                .expect("non-empty counts");
-            if best != labels[i] {
-                labels[i] = best;
+            if best.0 != labels[i] {
+                labels[i] = best.0;
                 changed = true;
             }
         }
@@ -625,14 +710,20 @@ fn label_propagation(callees: &[Vec<usize>], callers: &[Vec<usize>]) -> (Vec<usi
             break;
         }
     }
-    // Densify labels in node order.
-    let mut dense: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut out = Vec::with_capacity(n);
-    for &l in &labels {
-        let next_id = dense.len();
-        out.push(*dense.entry(l).or_insert(next_id));
-    }
-    (out, dense.len())
+    // Densify labels (node indices) in node order.
+    let mut dense = vec![usize::MAX; n];
+    let mut count = 0;
+    let out = labels
+        .iter()
+        .map(|&l| {
+            if dense[l] == usize::MAX {
+                dense[l] = count;
+                count += 1;
+            }
+            dense[l]
+        })
+        .collect();
+    (out, count)
 }
 
 #[cfg(test)]
@@ -784,6 +875,26 @@ mod tests {
         assert_eq!(snap.counters["graph.nodes"], 4);
         assert_eq!(snap.counters["graph.cross_unit_edges"], 1);
         assert!(snap.counters["graph.communities"] >= 1);
+    }
+
+    #[test]
+    fn qualified_names_are_zero_padded_unit_ids() {
+        for unit in [0, 7, 999_999, 1_000_000, 1 << 40, u64::MAX] {
+            let node = FnNode { unit, project: "p".into(), name: "f".into() };
+            assert_eq!(node.qualified(), format!("u{unit:06}::f"));
+        }
+    }
+
+    #[test]
+    fn reused_unit_id_keeps_the_first_definition() {
+        // Two units under one id: the second's `helper` is shadowed, its
+        // new `extra` joins the id, and local resolution spans both.
+        let first = "void helper() { }";
+        let second = "void helper() { recv(); }\nvoid extra() { helper(); }";
+        let g = CorpusGraph::build(&[unit(1, "p", first), unit(1, "p", second)]).unwrap();
+        assert_eq!(g.nodes().len(), 2);
+        assert!(g.calls(1, "extra", 1, "helper"));
+        assert_eq!(g.surface_of(1, "helper"), Some(Surface::Local));
     }
 
     #[test]

@@ -44,7 +44,9 @@ pub use checkers::{
     register_absint_instruments, AbsintBaseline, BaselineEntry, IncrementalSemanticScan,
     SemanticEngine, SemanticScan,
 };
-pub use corpusgraph::{register_graph_instruments, CorpusGraph, CorpusGraphReport, UnitRef};
+pub use corpusgraph::{
+    register_graph_instruments, CorpusGraph, CorpusGraphReport, LinkUnit, UnitLinks, UnitRef,
+};
 pub use detectors::{RuleEngine, StaticDetector};
 pub use dynamic::DynamicSanitizer;
 pub use finding::{dedupe_findings, Confidence, Finding};

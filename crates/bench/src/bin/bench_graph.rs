@@ -6,13 +6,15 @@
 //! real work):
 //!
 //! 1. **Build throughput** — units parsed, linked, and analyzed per second
-//!    (closures, surfaces, betweenness, communities, blast radii), at
-//!    jobs ∈ {1, 4}, cache disabled (cold parse every pass).
+//!    (closures, surfaces, communities, blast radii), at jobs ∈ {1, 4},
+//!    cache disabled (cold parse every pass).
 //! 2. **Warm-cache build** — the same build through a warm
 //!    [`AnalysisCache`]: parses are memoized, so the number isolates the
 //!    graph analytics themselves.
-//! 3. **Report generation** — `report()` serialization rate over a built
-//!    graph.
+//! 3. **Report generation** — the first `report()` of a freshly built
+//!    graph, serialized. Betweenness is computed on that first call, so
+//!    it is charged here and not to the builds: read build and report
+//!    together when comparing with entries from before that split.
 //!
 //! CI re-measures with `--check` and fails when cold jobs1 build throughput
 //! falls below half the committed baseline (cross-machine number; only a
@@ -147,11 +149,24 @@ fn main() {
     println!("  build_warm     {:>10.0} units/s", warm.throughput_elem_per_s);
     configs.insert("build_warm".to_string(), warm);
 
-    // Report generation over a built graph.
-    let graph = CorpusGraph::from_samples(ds.samples(), &cache, 1, &metrics).expect("parses");
-    let report = measure(window, 1, || {
-        std::hint::black_box(serde_json::to_string(&graph.report()).expect("serializes"));
-    });
+    // Report generation: the first report of each fresh graph (which pays
+    // for betweenness); the warm builds in between are not timed.
+    let report = {
+        let (mut timed, mut iters) = (Duration::ZERO, 0u64);
+        while iters == 0 || timed < window {
+            let graph =
+                CorpusGraph::from_samples(ds.samples(), &cache, 1, &metrics).expect("parses");
+            let start = Instant::now();
+            std::hint::black_box(serde_json::to_string(&graph.report()).expect("serializes"));
+            timed += start.elapsed();
+            iters += 1;
+        }
+        ConfigResult {
+            throughput_elem_per_s: iters as f64 / timed.as_secs_f64(),
+            iters,
+            ms_per_iter: timed.as_secs_f64() * 1e3 / iters as f64,
+        }
+    };
     println!("  report         {:>10.1} reports/s", report.throughput_elem_per_s);
     configs.insert("report".to_string(), report);
 

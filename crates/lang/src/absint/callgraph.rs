@@ -45,33 +45,6 @@ impl CallGraph {
         CallGraph { names, index, callees, callers }
     }
 
-    /// Builds a call graph directly from adjacency lists over arbitrary node
-    /// names. The corpus graph (`vulnman-analysis`) uses this to reuse the
-    /// SCC condensation and bottom-up machinery over unit-qualified function
-    /// nodes that no single [`Program`] contains. Duplicate and
-    /// out-of-range callee indices are dropped; first occurrence wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edges.len() != names.len()`.
-    pub fn from_edges(names: Vec<String>, edges: &[Vec<usize>]) -> CallGraph {
-        assert_eq!(names.len(), edges.len(), "one adjacency list per node");
-        let index: BTreeMap<String, usize> =
-            names.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
-        let mut callees: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-        let mut callers: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-        for (i, adj) in edges.iter().enumerate() {
-            let mut seen = BTreeSet::new();
-            for &j in adj {
-                if j < names.len() && seen.insert(j) {
-                    callees[i].push(j);
-                    callers[j].push(i);
-                }
-            }
-        }
-        CallGraph { names, index, callees, callers }
-    }
-
     /// Number of defined functions.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -124,68 +97,10 @@ impl CallGraph {
         order.push(node);
     }
 
-    /// Strongly connected components of the call graph, in bottom-up
-    /// topological order of the condensation: every defined callee of a
-    /// component's members lies in the same or an earlier component.
-    /// Members within a component are listed in ascending function-index
-    /// order. Iterative Tarjan, so deeply nested call chains cannot blow
-    /// the stack, and the output is a pure function of the graph.
+    /// Strongly connected components of the call graph; see
+    /// [`strongly_connected`].
     pub fn sccs(&self) -> Vec<Vec<usize>> {
-        const UNVISITED: usize = usize::MAX;
-        let n = self.names.len();
-        let mut index = vec![UNVISITED; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut out: Vec<Vec<usize>> = Vec::new();
-        // Explicit DFS frames: (node, next-callee position).
-        let mut frames: Vec<(usize, usize)> = Vec::new();
-        for root in 0..n {
-            if index[root] != UNVISITED {
-                continue;
-            }
-            frames.push((root, 0));
-            index[root] = next_index;
-            low[root] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root] = true;
-            while let Some(&mut (v, ref mut ci)) = frames.last_mut() {
-                if let Some(&w) = self.callees[v].get(*ci) {
-                    *ci += 1;
-                    if index[w] == UNVISITED {
-                        index[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&(parent, _)) = frames.last() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp.sort_unstable();
-                        out.push(comp);
-                    }
-                }
-            }
-        }
-        out
+        strongly_connected(&self.callees)
     }
 
     /// Whether `name` participates in a call cycle (including self-recursion).
@@ -206,6 +121,76 @@ impl CallGraph {
         }
         false
     }
+}
+
+/// Strongly connected components of the graph with adjacency lists
+/// `callees`, in bottom-up topological order of the condensation: every
+/// callee of a component's members lies in the same or an earlier
+/// component. Members within a component are listed in ascending index
+/// order. Iterative Tarjan, so deeply nested call chains cannot blow the
+/// stack, and the output is a pure function of the graph. The corpus graph
+/// (`vulnman-analysis`) runs it over unit-qualified function nodes that no
+/// single [`Program`] contains.
+///
+/// # Panics
+///
+/// Panics if an adjacency entry is not below `callees.len()`.
+pub fn strongly_connected(callees: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    const UNVISITED: usize = usize::MAX;
+    let n = callees.len();
+    let mut index = vec![UNVISITED; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut next_index = 0usize;
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    // Explicit DFS frames: (node, next-callee position).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != UNVISITED {
+            continue;
+        }
+        frames.push((root, 0));
+        index[root] = next_index;
+        low[root] = next_index;
+        next_index += 1;
+        stack.push(root);
+        on_stack[root] = true;
+        while let Some(&mut (v, ref mut ci)) = frames.last_mut() {
+            if let Some(&w) = callees[v].get(*ci) {
+                *ci += 1;
+                if index[w] == UNVISITED {
+                    index[w] = next_index;
+                    low[w] = next_index;
+                    next_index += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+            } else {
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let mut comp = Vec::new();
+                    loop {
+                        let w = stack.pop().expect("tarjan stack underflow");
+                        on_stack[w] = false;
+                        comp.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    comp.sort_unstable();
+                    out.push(comp);
+                }
+            }
+        }
+    }
+    out
 }
 
 /// The result of an interprocedural analysis pass: one solved function at a

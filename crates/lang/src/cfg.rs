@@ -1,8 +1,8 @@
 //! Control-flow graph construction.
 //!
 //! The AST's structured control flow is lowered to basic blocks of
-//! [`CfgInst`]s. The CFG is consumed by the data-flow framework
-//! ([`crate::dataflow`]), the taint engine ([`crate::taint`]), and the
+//! [`CfgInst`]s. The CFG is consumed by the abstract interpreter
+//! ([`crate::absint`]), the taint engine ([`crate::taint`]), and the
 //! graph-feature extractors in the ML crate.
 
 use crate::ast::*;

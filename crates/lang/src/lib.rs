@@ -1,8 +1,8 @@
 //! # vulnman-lang
 //!
 //! Program-analysis substrate for the `vulnman` workspace: a mini-C dialect
-//! with a lexer, parser, pretty-printer, control-flow graphs, classic
-//! data-flow analyses, and an interprocedural taint engine.
+//! with a lexer, parser, pretty-printer, control-flow graphs, abstract
+//! interpretation, and an interprocedural taint engine.
 //!
 //! The dialect is intentionally small (functions, `int`/`char`/pointers/
 //! arrays, structured control flow) but expressive enough to encode every
@@ -37,7 +37,6 @@ pub mod ast;
 pub mod cache;
 pub mod cfg;
 pub mod clone;
-pub mod dataflow;
 pub mod error;
 pub mod incremental;
 pub mod intern;

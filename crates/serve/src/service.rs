@@ -15,7 +15,7 @@ use std::sync::{Mutex, OnceLock};
 use vulnman_analysis::corpusgraph::register_graph_instruments;
 use vulnman_analysis::{
     register_audit_instruments, AuditConfig, AuditEngine, AuditReport, CorpusGraph,
-    DifferentialOracle, OracleConfig, RuleEngine, SemanticEngine, UnitRef,
+    DifferentialOracle, LinkUnit, OracleConfig, RuleEngine, SemanticEngine, UnitLinks,
 };
 use vulnman_core::DegradationSummary;
 use vulnman_faults::{site_key, FaultConfig, FaultKind, FaultPlan, Site};
@@ -62,7 +62,7 @@ pub struct ServiceCore {
     oracle: DifferentialOracle,
     cache: AnalysisCache,
     clone_index: Mutex<CloneIndex>,
-    graph_units: Mutex<VecDeque<(u64, String)>>,
+    graph_units: Mutex<VecDeque<(u64, UnitLinks)>>,
     audit_report: OnceLock<AuditReport>,
     metrics: Registry,
     plan: FaultPlan,
@@ -246,31 +246,35 @@ impl ServiceCore {
     /// submitted unit's functions, and the corpus-wide blast-radius
     /// leaders.
     ///
-    /// Like the clone index, the unit store is bounded (FIFO eviction at
-    /// [`SERVE_CACHE_ENTRY_LIMIT`] units) so a long-lived server holds
-    /// memory flat. The store lock is held across the rebuild, so for a
-    /// fixed registration order the response is deterministic regardless of
-    /// worker count; a unit that fails to parse is rejected without being
-    /// registered.
+    /// The submitted unit is parsed once, through the shared cache, and the
+    /// store keeps only its [`UnitLinks`]; each request relinks the stored
+    /// summaries, so stored units are never reparsed and never touch the
+    /// cache again. Like the clone index, the store is bounded (FIFO
+    /// eviction at [`SERVE_CACHE_ENTRY_LIMIT`] units) so a long-lived
+    /// server holds memory flat. The store lock is held across the relink,
+    /// so for a fixed registration order the response is deterministic
+    /// regardless of worker count; a unit that fails to parse is rejected
+    /// without being registered.
     fn graph(&self, req: &Request) -> Response {
-        let mut store = self.graph_units.lock().unwrap_or_else(|e| e.into_inner());
-        let mut units: Vec<UnitRef<'_>> = store
-            .iter()
-            .map(|(id, source)| UnitRef { id: *id, project: "serve", source })
-            .collect();
-        units.push(UnitRef { id: req.id, project: "serve", source: &req.source });
-        let graph = match CorpusGraph::build_with(&units, &self.cache, 1, &self.metrics) {
-            Ok(g) => g,
+        let links = match self.cache.parse(&req.source) {
+            Ok(program) => UnitLinks::of(&program),
             Err(e) => return Response::error(req.id, format!("parse error: {e}")),
         };
-        store.push_back((req.id, req.source.clone()));
+        let mut store = self.graph_units.lock().unwrap_or_else(|e| e.into_inner());
+        let units: Vec<LinkUnit<'_>> = store
+            .iter()
+            .map(|(id, links)| LinkUnit { id: *id, project: "serve", links })
+            .chain([LinkUnit { id: req.id, project: "serve", links: &links }])
+            .collect();
+        let graph = CorpusGraph::link(&units, 1, &self.metrics);
+        store.push_back((req.id, links));
         if store.len() > SERVE_CACHE_ENTRY_LIMIT {
             store.pop_front();
         }
         drop(store);
 
         let unit_functions =
-            graph.nodes().iter().filter(|n| n.unit == req.id).map(|n| n.name.clone()).collect();
+            graph.nodes().iter().filter(|n| n.unit == req.id).map(|n| n.name.to_string()).collect();
         let top_blast = graph
             .blast_ranked()
             .into_iter()

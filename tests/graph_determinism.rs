@@ -9,7 +9,7 @@
 //! contract on a fixed-seed cross-file corpus end to end, through the same
 //! path `vulnman graph` uses.
 
-use vulnman::analysis::corpusgraph::CorpusGraph;
+use vulnman::analysis::corpusgraph::{CorpusGraph, LinkUnit, UnitLinks};
 use vulnman::analysis::detectors::RuleEngine;
 use vulnman::analysis::severity::score;
 use vulnman::core::customize::PolicySeverity;
@@ -45,6 +45,44 @@ fn graph_report_bytes_identical_across_jobs_and_cache() {
             json, golden,
             "CorpusGraphReport must be byte-identical at jobs={jobs} cache={cache}"
         );
+    }
+}
+
+#[test]
+fn report_bytes_identical_before_and_after_blast_ranking_at_any_jobs() {
+    // Betweenness is computed on the first `report()`; neither an earlier
+    // `blast_ranked()` nor the worker count may change the bytes.
+    let ds = corpus();
+    let golden = serde_json::to_string(&build(&ds, 1, false).report()).expect("serializes");
+    for jobs in [1, 2, 4] {
+        let graph = build(&ds, jobs, false);
+        assert!(!graph.blast_ranked().is_empty());
+        let after = serde_json::to_string(&graph.report()).expect("serializes");
+        assert_eq!(after, golden, "report after blast_ranked differs at jobs={jobs}");
+        let again = serde_json::to_string(&graph.report()).expect("serializes");
+        assert_eq!(again, golden, "repeated report differs at jobs={jobs}");
+    }
+}
+
+#[test]
+fn link_over_extracted_units_matches_build() {
+    let ds = corpus();
+    let golden = serde_json::to_string(&build(&ds, 1, false).report()).expect("serializes");
+    let links: Vec<UnitLinks> = ds
+        .samples()
+        .iter()
+        .map(|s| UnitLinks::of(&vulnman::lang::parse(&s.source).expect("corpus parses")))
+        .collect();
+    let units: Vec<LinkUnit<'_>> = ds
+        .samples()
+        .iter()
+        .zip(&links)
+        .map(|(s, links)| LinkUnit { id: s.id, project: &s.project, links })
+        .collect();
+    for jobs in [1, 4] {
+        let linked = CorpusGraph::link(&units, jobs, &Registry::noop());
+        let json = serde_json::to_string(&linked.report()).expect("serializes");
+        assert_eq!(json, golden, "link over extracted units differs at jobs={jobs}");
     }
 }
 
