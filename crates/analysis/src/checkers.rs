@@ -22,20 +22,19 @@ use crate::detectors::StaticDetector;
 use crate::finding::{Confidence, Evidence, EvidenceFact, Finding};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Instant;
 use vulnman_lang::absint::domain::inst_reads;
 use vulnman_lang::absint::ownership::FREE_FNS;
 use vulnman_lang::absint::provenance::{KIND_COMMAND, KIND_FORMAT};
 use vulnman_lang::absint::{
-    analyze_program_parallel, Domain, DomainAnalysis, Env, Init, InitDomain, Interval,
-    IntervalDomain, Nullness, NullnessDomain, Ownership, OwnershipDomain, Provenance,
-    ProvenanceDomain, SolverConfig, SolverStats, Width, WidthDomain,
+    Domain, Env, FnShape, Init, InitDomain, IntervalDomain, Nullness, NullnessDomain, Ownership,
+    OwnershipDomain, ProvenanceDomain, Solved, SolverConfig, SolverStats, Substrate, Summaries,
+    WidthDomain,
 };
-use vulnman_lang::ast::{BinOp, Expr, ExprKind, Function, LValue, Program, Type, UnOp};
+use vulnman_lang::ast::{BinOp, Expr, ExprKind, LValue, Program, Type, UnOp};
 use vulnman_lang::cfg::{Cfg, CfgInst};
-use vulnman_lang::incremental::{
-    analyze_program_incremental_in, IncrementalContext, IncrementalTrace,
-};
+use vulnman_lang::incremental::IncrementalTrace;
 use vulnman_obs::Registry;
 use vulnman_synth::cwe::Cwe;
 
@@ -48,7 +47,7 @@ use vulnman_synth::cwe::Cwe;
 pub struct SemanticScan {
     /// Findings, sorted by `(span.start, cwe)`; each carries evidence.
     pub findings: Vec<Finding>,
-    /// Accumulated fixpoint statistics across all three domain passes.
+    /// Accumulated fixpoint statistics across all six domain passes.
     pub stats: SolverStats,
     /// Wall time of the interval pass (solver + checker), in microseconds.
     pub interval_micros: u64,
@@ -74,14 +73,30 @@ pub struct SemanticScan {
 pub struct IncrementalSemanticScan {
     /// Findings, sorted by `(span.start, cwe)`; each carries evidence.
     pub findings: Vec<Finding>,
-    /// Accumulated fixpoint statistics across all three domain passes
+    /// Accumulated fixpoint statistics across all six domain passes
     /// (cached components contribute their recorded statistics).
     pub stats: SolverStats,
     /// Which functions any domain pass re-solved vs. reused.
     pub trace: IncrementalTrace,
 }
 
-/// Runs the three abstract domains over a program and reports semantic
+/// One domain pass's output: its findings in delivery order, statistics,
+/// and recompute trace.
+struct PassOutput {
+    findings: Vec<Finding>,
+    stats: SolverStats,
+    trace: IncrementalTrace,
+}
+
+/// All six passes' output; `micros` is each pass's wall time.
+struct EngineRun {
+    findings: Vec<Finding>,
+    stats: SolverStats,
+    trace: IncrementalTrace,
+    micros: [u64; 6],
+}
+
+/// Runs the six abstract-domain passes over a program and reports semantic
 /// findings with machine-checkable evidence.
 ///
 /// Implements [`StaticDetector`] so it plugs into the same registries as the
@@ -105,8 +120,9 @@ impl SemanticEngine {
         SemanticEngine { config, jobs: 1 }
     }
 
-    /// Solves per-function fixpoints on up to `jobs` worker threads via
-    /// [`analyze_program_parallel`]. Findings, summaries, and statistics
+    /// Solves per-function fixpoints on up to `jobs` worker threads (the
+    /// SCC-parallel mode of [`Substrate::run`]). Findings, summaries, and
+    /// statistics
     /// are byte-identical for every value, so `jobs` is deliberately not
     /// part of [`SemanticEngine::fingerprint`] — cached results are shared
     /// across worker counts. Small programs always solve sequentially.
@@ -133,94 +149,14 @@ impl SemanticEngine {
         h
     }
 
-    /// Runs all three domain passes and returns findings plus telemetry.
+    /// Runs all six domain passes and returns findings plus telemetry.
     pub fn analyze(&self, program: &Program) -> SemanticScan {
-        let mut findings = Vec::new();
-        let mut stats = SolverStats { converged: true, ..SolverStats::default() };
-
-        let t = Instant::now();
-        let pa = analyze_program_parallel::<IntervalDomain, _, _>(
-            program,
-            self.config,
-            self.jobs,
-            |summaries| IntervalDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                check_intervals(func, cfg, domain, analysis, &mut findings);
-            },
-        );
-        stats.absorb(&pa.stats);
-        let interval_micros = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let pa = analyze_program_parallel::<NullnessDomain, _, _>(
-            program,
-            self.config,
-            self.jobs,
-            |summaries| NullnessDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                check_nullness(func, cfg, domain, analysis, &mut findings);
-            },
-        );
-        stats.absorb(&pa.stats);
-        let nullness_micros = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let pa = analyze_program_parallel::<InitDomain, _, _>(
-            program,
-            self.config,
-            self.jobs,
-            |_| InitDomain,
-            |func, cfg, domain, analysis| {
-                check_init(func, cfg, domain, analysis, &mut findings);
-            },
-        );
-        stats.absorb(&pa.stats);
-        let init_micros = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let pa = analyze_program_parallel::<OwnershipDomain, _, _>(
-            program,
-            self.config,
-            self.jobs,
-            |summaries| OwnershipDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                check_ownership(func, cfg, domain, analysis, &mut findings);
-                check_toctou(func, cfg, &mut findings);
-            },
-        );
-        stats.absorb(&pa.stats);
-        let ownership_micros = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let pa = analyze_program_parallel::<WidthDomain, _, _>(
-            program,
-            self.config,
-            self.jobs,
-            |summaries| WidthDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                check_width(func, cfg, domain, analysis, &mut findings);
-            },
-        );
-        stats.absorb(&pa.stats);
-        let width_micros = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let pa = analyze_program_parallel::<ProvenanceDomain, _, _>(
-            program,
-            self.config,
-            self.jobs,
-            |summaries| ProvenanceDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                check_sinks(func, cfg, domain, analysis, &mut findings);
-            },
-        );
-        stats.absorb(&pa.stats);
-        let provenance_micros = t.elapsed().as_micros() as u64;
-
-        findings.sort_by_key(|f| (f.span.start, f.cwe.id()));
+        let run = self.run_passes(&Substrate::new(program));
+        let [interval_micros, nullness_micros, init_micros, ownership_micros, width_micros, provenance_micros] =
+            run.micros;
         SemanticScan {
-            findings,
-            stats,
+            findings: run.findings,
+            stats: run.stats,
             interval_micros,
             nullness_micros,
             init_micros,
@@ -228,6 +164,76 @@ impl SemanticEngine {
             width_micros,
             provenance_micros,
         }
+    }
+
+    /// The six domain passes, in delivery order. Each solves its domain
+    /// over the shared substrate and runs its checkers on every solved
+    /// function; the tag separates the passes' incremental cache entries.
+    const PASSES: [fn(&SemanticEngine, &Substrate<'_>) -> PassOutput; 6] = [
+        |e, s| e.pass(s, 0x01, IntervalDomain::with_summaries, check_intervals),
+        |e, s| e.pass(s, 0x02, NullnessDomain::with_summaries, check_nullness),
+        |e, s| e.pass(s, 0x03, |_| InitDomain, check_init),
+        |e, s| {
+            e.pass(s, 0x04, OwnershipDomain::with_summaries, |solved, out| {
+                check_ownership(solved, out);
+                check_toctou(solved.func.name.as_str(), solved.shape, out);
+            })
+        },
+        |e, s| e.pass(s, 0x05, WidthDomain::with_summaries, check_width),
+        |e, s| e.pass(s, 0x06, ProvenanceDomain::with_summaries, check_sinks),
+    ];
+
+    /// Runs one domain pass over `substrate`.
+    fn pass<D, M>(
+        &self,
+        substrate: &Substrate<'_>,
+        tag: u64,
+        make_domain: M,
+        check: fn(&Solved<'_, D>, &mut Vec<Finding>),
+    ) -> PassOutput
+    where
+        D: Domain,
+        D::Value: Send + Sync + 'static,
+        M: Fn(Arc<Summaries<D::Value>>) -> D + Sync,
+    {
+        let run = substrate.run(
+            self.config,
+            self.jobs,
+            self.fingerprint() ^ tag,
+            make_domain,
+            |solved| {
+                let mut out = Vec::new();
+                check(solved, &mut out);
+                out
+            },
+        );
+        PassOutput {
+            findings: run.payloads.into_iter().flatten().collect(),
+            stats: run.stats,
+            trace: run.trace,
+        }
+    }
+
+    /// Runs every pass in [`Self::PASSES`] over `substrate`. Findings are
+    /// concatenated pass-major (bottom-up within a pass), then stably
+    /// sorted by `(span.start, cwe)`.
+    fn run_passes(&self, substrate: &Substrate<'_>) -> EngineRun {
+        let mut run = EngineRun {
+            findings: Vec::new(),
+            stats: SolverStats { converged: true, ..SolverStats::default() },
+            trace: IncrementalTrace::default(),
+            micros: [0; 6],
+        };
+        for (pass, micros) in Self::PASSES.iter().zip(&mut run.micros) {
+            let t = Instant::now();
+            let out = pass(self, substrate);
+            *micros = t.elapsed().as_micros() as u64;
+            run.findings.extend(out.findings);
+            run.stats.absorb(&out.stats);
+            run.trace.merge(&out.trace);
+        }
+        run.findings.sort_by_key(|f| (f.span.start, f.cwe.id()));
+        run
     }
 
     /// Parses and scans source text.
@@ -291,127 +297,12 @@ impl SemanticEngine {
         program: &Program,
         cache: &vulnman_lang::AnalysisCache,
     ) -> IncrementalSemanticScan {
-        // The call graph and function fingerprints are pass-independent;
-        // build them once and share across all three domain passes.
-        self.analyze_incremental_in(&IncrementalContext::new(program), program, cache)
+        self.analyze_incremental_in(&Substrate::incremental(program, cache))
     }
 
-    fn analyze_incremental_in(
-        &self,
-        ctx: &IncrementalContext,
-        program: &Program,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> IncrementalSemanticScan {
-        let base = self.fingerprint();
-        let mut findings = Vec::new();
-        let mut stats = SolverStats { converged: true, ..SolverStats::default() };
-        let mut trace = IncrementalTrace::default();
-
-        let run = analyze_program_incremental_in::<IntervalDomain, _, _, Vec<Finding>>(
-            ctx,
-            program,
-            cache,
-            self.config,
-            base ^ 0x01,
-            |summaries| IntervalDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                let mut out = Vec::new();
-                check_intervals(func, cfg, domain, analysis, &mut out);
-                out
-            },
-        );
-        stats.absorb(&run.analysis.stats);
-        trace.merge(&run.trace);
-        findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
-
-        let run = analyze_program_incremental_in::<NullnessDomain, _, _, Vec<Finding>>(
-            ctx,
-            program,
-            cache,
-            self.config,
-            base ^ 0x02,
-            |summaries| NullnessDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                let mut out = Vec::new();
-                check_nullness(func, cfg, domain, analysis, &mut out);
-                out
-            },
-        );
-        stats.absorb(&run.analysis.stats);
-        trace.merge(&run.trace);
-        findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
-
-        let run = analyze_program_incremental_in::<InitDomain, _, _, Vec<Finding>>(
-            ctx,
-            program,
-            cache,
-            self.config,
-            base ^ 0x03,
-            |_| InitDomain,
-            |func, cfg, domain, analysis| {
-                let mut out = Vec::new();
-                check_init(func, cfg, domain, analysis, &mut out);
-                out
-            },
-        );
-        stats.absorb(&run.analysis.stats);
-        trace.merge(&run.trace);
-        findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
-
-        let run = analyze_program_incremental_in::<OwnershipDomain, _, _, Vec<Finding>>(
-            ctx,
-            program,
-            cache,
-            self.config,
-            base ^ 0x04,
-            |summaries| OwnershipDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                let mut out = Vec::new();
-                check_ownership(func, cfg, domain, analysis, &mut out);
-                check_toctou(func, cfg, &mut out);
-                out
-            },
-        );
-        stats.absorb(&run.analysis.stats);
-        trace.merge(&run.trace);
-        findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
-
-        let run = analyze_program_incremental_in::<WidthDomain, _, _, Vec<Finding>>(
-            ctx,
-            program,
-            cache,
-            self.config,
-            base ^ 0x05,
-            |summaries| WidthDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                let mut out = Vec::new();
-                check_width(func, cfg, domain, analysis, &mut out);
-                out
-            },
-        );
-        stats.absorb(&run.analysis.stats);
-        trace.merge(&run.trace);
-        findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
-
-        let run = analyze_program_incremental_in::<ProvenanceDomain, _, _, Vec<Finding>>(
-            ctx,
-            program,
-            cache,
-            self.config,
-            base ^ 0x06,
-            |summaries| ProvenanceDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                let mut out = Vec::new();
-                check_sinks(func, cfg, domain, analysis, &mut out);
-                out
-            },
-        );
-        stats.absorb(&run.analysis.stats);
-        trace.merge(&run.trace);
-        findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
-
-        findings.sort_by_key(|f| (f.span.start, f.cwe.id()));
-        IncrementalSemanticScan { findings, stats, trace }
+    fn analyze_incremental_in(&self, substrate: &Substrate<'_>) -> IncrementalSemanticScan {
+        let run = self.run_passes(substrate);
+        IncrementalSemanticScan { findings: run.findings, stats: run.stats, trace: run.trace }
     }
 
     /// Parses (through the [`Stage::Lex`](vulnman_lang::Stage) and
@@ -439,8 +330,8 @@ impl SemanticEngine {
         let program = cache.parse_stage(key, source)?;
         // The source is in hand, so fingerprint functions from their raw
         // source slices — far cheaper than rendering each AST.
-        let ctx = IncrementalContext::with_source(&program, source);
-        Ok(self.analyze_incremental_in(&ctx, &program, cache))
+        Ok(self
+            .analyze_incremental_in(&Substrate::incremental_from_source(&program, source, cache)))
     }
 
     /// Scans and reports solver telemetry through the pre-registered
@@ -670,13 +561,8 @@ fn facts_for<V: vulnman_lang::absint::AbstractValue + std::fmt::Display>(
 // Interval checkers: OOB (CWE-787/125), div-by-zero (CWE-369), overflow (190)
 // ---------------------------------------------------------------------------
 
-fn check_intervals(
-    func: &Function,
-    cfg: &Cfg,
-    domain: &IntervalDomain,
-    analysis: &DomainAnalysis<Interval>,
-    out: &mut Vec<Finding>,
-) {
+fn check_intervals(s: &Solved<'_, IntervalDomain>, out: &mut Vec<Finding>) {
+    let (func, cfg, domain) = (s.func, s.cfg(), s.domain);
     // Declared array lengths in this function. The language has
     // function-level scope, so one map per function suffices.
     let mut arrays: BTreeMap<&str, i128> = BTreeMap::new();
@@ -690,204 +576,166 @@ fn check_intervals(
         }
     }
 
-    let reachable = cfg.reachable();
-    for (b, &live) in reachable.iter().enumerate() {
-        if !live {
-            continue;
-        }
-        for (pre, inst) in analysis.replay(domain, cfg, b) {
-            if !pre.is_reachable() {
+    s.for_each_reachable(|pre, inst| {
+        for access in index_accesses(&inst.inst) {
+            let Some(&len) = arrays.get(access.base) else { continue };
+            let iv = domain.eval(pre, access.index);
+            // Must-style gate: report only when *every* possible index
+            // is outside `[0, len)` — a proof, not a possibility.
+            if iv.is_bottom() || (iv.lo() < len && iv.hi() >= 0) {
                 continue;
             }
-            for access in index_accesses(&inst.inst) {
-                let Some(&len) = arrays.get(access.base) else { continue };
-                let iv = domain.eval(&pre, access.index);
-                // Must-style gate: report only when *every* possible index
-                // is outside `[0, len)` — a proof, not a possibility.
-                if iv.is_bottom() || (iv.lo() < len && iv.hi() >= 0) {
-                    continue;
-                }
-                let (cwe, verb) = if access.is_write {
-                    (Cwe::OutOfBoundsWrite, "write to")
-                } else {
-                    (Cwe::OutOfBoundsRead, "read of")
-                };
-                let claim = format!(
-                    "index into `{}` is {iv}, entirely outside the valid range [0, {len})",
+            let (cwe, verb) = if access.is_write {
+                (Cwe::OutOfBoundsWrite, "write to")
+            } else {
+                (Cwe::OutOfBoundsRead, "read of")
+            };
+            let claim = format!(
+                "index into `{}` is {iv}, entirely outside the valid range [0, {len})",
+                access.base
+            );
+            out.push(Finding {
+                cwe,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-interval".into(),
+                message: format!(
+                    "{verb} `{}[...]` with an index proven out of bounds ({iv} vs length \
+                     {len})",
                     access.base
-                );
-                out.push(Finding {
-                    cwe,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-interval".into(),
-                    message: format!(
-                        "{verb} `{}[...]` with an index proven out of bounds ({iv} vs length \
-                         {len})",
-                        access.base
-                    ),
-                    confidence: Confidence::High,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: facts_for(&pre, &[access.index]),
-                        claim,
-                    }),
-                });
-            }
-            for divisor in divisors(&inst.inst) {
-                let dv = domain.eval(&pre, divisor);
-                if !dv.is_point(0) {
-                    continue;
-                }
-                out.push(Finding {
-                    cwe: Cwe::DivideByZero,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-interval".into(),
-                    message: "division by a divisor proven to be exactly zero".into(),
-                    confidence: Confidence::High,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: facts_for(&pre, &[divisor]),
-                        claim: "the divisor evaluates to [0, 0] on every path reaching this \
-                                division"
-                            .into(),
-                    }),
-                });
-            }
-            if let CfgInst::Decl { init: Some(value), .. } | CfgInst::Assign { value, .. } =
-                &inst.inst
-            {
-                let v = domain.eval(&pre, value);
-                if v.fits_i64() {
-                    continue;
-                }
-                out.push(Finding {
-                    cwe: Cwe::IntegerOverflow,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-interval".into(),
-                    message: format!(
-                        "assigned value {v} lies entirely outside the 64-bit integer range"
-                    ),
-                    confidence: Confidence::High,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: facts_for(&pre, &[value]),
-                        claim: format!("the assigned expression evaluates to {v}"),
-                    }),
-                });
-            }
+                ),
+                confidence: Confidence::High,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: facts_for(pre, &[access.index]),
+                    claim,
+                }),
+            });
         }
-    }
+        for divisor in divisors(&inst.inst) {
+            let dv = domain.eval(pre, divisor);
+            if !dv.is_point(0) {
+                continue;
+            }
+            out.push(Finding {
+                cwe: Cwe::DivideByZero,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-interval".into(),
+                message: "division by a divisor proven to be exactly zero".into(),
+                confidence: Confidence::High,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: facts_for(pre, &[divisor]),
+                    claim: "the divisor evaluates to [0, 0] on every path reaching this \
+                            division"
+                        .into(),
+                }),
+            });
+        }
+        if let CfgInst::Decl { init: Some(value), .. } | CfgInst::Assign { value, .. } = &inst.inst
+        {
+            let v = domain.eval(pre, value);
+            if v.fits_i64() {
+                return;
+            }
+            out.push(Finding {
+                cwe: Cwe::IntegerOverflow,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-interval".into(),
+                message: format!(
+                    "assigned value {v} lies entirely outside the 64-bit integer range"
+                ),
+                confidence: Confidence::High,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: facts_for(pre, &[value]),
+                    claim: format!("the assigned expression evaluates to {v}"),
+                }),
+            });
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
 // Nullness checker: null dereference (CWE-476)
 // ---------------------------------------------------------------------------
 
-fn check_nullness(
-    func: &Function,
-    cfg: &Cfg,
-    domain: &NullnessDomain,
-    analysis: &DomainAnalysis<Nullness>,
-    out: &mut Vec<Finding>,
-) {
-    let reachable = cfg.reachable();
+fn check_nullness(s: &Solved<'_, NullnessDomain>, out: &mut Vec<Finding>) {
+    let (func, domain) = (s.func, s.domain);
     // One finding per variable per function: later dereferences of the same
     // null pointer add no information.
     let mut reported: BTreeSet<String> = BTreeSet::new();
-    for (b, &live) in reachable.iter().enumerate() {
-        if !live {
-            continue;
-        }
-        for (pre, inst) in analysis.replay(domain, cfg, b) {
-            if !pre.is_reachable() {
+    s.for_each_reachable(|pre, inst| {
+        for name in deref_targets(&inst.inst) {
+            let v = pre.get(name);
+            if !v.is_derefable_bug() || reported.contains(name) {
                 continue;
             }
-            for name in deref_targets(&inst.inst) {
-                let v = pre.get(name);
-                if !v.is_derefable_bug() || reported.contains(name) {
-                    continue;
-                }
-                reported.insert(name.to_string());
-                let (confidence, how) = match v {
-                    Nullness::Null => (Confidence::High, "is the literal null on every path"),
-                    _ => (
-                        Confidence::Medium,
-                        "may be the literal null: a null-valued path \
-                           merges in unguarded",
-                    ),
-                };
-                out.push(Finding {
-                    cwe: Cwe::NullDereference,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-nullness".into(),
-                    message: format!("dereference of `{name}`, which {how}"),
-                    confidence,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
-                        claim: format!("`{name}` is {v} at the dereference"),
-                    }),
-                });
-            }
+            reported.insert(name.to_string());
+            let (confidence, how) = match v {
+                Nullness::Null => (Confidence::High, "is the literal null on every path"),
+                _ => (
+                    Confidence::Medium,
+                    "may be the literal null: a null-valued path \
+                       merges in unguarded",
+                ),
+            };
+            out.push(Finding {
+                cwe: Cwe::NullDereference,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-nullness".into(),
+                message: format!("dereference of `{name}`, which {how}"),
+                confidence,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
+                    claim: format!("`{name}` is {v} at the dereference"),
+                }),
+            });
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
 // Definite-initialization checker: use of uninitialized variable (CWE-457)
 // ---------------------------------------------------------------------------
 
-fn check_init(
-    func: &Function,
-    cfg: &Cfg,
-    domain: &InitDomain,
-    analysis: &DomainAnalysis<Init>,
-    out: &mut Vec<Finding>,
-) {
-    let reachable = cfg.reachable();
+fn check_init(s: &Solved<'_, InitDomain>, out: &mut Vec<Finding>) {
+    let (func, domain) = (s.func, s.domain);
     let mut reported: BTreeSet<String> = BTreeSet::new();
-    for (b, &live) in reachable.iter().enumerate() {
-        if !live {
-            continue;
-        }
-        for (pre, inst) in analysis.replay(domain, cfg, b) {
-            if !pre.is_reachable() {
+    s.for_each_reachable(|pre, inst| {
+        for name in inst_reads(&inst.inst) {
+            let v = pre.get(name);
+            if !v.is_read_bug() || reported.contains(name) {
                 continue;
             }
-            for name in inst_reads(&inst.inst) {
-                let v = pre.get(name);
-                if !v.is_read_bug() || reported.contains(name) {
-                    continue;
-                }
-                reported.insert(name.to_string());
-                let (confidence, how) = match v {
-                    Init::No => (Confidence::High, "is never initialized before this read"),
-                    _ => (
-                        Confidence::Medium,
-                        "is uninitialized on at least one path to this \
-                           read",
-                    ),
-                };
-                out.push(Finding {
-                    cwe: Cwe::UninitializedUse,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-init".into(),
-                    message: format!("read of `{name}`, which {how}"),
-                    confidence,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
-                        claim: format!("`{name}` is {v} at the read"),
-                    }),
-                });
-            }
+            reported.insert(name.to_string());
+            let (confidence, how) = match v {
+                Init::No => (Confidence::High, "is never initialized before this read"),
+                _ => (
+                    Confidence::Medium,
+                    "is uninitialized on at least one path to this \
+                       read",
+                ),
+            };
+            out.push(Finding {
+                cwe: Cwe::UninitializedUse,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-init".into(),
+                message: format!("read of `{name}`, which {how}"),
+                confidence,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
+                    claim: format!("`{name}` is {v} at the read"),
+                }),
+            });
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -912,89 +760,75 @@ fn freed_vars(inst: &CfgInst) -> BTreeSet<&str> {
     out
 }
 
-fn check_ownership(
-    func: &Function,
-    cfg: &Cfg,
-    domain: &OwnershipDomain,
-    analysis: &DomainAnalysis<Ownership>,
-    out: &mut Vec<Finding>,
-) {
-    let reachable = cfg.reachable();
+fn check_ownership(s: &Solved<'_, OwnershipDomain>, out: &mut Vec<Finding>) {
+    let (func, domain) = (s.func, s.domain);
     // One finding per (variable, class) per function.
     let mut reported: BTreeSet<(String, u32)> = BTreeSet::new();
-    for (b, &live) in reachable.iter().enumerate() {
-        if !live {
-            continue;
-        }
-        for (pre, inst) in analysis.replay(domain, cfg, b) {
-            if !pre.is_reachable() {
+    s.for_each_reachable(|pre, inst| {
+        let freed_here = freed_vars(&inst.inst);
+        // A release of a handle that is already dead is a double free.
+        for name in &freed_here {
+            let v = pre.get(name);
+            let (confidence, how) = if v.free_is_proven_bug() {
+                let how = match v {
+                    Ownership::Moved => "whose ownership was already handed off",
+                    _ => "already released on every path",
+                };
+                (Confidence::High, how)
+            } else if v.free_is_possible_bug() {
+                (Confidence::Medium, "already released on at least one path")
+            } else {
+                continue;
+            };
+            if !reported.insert((name.to_string(), Cwe::DoubleFree.id())) {
                 continue;
             }
-            let freed_here = freed_vars(&inst.inst);
-            // A release of a handle that is already dead is a double free.
-            for name in &freed_here {
-                let v = pre.get(name);
-                let (confidence, how) = if v.free_is_proven_bug() {
-                    let how = match v {
-                        Ownership::Moved => "whose ownership was already handed off",
-                        _ => "already released on every path",
-                    };
-                    (Confidence::High, how)
-                } else if v.free_is_possible_bug() {
-                    (Confidence::Medium, "already released on at least one path")
-                } else {
-                    continue;
-                };
-                if !reported.insert((name.to_string(), Cwe::DoubleFree.id())) {
-                    continue;
-                }
-                out.push(Finding {
-                    cwe: Cwe::DoubleFree,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-ownership".into(),
-                    message: format!("release of `{name}`, {how}"),
-                    confidence,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
-                        claim: format!("`{name}` is {v} when released again"),
-                    }),
-                });
-            }
-            // Any other read of a dead handle is a use after free. The
-            // release itself was reported above as the double free.
-            for name in inst_reads(&inst.inst) {
-                if freed_here.contains(name) {
-                    continue;
-                }
-                let v = pre.get(name);
-                let (confidence, how) = if v.use_is_proven_bug() {
-                    (Confidence::High, "released on every path reaching this use")
-                } else if v.use_is_possible_bug() {
-                    (Confidence::Medium, "released on at least one path reaching this use")
-                } else {
-                    continue;
-                };
-                if !reported.insert((name.to_string(), Cwe::UseAfterFree.id())) {
-                    continue;
-                }
-                out.push(Finding {
-                    cwe: Cwe::UseAfterFree,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-ownership".into(),
-                    message: format!("use of `{name}`, {how}"),
-                    confidence,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
-                        claim: format!("`{name}` is {v} at the use"),
-                    }),
-                });
-            }
+            out.push(Finding {
+                cwe: Cwe::DoubleFree,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-ownership".into(),
+                message: format!("release of `{name}`, {how}"),
+                confidence,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
+                    claim: format!("`{name}` is {v} when released again"),
+                }),
+            });
         }
-    }
+        // Any other read of a dead handle is a use after free. The
+        // release itself was reported above as the double free.
+        for name in inst_reads(&inst.inst) {
+            if freed_here.contains(name) {
+                continue;
+            }
+            let v = pre.get(name);
+            let (confidence, how) = if v.use_is_proven_bug() {
+                (Confidence::High, "released on every path reaching this use")
+            } else if v.use_is_possible_bug() {
+                (Confidence::Medium, "released on at least one path reaching this use")
+            } else {
+                continue;
+            };
+            if !reported.insert((name.to_string(), Cwe::UseAfterFree.id())) {
+                continue;
+            }
+            out.push(Finding {
+                cwe: Cwe::UseAfterFree,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-ownership".into(),
+                message: format!("use of `{name}`, {how}"),
+                confidence,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
+                    claim: format!("`{name}` is {v} at the use"),
+                }),
+            });
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1096,9 +930,9 @@ fn toctou_dfs<'a>(
 /// i.e. at least one trace has a window in which the checked state can go
 /// stale. Purely structural (no abstract domain), so flag-indirected checks
 /// the syntactic race rule misses are still found.
-fn check_toctou(func: &Function, cfg: &Cfg, out: &mut Vec<Finding>) {
+fn check_toctou(function: &str, shape: &FnShape, out: &mut Vec<Finding>) {
+    let (cfg, reachable) = (&shape.cfg, &shape.reachable);
     let events = toctou_events(cfg);
-    let reachable = cfg.reachable();
     let mut reported: BTreeSet<String> = BTreeSet::new();
     for (b, block_events) in events.iter().enumerate() {
         if !reachable[b] {
@@ -1128,7 +962,7 @@ fn check_toctou(func: &Function, cfg: &Cfg, out: &mut Vec<Finding>) {
             };
             out.push(Finding {
                 cwe: Cwe::Toctou,
-                function: func.name.to_string(),
+                function: function.to_string(),
                 span,
                 detector: "absint-toctou".into(),
                 message: format!(
@@ -1156,13 +990,8 @@ fn check_toctou(func: &Function, cfg: &Cfg, out: &mut Vec<Finding>) {
 // Width checker: integer truncation (CWE-197)
 // ---------------------------------------------------------------------------
 
-fn check_width(
-    func: &Function,
-    cfg: &Cfg,
-    domain: &WidthDomain,
-    analysis: &DomainAnalysis<Width>,
-    out: &mut Vec<Finding>,
-) {
+fn check_width(s: &Solved<'_, WidthDomain>, out: &mut Vec<Finding>) {
+    let (func, cfg, domain) = (s.func, s.cfg(), s.domain);
     // Scalar `char` declarations in this function (function-level scope, so
     // one set suffices); stores into them are the narrowing points.
     let mut chars: BTreeSet<&str> = BTreeSet::new();
@@ -1177,51 +1006,42 @@ fn check_width(
         return;
     }
 
-    let reachable = cfg.reachable();
     let mut reported: BTreeSet<String> = BTreeSet::new();
-    for (b, &live) in reachable.iter().enumerate() {
-        if !live {
-            continue;
+    s.for_each_reachable(|pre, inst| {
+        let (dest, value) = match &inst.inst {
+            CfgInst::Decl { name, ty: Type::Char, init: Some(value) } => (name, value),
+            CfgInst::Assign { target: LValue::Var(name), value }
+                if chars.contains(name.as_str()) =>
+            {
+                (name, value)
+            }
+            _ => return,
+        };
+        let v = domain.eval(pre, value);
+        // Must-style gate: only a range entirely outside the 8-bit
+        // window proves the store truncates; may-truncation stays quiet.
+        if !v.provably_exceeds_bits(8) || reported.contains(dest.as_str()) {
+            return;
         }
-        for (pre, inst) in analysis.replay(domain, cfg, b) {
-            if !pre.is_reachable() {
-                continue;
-            }
-            let (dest, value) = match &inst.inst {
-                CfgInst::Decl { name, ty: Type::Char, init: Some(value) } => (name, value),
-                CfgInst::Assign { target: LValue::Var(name), value }
-                    if chars.contains(name.as_str()) =>
-                {
-                    (name, value)
-                }
-                _ => continue,
-            };
-            let v = domain.eval(&pre, value);
-            // Must-style gate: only a range entirely outside the 8-bit
-            // window proves the store truncates; may-truncation stays quiet.
-            if !v.provably_exceeds_bits(8) || reported.contains(dest.as_str()) {
-                continue;
-            }
-            reported.insert(dest.to_string());
-            out.push(Finding {
-                cwe: Cwe::IntegerTruncation,
-                function: func.name.to_string(),
-                span: inst.span,
-                detector: "absint-width".into(),
-                message: format!(
-                    "store into 8-bit `{dest}` of a value proven outside the char range ({v})"
+        reported.insert(dest.to_string());
+        out.push(Finding {
+            cwe: Cwe::IntegerTruncation,
+            function: func.name.to_string(),
+            span: inst.span,
+            detector: "absint-width".into(),
+            message: format!(
+                "store into 8-bit `{dest}` of a value proven outside the char range ({v})"
+            ),
+            confidence: Confidence::High,
+            evidence: Some(Evidence {
+                domain: domain.name().into(),
+                facts: facts_for(pre, &[value]),
+                claim: format!(
+                    "the stored expression evaluates to {v}, entirely outside [-128, 127]"
                 ),
-                confidence: Confidence::High,
-                evidence: Some(Evidence {
-                    domain: domain.name().into(),
-                    facts: facts_for(&pre, &[value]),
-                    claim: format!(
-                        "the stored expression evaluates to {v}, entirely outside [-128, 127]"
-                    ),
-                }),
-            });
-        }
-    }
+            }),
+        });
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1238,66 +1058,52 @@ const PROVENANCE_SINKS: [(&str, u8, Cwe, &str); 4] = [
     ("popen", KIND_COMMAND, Cwe::CommandInjection, "command"),
 ];
 
-fn check_sinks(
-    func: &Function,
-    cfg: &Cfg,
-    domain: &ProvenanceDomain,
-    analysis: &DomainAnalysis<Provenance>,
-    out: &mut Vec<Finding>,
-) {
-    let reachable = cfg.reachable();
+fn check_sinks(s: &Solved<'_, ProvenanceDomain>, out: &mut Vec<Finding>) {
+    let (func, domain) = (s.func, s.domain);
     let mut reported: BTreeSet<(u32, u32)> = BTreeSet::new();
-    for (b, &live) in reachable.iter().enumerate() {
-        if !live {
-            continue;
-        }
-        for (pre, inst) in analysis.replay(domain, cfg, b) {
-            if !pre.is_reachable() {
-                continue;
-            }
-            for e in inst_exprs(&inst.inst) {
-                walk(e, &mut |e| {
-                    let ExprKind::Call(name, args) = &e.kind else { return };
-                    let Some((_, kind_bit, cwe, kind_name)) =
-                        PROVENANCE_SINKS.iter().find(|(sink, ..)| sink == name)
-                    else {
-                        return;
-                    };
-                    let Some(arg) = args.first() else { return };
-                    let v = domain.eval(&pre, arg);
-                    let (confidence, how) = if v.sink_is_proven_bug(*kind_bit) {
-                        (Confidence::High, "on every path")
-                    } else if v.sink_is_possible_bug(*kind_bit) {
-                        (Confidence::Medium, "on at least one path")
-                    } else {
-                        return;
-                    };
-                    if !reported.insert((inst.span.start as u32, cwe.id())) {
-                        return;
-                    }
-                    out.push(Finding {
-                        cwe: *cwe,
-                        function: func.name.to_string(),
-                        span: inst.span,
-                        detector: "absint-provenance".into(),
-                        message: format!(
-                            "attacker-controlled data reaches the {kind_name} position of \
-                             `{name}` {how}, never sanitized for `{kind_name}`"
+    s.for_each_reachable(|pre, inst| {
+        for e in inst_exprs(&inst.inst) {
+            walk(e, &mut |e| {
+                let ExprKind::Call(name, args) = &e.kind else { return };
+                let Some((_, kind_bit, cwe, kind_name)) =
+                    PROVENANCE_SINKS.iter().find(|(sink, ..)| sink == name)
+                else {
+                    return;
+                };
+                let Some(arg) = args.first() else { return };
+                let v = domain.eval(pre, arg);
+                let (confidence, how) = if v.sink_is_proven_bug(*kind_bit) {
+                    (Confidence::High, "on every path")
+                } else if v.sink_is_possible_bug(*kind_bit) {
+                    (Confidence::Medium, "on at least one path")
+                } else {
+                    return;
+                };
+                if !reported.insert((inst.span.start as u32, cwe.id())) {
+                    return;
+                }
+                out.push(Finding {
+                    cwe: *cwe,
+                    function: func.name.to_string(),
+                    span: inst.span,
+                    detector: "absint-provenance".into(),
+                    message: format!(
+                        "attacker-controlled data reaches the {kind_name} position of \
+                         `{name}` {how}, never sanitized for `{kind_name}`"
+                    ),
+                    confidence,
+                    evidence: Some(Evidence {
+                        domain: domain.name().into(),
+                        facts: facts_for(pre, &[arg]),
+                        claim: format!(
+                            "the argument is {v} at the `{name}` sink — its sanitizer mask \
+                             never covered `{kind_name}`"
                         ),
-                        confidence,
-                        evidence: Some(Evidence {
-                            domain: domain.name().into(),
-                            facts: facts_for(&pre, &[arg]),
-                            claim: format!(
-                                "the argument is {v} at the `{name}` sink — its sanitizer mask \
-                                 never covered `{kind_name}`"
-                            ),
-                        }),
-                    });
+                    }),
                 });
-            }
+            });
         }
-    }
+    });
 }
 
 #[cfg(test)]

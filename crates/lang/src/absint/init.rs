@@ -80,12 +80,10 @@ impl Domain for InitDomain {
         "init"
     }
 
-    fn entry_env(&self, func: &Function) -> Env<Init> {
-        let mut env = Env::reachable_top();
+    fn seed_entry(&self, func: &Function, env: &mut Env<Init>) {
         for p in &func.params {
             env.set(&p.name, Init::Yes);
         }
-        env
     }
 
     fn transfer(&self, env: &mut Env<Init>, inst: &CfgInst) {

@@ -6,11 +6,11 @@
 //! overflow checks on the happy path (any sum or product of two in-range
 //! `i64`s fits in `i128`; the rare `i128` overflow saturates to ±∞).
 
-use super::domain::{AbstractValue, Domain, Env};
-use crate::ast::{BinOp, Expr, ExprKind, Function, Type, UnOp};
+use super::domain::{AbstractValue, Domain, Env, Summaries};
+use crate::ast::{BinOp, Expr, ExprKind, Type, UnOp};
 use crate::cfg::CfgInst;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// −∞ sentinel.
 const NINF: i128 = i128::MIN;
@@ -248,12 +248,12 @@ fn bmul(a: i128, b: i128) -> i128 {
 #[derive(Debug, Clone, Default)]
 pub struct IntervalDomain {
     /// Abstract return value per analysed function.
-    pub summaries: BTreeMap<String, Interval>,
+    pub summaries: Arc<Summaries<Interval>>,
 }
 
 impl IntervalDomain {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<String, Interval>) -> Self {
+    pub fn with_summaries(summaries: Arc<Summaries<Interval>>) -> Self {
         IntervalDomain { summaries }
     }
 
@@ -345,10 +345,6 @@ impl Domain for IntervalDomain {
 
     fn name(&self) -> &'static str {
         "interval"
-    }
-
-    fn entry_env(&self, _func: &Function) -> Env<Interval> {
-        Env::reachable_top()
     }
 
     fn transfer(&self, env: &mut Env<Interval>, inst: &CfgInst) {

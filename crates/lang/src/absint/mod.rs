@@ -54,14 +54,16 @@ pub mod nullness;
 pub mod ownership;
 pub mod provenance;
 pub mod solver;
+pub mod substrate;
 pub mod width;
 
-pub use callgraph::{analyze_program, analyze_program_parallel, CallGraph, ProgramAnalysis};
-pub use domain::{AbstractValue, Domain, Env};
+pub use callgraph::CallGraph;
+pub use domain::{AbstractValue, Domain, Env, Slots, Summaries};
 pub use init::{Init, InitDomain};
 pub use interval::{Interval, IntervalDomain};
 pub use nullness::{Nullness, NullnessDomain};
 pub use ownership::{Ownership, OwnershipDomain};
 pub use provenance::{Provenance, ProvenanceDomain};
 pub use solver::{DomainAnalysis, Solver, SolverConfig, SolverStats};
+pub use substrate::{FnShape, PassRun, Solved, Substrate};
 pub use width::{Width, WidthDomain};

@@ -8,11 +8,11 @@
 //! branch at …") instead of flagging every unannotated pointer. `Unknown`
 //! (no information, e.g. a bare parameter) is never report-worthy.
 
-use super::domain::{AbstractValue, Domain, Env};
-use crate::ast::{BinOp, Expr, ExprKind, Function, Type, UnOp};
+use super::domain::{AbstractValue, Domain, Env, Summaries};
+use crate::ast::{BinOp, Expr, ExprKind, Type, UnOp};
 use crate::cfg::CfgInst;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Abstract nullness of a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,12 +84,12 @@ pub struct NullnessDomain {
     /// to the allocator convention: an unknown callee returning a pointer is
     /// assumed non-null (the bug class we chase is the literal-null path,
     /// not allocation failure).
-    pub summaries: BTreeMap<String, Nullness>,
+    pub summaries: Arc<Summaries<Nullness>>,
 }
 
 impl NullnessDomain {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<String, Nullness>) -> Self {
+    pub fn with_summaries(summaries: Arc<Summaries<Nullness>>) -> Self {
         NullnessDomain { summaries }
     }
 
@@ -125,10 +125,6 @@ impl Domain for NullnessDomain {
 
     fn name(&self) -> &'static str {
         "nullness"
-    }
-
-    fn entry_env(&self, _func: &Function) -> Env<Nullness> {
-        Env::reachable_top()
     }
 
     fn transfer(&self, env: &mut Env<Nullness>, inst: &CfgInst) {

@@ -14,11 +14,11 @@
 //! high-confidence CWE-416, a use of a `MaybeFreed` handle a medium one;
 //! a *free* of a `Freed` handle is a high-confidence CWE-415.
 
-use super::domain::{AbstractValue, Domain, Env};
-use crate::ast::{Expr, ExprKind, Function};
+use super::domain::{AbstractValue, Domain, Env, Summaries};
+use crate::ast::{Expr, ExprKind};
 use crate::cfg::CfgInst;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Functions whose return value is a freshly owned heap handle.
 pub const ALLOC_FNS: [&str; 3] = ["alloc_buffer", "make_scratch", "reserve_block"];
@@ -119,12 +119,12 @@ pub struct OwnershipDomain {
     /// Abstract return ownership per analysed function (a local wrapper
     /// around an allocator propagates `Owned` to its callers). Externals
     /// outside [`ALLOC_FNS`] evaluate to top.
-    pub summaries: BTreeMap<String, Ownership>,
+    pub summaries: Arc<Summaries<Ownership>>,
 }
 
 impl OwnershipDomain {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<String, Ownership>) -> Self {
+    pub fn with_summaries(summaries: Arc<Summaries<Ownership>>) -> Self {
         OwnershipDomain { summaries }
     }
 
@@ -167,10 +167,6 @@ impl Domain for OwnershipDomain {
 
     fn name(&self) -> &'static str {
         "ownership"
-    }
-
-    fn entry_env(&self, _func: &Function) -> Env<Ownership> {
-        Env::reachable_top()
     }
 
     fn transfer(&self, env: &mut Env<Ownership>, inst: &CfgInst) {

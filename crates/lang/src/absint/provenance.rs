@@ -16,11 +16,11 @@
 //! team's renamed sanitizer wrapper) — is never report-worthy, keeping the
 //! checker must-style.
 
-use super::domain::{AbstractValue, Domain, Env};
-use crate::ast::{Expr, ExprKind, Function, Type, UnOp};
+use super::domain::{AbstractValue, Domain, Env, Summaries};
+use crate::ast::{Expr, ExprKind, Type, UnOp};
 use crate::cfg::CfgInst;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Sink-kind bit: `format` (printf-style format-string position).
 pub const KIND_FORMAT: u8 = 1 << 0;
@@ -165,12 +165,12 @@ pub struct ProvenanceDomain {
     /// Abstract return provenance per analysed function (a local wrapper
     /// around a source propagates external-ness to its callers). Externals
     /// outside the vocabulary evaluate to top.
-    pub summaries: BTreeMap<String, Provenance>,
+    pub summaries: Arc<Summaries<Provenance>>,
 }
 
 impl ProvenanceDomain {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<String, Provenance>) -> Self {
+    pub fn with_summaries(summaries: Arc<Summaries<Provenance>>) -> Self {
         ProvenanceDomain { summaries }
     }
 
@@ -229,10 +229,6 @@ impl Domain for ProvenanceDomain {
 
     fn name(&self) -> &'static str {
         "provenance"
-    }
-
-    fn entry_env(&self, _func: &Function) -> Env<Provenance> {
-        Env::reachable_top()
     }
 
     fn transfer(&self, env: &mut Env<Provenance>, inst: &CfgInst) {

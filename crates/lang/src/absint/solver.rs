@@ -1,9 +1,10 @@
 //! Reverse-post-order worklist fixpoint solver for the monotone framework.
 
-use super::domain::{Domain, Env};
+use super::domain::{AbstractValue, Domain, Env, Slots};
+use super::substrate::FnShape;
 use crate::ast::Function;
 use crate::cfg::{BlockId, Cfg, CfgInst, SpannedInst};
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Solver knobs. Defaults are tuned so every program the corpus generator
 /// can emit converges without hitting the iteration backstop.
@@ -48,47 +49,43 @@ impl SolverStats {
 /// Result of analysing one function: the abstract state at the entry of
 /// every basic block, plus iteration statistics.
 #[derive(Debug, Clone)]
-pub struct DomainAnalysis<V> {
-    /// Per-block entry state (`Env::bottom()` for unreachable blocks).
+pub struct DomainAnalysis<V: AbstractValue> {
+    /// Per-block entry state (bottom for unreachable blocks).
     pub block_entry: Vec<Env<V>>,
     /// Iteration statistics.
     pub stats: SolverStats,
 }
 
-impl<V: super::domain::AbstractValue> DomainAnalysis<V> {
-    /// Replays the transfer function through `block`, yielding the state
-    /// *before* each instruction together with the instruction itself. This
-    /// is how checkers obtain the evidence state at a report point without
-    /// the solver having to store per-instruction environments.
-    pub fn replay<'c, D: Domain<Value = V>>(
-        &self,
-        domain: &D,
-        cfg: &'c Cfg,
-        block: BlockId,
-    ) -> Vec<(Env<V>, &'c SpannedInst)> {
-        let mut env = self.block_entry[block].clone();
-        let mut out = Vec::with_capacity(cfg.blocks[block].insts.len());
-        for inst in &cfg.blocks[block].insts {
-            let pre = env.clone();
-            domain.transfer(&mut env, &inst.inst);
-            out.push((pre, inst));
-        }
-        out
-    }
-
-    /// The state at the end of `block` after all its instructions.
-    pub fn block_exit<D: Domain<Value = V>>(
+impl<V: AbstractValue> DomainAnalysis<V> {
+    /// Replays the transfer function through `block`, calling `visit` with
+    /// the state *before* each instruction together with the instruction
+    /// itself. This is how checkers obtain the evidence state at a report
+    /// point without the solver storing per-instruction environments; the
+    /// state is borrowed, so a block costs one environment copy.
+    pub fn walk_block<D: Domain<Value = V>>(
         &self,
         domain: &D,
         cfg: &Cfg,
         block: BlockId,
-    ) -> Env<V> {
+        mut visit: impl FnMut(&Env<V>, &SpannedInst),
+    ) {
         let mut env = self.block_entry[block].clone();
         for inst in &cfg.blocks[block].insts {
+            visit(&env, inst);
             domain.transfer(&mut env, &inst.inst);
         }
-        env
     }
+}
+
+/// Reverse post-order of `cfg` and each block's rank in it (`usize::MAX`
+/// for blocks the entry cannot reach).
+pub(crate) fn rpo_ranks(cfg: &Cfg) -> (Vec<BlockId>, Vec<usize>) {
+    let rpo = cfg.reverse_post_order();
+    let mut rank = vec![usize::MAX; cfg.blocks.len()];
+    for (i, &b) in rpo.iter().enumerate() {
+        rank[b] = i;
+    }
+    (rpo, rank)
 }
 
 /// The worklist fixpoint engine. Blocks are prioritised by reverse
@@ -107,32 +104,60 @@ impl Solver {
     }
 
     /// Runs `domain` over `cfg` to a fixpoint and returns per-block entry
-    /// states. `func` seeds the entry environment (parameters etc.).
+    /// states. `func` seeds the entry environment (parameters etc.). The
+    /// program driver ([`super::substrate`]) solves through
+    /// [`Solver::solve`] with a prebuilt shape instead.
     pub fn run<D: Domain>(
         &self,
         domain: &D,
         cfg: &Cfg,
         func: &Function,
     ) -> DomainAnalysis<D::Value> {
-        let n = cfg.blocks.len();
-        let rpo = cfg.reverse_post_order();
-        let mut rank = vec![usize::MAX; n];
-        for (i, &b) in rpo.iter().enumerate() {
-            rank[b] = i;
-        }
+        let (rpo, rank) = rpo_ranks(cfg);
+        let slots = Arc::new(Slots::of_function(func));
+        self.fixpoint(domain, cfg, &rpo, &rank, &slots, func)
+    }
 
-        let mut entry: Vec<Env<D::Value>> = vec![Env::bottom(); n];
-        entry[cfg.entry] = domain.entry_env(func);
+    /// [`Solver::run`] over a function's prebuilt [`FnShape`].
+    pub fn solve<D: Domain>(
+        &self,
+        domain: &D,
+        shape: &FnShape,
+        func: &Function,
+    ) -> DomainAnalysis<D::Value> {
+        self.fixpoint(domain, &shape.cfg, &shape.rpo, &shape.rank, &shape.slots, func)
+    }
+
+    fn fixpoint<D: Domain>(
+        &self,
+        domain: &D,
+        cfg: &Cfg,
+        rpo: &[BlockId],
+        rank: &[usize],
+        slots: &Arc<Slots>,
+        func: &Function,
+    ) -> DomainAnalysis<D::Value> {
+        let n = cfg.blocks.len();
+        let mut entry: Vec<Env<D::Value>> = vec![Env::bottom_in(slots); n];
+        let mut seed = Env::reachable_top_in(slots);
+        domain.seed_entry(func, &mut seed);
+        entry[cfg.entry] = seed;
         let mut changes = vec![0usize; n];
         let mut stats = SolverStats { converged: true, ..SolverStats::default() };
 
-        // (rank, block) ordered set: pop_first gives the earliest block in
-        // RPO among all pending ones.
-        let mut worklist: BTreeSet<(usize, BlockId)> = BTreeSet::new();
-        worklist.insert((rank[cfg.entry], cfg.entry));
+        // pending[r]: the block of RPO rank r is queued. Popping the lowest
+        // queued rank gives the earliest block in RPO among all pending
+        // ones; `first` is a lower bound on that rank.
+        let mut pending = vec![false; rpo.len()];
+        pending[rank[cfg.entry]] = true;
+        let mut first = rank[cfg.entry];
+        let mut out = Env::bottom_in(slots);
+        let mut edge = Env::bottom_in(slots);
 
-        while let Some(&(r, b)) = worklist.iter().next() {
-            worklist.remove(&(r, b));
+        while let Some(r) = pending[first..].iter().position(|&p| p).map(|i| first + i) {
+            pending[r] = false;
+            first = r;
+            let b = rpo[r];
             if stats.iterations >= self.config.max_iterations {
                 stats.converged = false;
                 break;
@@ -141,7 +166,7 @@ impl Solver {
 
             // Propagate this block's exit state into each successor,
             // refining along branch outcomes.
-            let mut out = entry[b].clone();
+            out.clone_from(&entry[b]);
             let mut branch_cond: Option<&crate::ast::Expr> = None;
             for inst in &cfg.blocks[b].insts {
                 domain.transfer(&mut out, &inst.inst);
@@ -149,17 +174,20 @@ impl Solver {
                     branch_cond = Some(c);
                 }
             }
-            for (i, &s) in cfg.blocks[b].succs.iter().enumerate() {
+            let succs = &cfg.blocks[b].succs;
+            for (i, &s) in succs.iter().enumerate() {
                 if rank[s] == usize::MAX {
                     continue; // successor unreachable in RPO (defensive)
                 }
-                let mut edge_env = out.clone();
-                if let Some(cond) = branch_cond {
-                    if cfg.blocks[b].succs.len() == 2 {
-                        domain.refine(&mut edge_env, cond, i == 0);
+                let edge_env = match branch_cond {
+                    Some(cond) if succs.len() == 2 => {
+                        edge.clone_from(&out);
+                        domain.refine(&mut edge, cond, i == 0);
+                        &edge
                     }
-                }
-                let joined = entry[s].join(&edge_env);
+                    _ => &out,
+                };
+                let joined = entry[s].join(edge_env);
                 let next = if changes[s] >= self.config.widening_threshold {
                     let widened = entry[s].widen(&joined);
                     if widened != entry[s] {
@@ -172,7 +200,8 @@ impl Solver {
                 if next != entry[s] {
                     entry[s] = next;
                     changes[s] += 1;
-                    worklist.insert((rank[s], s));
+                    pending[rank[s]] = true;
+                    first = first.min(rank[s]);
                 }
             }
         }
@@ -201,9 +230,10 @@ mod tests {
         let (cfg, analysis, domain) =
             solve("int f() { int i = 3; i = i * 4; int t = i + 1; return t; }");
         assert!(analysis.stats.converged);
-        let states = analysis.replay(&domain, &cfg, cfg.entry);
+        let mut last = None;
+        analysis.walk_block(&domain, &cfg, cfg.entry, |pre, _| last = Some(pre.clone()));
         // Before `return t`, t must be exactly 13.
-        let (pre, _) = states.last().unwrap();
+        let pre = last.unwrap();
         assert!(pre.get("t").is_point(13), "t = {}", pre.get("t"));
         assert!(pre.get("i").is_point(12));
     }
@@ -223,7 +253,7 @@ mod tests {
         // Find the block that assigns r = x inside the guard.
         let mut saw = false;
         for b in 0..cfg.blocks.len() {
-            for (pre, inst) in analysis.replay(&domain, &cfg, b) {
+            analysis.walk_block(&domain, &cfg, b, |pre, inst| {
                 if let crate::cfg::CfgInst::Assign { target, .. } = &inst.inst {
                     if target.base_var() == Some("r")
                         && pre.is_reachable()
@@ -232,7 +262,7 @@ mod tests {
                         saw = true;
                     }
                 }
-            }
+            });
         }
         assert!(saw, "taken edge of x < 10 must bound x above by 9");
     }
@@ -243,11 +273,11 @@ mod tests {
             solve("int f(int c) { int r = 0; if (c) { r = 1; } else { r = 5; } return r; }");
         let mut seen = None;
         for b in 0..cfg.blocks.len() {
-            for (pre, inst) in analysis.replay(&domain, &cfg, b) {
+            analysis.walk_block(&domain, &cfg, b, |pre, inst| {
                 if matches!(inst.inst, crate::cfg::CfgInst::Return(_)) {
                     seen = Some(pre.get("r"));
                 }
-            }
+            });
         }
         let r = seen.expect("return reached");
         assert_eq!(r, Interval::point(1).join(&Interval::point(5)));

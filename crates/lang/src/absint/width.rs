@@ -14,12 +14,12 @@
 //! value's range lies **entirely outside** the destination's representable
 //! range — a must-fact; may-truncation is deliberately not reported.
 
-use super::domain::{AbstractValue, Domain, Env};
+use super::domain::{AbstractValue, Domain, Env, Summaries};
 use super::interval::Interval;
-use crate::ast::{BinOp, Expr, ExprKind, Function, Type, UnOp};
+use crate::ast::{BinOp, Expr, ExprKind, Type, UnOp};
 use crate::cfg::CfgInst;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// −∞ sentinel (mirrors the interval domain's encoding).
 const NINF: i128 = i128::MIN;
@@ -143,12 +143,12 @@ impl fmt::Display for Width {
 #[derive(Debug, Clone, Default)]
 pub struct WidthDomain {
     /// Abstract return range per analysed function.
-    pub summaries: BTreeMap<String, Width>,
+    pub summaries: Arc<Summaries<Width>>,
 }
 
 impl WidthDomain {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<String, Width>) -> Self {
+    pub fn with_summaries(summaries: Arc<Summaries<Width>>) -> Self {
         WidthDomain { summaries }
     }
 
@@ -239,10 +239,6 @@ impl Domain for WidthDomain {
 
     fn name(&self) -> &'static str {
         "width"
-    }
-
-    fn entry_env(&self, _func: &Function) -> Env<Width> {
-        Env::reachable_top()
     }
 
     fn transfer(&self, env: &mut Env<Width>, inst: &CfgInst) {

@@ -1,19 +1,22 @@
 //! Per-function incremental recompute for the abstract-interpretation
-//! pipeline.
+//! pipeline: the fingerprints and stage keys behind the incremental mode of
+//! the absint driver ([`Substrate::run`]).
 //!
-//! The batch drivers in [`crate::absint::callgraph`] re-solve every function
-//! of a program on every call. A long-running service sees the *same*
-//! program resubmitted with one function edited, over and over — re-running
-//! the whole fixpoint is almost entirely wasted work. This module keys each
-//! pipeline stage by a hash of exactly the inputs that determine its output,
-//! so a resubmission re-runs only the stages whose input hashes changed:
+//! A long-running service sees the *same* program resubmitted with one
+//! function edited, over and over — re-running the whole fixpoint is almost
+//! entirely wasted work. A substrate built with
+//! [`Substrate::incremental`] keys each pipeline stage by a hash of exactly
+//! the inputs that determine its output, so a resubmission re-runs only the
+//! stages whose input hashes changed:
 //!
 //! * **CFG** ([`Stage::Cfg`]) — keyed per function by the function's
 //!   [fingerprint](fingerprint_function): a hash of its full AST `Debug`
 //!   rendering, which covers the name, parameters, types, body, doc
-//!   comments, *and every source span*. Two functions share a CFG entry only
+//!   comments, *and every source span*. Two functions share an entry only
 //!   when their ASTs — locations included — are identical, which is what
-//!   makes reusing span-bearing results sound.
+//!   makes reusing span-bearing results sound. The entry is the function's
+//!   whole [`FnShape`] (CFG, RPO ranks, reachable mask, slot table), looked
+//!   up at most once per request and only for functions some pass solves.
 //! * **Summary** ([`Stage::Summary`]) and **findings**
 //!   ([`Stage::Findings`]) — keyed per call-graph strongly connected
 //!   component by the pass tag, the fingerprints of every member, and the
@@ -29,26 +32,28 @@
 //!
 //! ## Equivalence argument
 //!
-//! The driver mirrors [`analyze_program_parallel`]'s component walk: SCCs
-//! are processed in bottom-up topological order, members of a cycle feed
-//! each other through a local overlay table in the sequential driver's
-//! relative order, and results are delivered in the exact sequential
+//! Batch and incremental runs go through the same driver walk: components
+//! in bottom-up topological order, cycle members feeding each other through
+//! a local overlay table in post-order, and payloads delivered in the exact
 //! post-order. A function's solved fixpoint depends only on its own AST and
-//! the summaries of its defined callees (the workspace-wide `make_domain`
-//! contract documented on [`analyze_program_parallel`]), which is precisely
-//! what the stage keys hash — so a stage hit returns byte-identical values
-//! to the recompute it skipped, and [`SolverStats`] fold commutatively, so
-//! the aggregate statistics match the batch drivers too.
+//! the summaries of its defined callees (domains consult summaries
+//! exclusively at call sites), which is precisely what the stage keys hash
+//! — so a stage hit returns byte-identical values to the recompute it
+//! skipped, and [`SolverStats`](crate::absint::SolverStats) fold
+//! commutatively, so the aggregate statistics match a batch run too.
+//!
+//! [`Substrate::run`]: crate::absint::Substrate::run
+//! [`Substrate::incremental`]: crate::absint::Substrate::incremental
+//! [`FnShape`]: crate::absint::FnShape
+//! [`AnalysisCache::parse_stage`]: crate::cache::AnalysisCache::parse_stage
+//! [`Stage::Cfg`]: crate::cache::Stage::Cfg
+//! [`Stage::Summary`]: crate::cache::Stage::Summary
+//! [`Stage::Findings`]: crate::cache::Stage::Findings
+//! [`Stage::Lex`]: crate::cache::Stage::Lex
 
-use crate::absint::callgraph::{return_summary, CallGraph, ProgramAnalysis};
-use crate::absint::domain::Domain;
-use crate::absint::solver::{DomainAnalysis, Solver, SolverConfig, SolverStats};
-use crate::ast::{Function, Program};
-use crate::cache::{AnalysisCache, Stage};
-use crate::cfg::Cfg;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::ast::Function;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -96,54 +101,6 @@ pub fn fingerprint_function(func: &Function) -> u64 {
     let mut w = FnvWriter(FNV_OFFSET);
     let _ = write!(w, "{func:?}");
     w.0
-}
-
-/// Pass-independent per-program context for
-/// [`analyze_program_incremental_in`]: the call graph, its bottom-up
-/// order, and every function's fingerprint. All three are pure functions
-/// of the program, so a caller running several domain passes over the same
-/// AST (the semantic engine runs three) builds this once per request
-/// instead of once per pass — on the serving hot path that framing cost,
-/// not the fixpoint, dominates an incremental hit.
-pub struct IncrementalContext {
-    graph: CallGraph,
-    order: Vec<String>,
-    pos: BTreeMap<String, usize>,
-    fps: BTreeMap<String, u64>,
-}
-
-impl IncrementalContext {
-    /// Builds the context for `program`. The context must only be used
-    /// with the exact program it was built from.
-    pub fn new(program: &Program) -> IncrementalContext {
-        Self::build(program, fingerprint_function)
-    }
-
-    /// Builds the context for `program` using the *source slice*
-    /// fingerprint ([`fingerprint_function_source`]) instead of the AST
-    /// `Debug` fingerprint. When the caller still has the source text in
-    /// hand (the serving loop always does), hashing each function's raw
-    /// bytes skips re-rendering the whole AST per request — the single
-    /// largest fixed cost of an incremental resubmission. `program` must
-    /// be the parse of exactly this `source`.
-    pub fn with_source(program: &Program, source: &str) -> IncrementalContext {
-        Self::build(program, |f| fingerprint_function_source(source, f))
-    }
-
-    fn build(program: &Program, fp: impl Fn(&Function) -> u64) -> IncrementalContext {
-        let graph = CallGraph::build(program);
-        let order: Vec<String> = graph.bottom_up().iter().map(|n| n.to_string()).collect();
-        let pos: BTreeMap<String, usize> =
-            order.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
-        let fps: BTreeMap<String, u64> =
-            program.functions.iter().map(|f| (f.name.to_string(), fp(f))).collect();
-        IncrementalContext { graph, order, pos, fps }
-    }
-
-    /// The fingerprint of the named function, if defined.
-    pub fn fingerprint_of(&self, name: &str) -> Option<u64> {
-        self.fps.get(name).copied()
-    }
 }
 
 /// Content fingerprint of one function computed from its raw source slice
@@ -207,316 +164,34 @@ impl IncrementalTrace {
     }
 }
 
-/// Result of one incremental pass: the interprocedural analysis (summaries
-/// plus aggregated solver statistics, byte-identical to the batch drivers),
-/// the per-function checker payloads in exact sequential post-order, and
-/// the recompute trace.
-#[derive(Debug)]
-pub struct IncrementalRun<V, T> {
-    /// Summaries and solver statistics, as [`analyze_program`] would
-    /// return them.
-    ///
-    /// [`analyze_program`]: crate::absint::analyze_program
-    pub analysis: ProgramAnalysis<V>,
-    /// One checker payload per function, in the sequential driver's
-    /// delivery (post-) order.
-    pub payloads: Vec<(String, T)>,
-    /// Which functions were re-solved vs. served from cache.
-    pub trace: IncrementalTrace,
-}
-
-/// Per-SCC cached summary artifact: member summaries in sequential member
-/// order plus the component's folded solver statistics.
-struct SummaryArtifact<V> {
-    members: Vec<(String, V)>,
-    stats: SolverStats,
-}
-
-/// Per-SCC cached findings artifact: one checker payload per member, in
-/// sequential member order.
-struct FindingsArtifact<T>(Vec<(String, T)>);
-
-/// Analyses `program` like [`analyze_program`], but through the per-stage
-/// tables of `cache`: CFGs are reused per function fingerprint, and
-/// summaries + checker payloads per call-graph component whose members and
-/// callee summaries are unchanged. `pass_tag` must fingerprint everything
-/// else the outputs depend on — the domain's identity, the solver
-/// configuration, and the checker configuration — so distinct passes never
-/// share entries.
-///
-/// `check` is the per-function checker: it sees exactly what a
-/// [`analyze_program`] visit closure sees and returns the payload to cache
-/// (for semantic checkers, the function's findings).
-///
-/// [`analyze_program`]: crate::absint::analyze_program
-pub fn analyze_program_incremental<D, M, C, T>(
-    program: &Program,
-    cache: &AnalysisCache,
-    config: SolverConfig,
+/// The summary- and findings-stage keys of one call-graph component: the
+/// pass tag, the member fingerprints in solve order, then each defined
+/// external callee's name and the `Debug` rendering of its summary value,
+/// in name order. Hashing the summary value gives early cutoff: an edited
+/// callee whose summary lands on the same value leaves every caller key
+/// unchanged.
+pub(crate) fn component_keys<'a, V: std::fmt::Debug + 'a>(
     pass_tag: u64,
-    make_domain: M,
-    check: C,
-) -> IncrementalRun<D::Value, T>
-where
-    D: Domain,
-    D::Value: Clone + std::fmt::Debug + Send + Sync + 'static,
-    M: Fn(&BTreeMap<String, D::Value>) -> D,
-    C: Fn(&Function, &Cfg, &D, &DomainAnalysis<D::Value>) -> T,
-    T: Clone + Send + Sync + 'static,
-{
-    let ctx = IncrementalContext::new(program);
-    analyze_program_incremental_in(&ctx, program, cache, config, pass_tag, make_domain, check)
-}
-
-/// [`analyze_program_incremental`] with a caller-supplied
-/// [`IncrementalContext`], so several passes over the same program share
-/// one call-graph construction and one fingerprinting sweep. `ctx` must
-/// have been built from this exact `program`.
-pub fn analyze_program_incremental_in<D, M, C, T>(
-    ctx: &IncrementalContext,
-    program: &Program,
-    cache: &AnalysisCache,
-    config: SolverConfig,
-    pass_tag: u64,
-    make_domain: M,
-    check: C,
-) -> IncrementalRun<D::Value, T>
-where
-    D: Domain,
-    D::Value: Clone + std::fmt::Debug + Send + Sync + 'static,
-    M: Fn(&BTreeMap<String, D::Value>) -> D,
-    C: Fn(&Function, &Cfg, &D, &DomainAnalysis<D::Value>) -> T,
-    T: Clone + Send + Sync + 'static,
-{
-    let cg = &ctx.graph;
-    let order = &ctx.order;
-    let pos = &ctx.pos;
-    let fps = &ctx.fps;
-
-    let solver = Solver::new(config);
-    let mut completed: BTreeMap<String, D::Value> = BTreeMap::new();
-    let mut payload_map: BTreeMap<String, T> = BTreeMap::new();
-    let mut stats = SolverStats { converged: true, ..SolverStats::default() };
-    let mut trace = IncrementalTrace::default();
-
-    for comp in cg.sccs() {
-        // Members in the sequential driver's relative order, so cycle
-        // members accumulate overlay summaries exactly like the batch walk.
-        let mut members: Vec<&Function> = comp.iter().map(|&i| &program.functions[i]).collect();
-        members.sort_by_key(|f| pos[f.name.as_str()]);
-        let member_names: BTreeSet<&str> = members.iter().map(|f| f.name.as_str()).collect();
-
-        // The component key: pass tag, member fingerprints (order matters —
-        // it is the solve order), then each defined external callee's name
-        // and *summary value*. Hashing the summary's Debug rendering gives
-        // early cutoff: an edited callee whose summary lands on the same
-        // value leaves every caller key unchanged.
-        let mut h = mix64(pass_tag);
-        for f in &members {
-            h = mix64(h ^ fps[f.name.as_str()]);
-        }
-        let mut externals: BTreeSet<&str> = BTreeSet::new();
-        for f in &members {
-            for callee in cg.callees_of(f.name.as_str()) {
-                if !member_names.contains(callee) {
-                    externals.insert(callee);
-                }
-            }
-        }
-        for callee in externals {
-            let summary = &completed[callee];
-            let mut w = FnvWriter(FNV_OFFSET);
-            let _ = write!(w, "{summary:?}");
-            h = mix64(h ^ fnv(callee.as_bytes()));
-            h = mix64(h ^ w.0);
-        }
-        let summary_key = mix64(h ^ 0x5e55);
-        let findings_key = mix64(h ^ 0xf1fd);
-
-        let cached_summary =
-            cache.stage_get::<SummaryArtifact<D::Value>>(Stage::Summary, summary_key);
-        let cached_findings = cache.stage_get::<FindingsArtifact<T>>(Stage::Findings, findings_key);
-        if let (Some(s), Some(f)) = (&cached_summary, &cached_findings) {
-            for (name, v) in &s.members {
-                completed.insert(name.clone(), v.clone());
-                trace.reused.push(name.clone());
-            }
-            stats.absorb(&s.stats);
-            for (name, t) in &f.0 {
-                payload_map.insert(name.clone(), t.clone());
-            }
-            continue;
-        }
-
-        // Miss on either table: solve the component. The overlay table
-        // mirrors `analyze_program_parallel`'s cycle handling.
-        let mut local: Option<BTreeMap<String, D::Value>> = None;
-        let mut art_members: Vec<(String, D::Value)> = Vec::with_capacity(members.len());
-        let mut art_payloads: Vec<(String, T)> = Vec::with_capacity(members.len());
-        let mut comp_stats = SolverStats { converged: true, ..SolverStats::default() };
-        for func in &members {
-            let name = func.name.as_str();
-            let cfg = cache.stage(Stage::Cfg, fps[name], || Cfg::build(func));
-            let table = local.as_ref().unwrap_or(&completed);
-            let domain = make_domain(table);
-            let analysis = solver.run(&domain, &cfg, func);
-            let ret = return_summary(&domain, &cfg, &analysis);
-            comp_stats.absorb(&analysis.stats);
-            let payload = check(func, &cfg, &domain, &analysis);
-            if members.len() > 1 {
-                local
-                    .get_or_insert_with(|| completed.clone())
-                    .insert(name.to_string(), ret.clone());
-            }
-            art_members.push((name.to_string(), ret));
-            art_payloads.push((name.to_string(), payload));
-            trace.solved.push(name.to_string());
-        }
-        for (name, v) in &art_members {
-            completed.insert(name.clone(), v.clone());
-        }
-        for (name, t) in &art_payloads {
-            payload_map.insert(name.clone(), t.clone());
-        }
-        stats.absorb(&comp_stats);
-        if cached_summary.is_none() {
-            cache.stage_put(
-                Stage::Summary,
-                summary_key,
-                Arc::new(SummaryArtifact { members: art_members, stats: comp_stats }),
-            );
-        }
-        if cached_findings.is_none() {
-            cache.stage_put(
-                Stage::Findings,
-                findings_key,
-                Arc::new(FindingsArtifact(art_payloads)),
-            );
-        }
+    member_fps: impl Iterator<Item = u64>,
+    externals: impl Iterator<Item = (&'a str, &'a V)>,
+) -> (u64, u64) {
+    let mut h = mix64(pass_tag);
+    for fp in member_fps {
+        h = mix64(h ^ fp);
     }
-
-    // Deliver payloads in the exact sequential post-order, which is what
-    // keeps downstream concatenation (and the stable findings sort on top
-    // of it) byte-identical to the batch drivers.
-    let payloads: Vec<(String, T)> = order
-        .iter()
-        .map(|n| (n.clone(), payload_map.remove(n.as_str()).expect("every function has a payload")))
-        .collect();
-    IncrementalRun { analysis: ProgramAnalysis { summaries: completed, stats }, payloads, trace }
+    for (callee, summary) in externals {
+        let mut w = FnvWriter(FNV_OFFSET);
+        let _ = write!(w, "{summary:?}");
+        h = mix64(h ^ fnv(callee.as_bytes()));
+        h = mix64(h ^ w.0);
+    }
+    (mix64(h ^ 0x5e55), mix64(h ^ 0xf1fd))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::absint::interval::IntervalDomain;
-    use crate::absint::{analyze_program, Interval};
     use crate::parse;
-
-    const PROG: &str = "int leaf() { return 2; }\n\
-                        int even(int n) { if (n) { return odd(n - 1); } return 1; }\n\
-                        int odd(int n) { if (n) { return even(n - 1); } return 0; }\n\
-                        int mid(int x) { return leaf() + even(x); }\n\
-                        int top_fn(int x) { int d = mid(x); return d / leaf(); }";
-
-    fn run_incremental(
-        program: &Program,
-        cache: &AnalysisCache,
-    ) -> IncrementalRun<Interval, String> {
-        analyze_program_incremental::<IntervalDomain, _, _, String>(
-            program,
-            cache,
-            SolverConfig::default(),
-            7,
-            |s| IntervalDomain::with_summaries(s.clone()),
-            |f, _, _, a| format!("{} {:?}", f.name, a.block_entry),
-        )
-    }
-
-    #[test]
-    fn incremental_matches_sequential_driver() {
-        let p = parse(PROG).unwrap();
-        let mut seq_payloads: Vec<String> = Vec::new();
-        let seq = analyze_program(
-            &p,
-            SolverConfig::default(),
-            |s| IntervalDomain::with_summaries(s.clone()),
-            |f, _, _, a| seq_payloads.push(format!("{} {:?}", f.name, a.block_entry)),
-        );
-        let cache = AnalysisCache::new();
-        for round in 0..3 {
-            let inc = run_incremental(&p, &cache);
-            let inc_payloads: Vec<String> = inc.payloads.iter().map(|(_, t)| t.clone()).collect();
-            assert_eq!(inc_payloads, seq_payloads, "round {round}");
-            assert_eq!(format!("{:?}", inc.analysis.summaries), format!("{:?}", seq.summaries));
-            assert_eq!(inc.analysis.stats, seq.stats, "round {round}");
-            if round == 0 {
-                assert_eq!(inc.trace.solved.len(), 5, "cold run solves everything");
-            } else {
-                assert!(inc.trace.solved.is_empty(), "warm run solves nothing");
-                assert_eq!(inc.trace.reused.len(), 5);
-            }
-        }
-    }
-
-    #[test]
-    fn editing_one_leaf_function_reanalyzes_only_the_affected_cone() {
-        let p = parse(PROG).unwrap();
-        let cache = AnalysisCache::new();
-        run_incremental(&p, &cache);
-        // Change `top_fn` (a root: nothing calls it) — only it re-solves.
-        let edited = parse(&PROG.replace("return d / leaf();", "return d + leaf();")).unwrap();
-        let inc = run_incremental(&edited, &cache);
-        assert_eq!(inc.trace.solved, vec!["top_fn".to_string()]);
-        assert_eq!(inc.trace.reused.len(), 4);
-        // And the result still matches a cold full analysis.
-        let cold = run_incremental(&edited, &AnalysisCache::disabled());
-        assert_eq!(
-            format!("{:?}", inc.analysis.summaries),
-            format!("{:?}", cold.analysis.summaries)
-        );
-        assert_eq!(inc.payloads, cold.payloads);
-    }
-
-    // The edited function is *last*, so an edit of any length shifts no
-    // other function's spans — untouched callers keep their fingerprints.
-    const CUT: &str = "int mid() { return leaf() + 1; }\n\
-                       int top_fn() { return mid() * 2; }\n\
-                       int side(int x) { return x * 2; }\n\
-                       int leaf() { return 2; }";
-
-    #[test]
-    fn early_cutoff_spares_callers_when_a_summary_is_unchanged() {
-        // `leaf` changes body but keeps the same summary value [2, 2]; its
-        // callers' component keys hash the summary, not the text, so only
-        // `leaf` itself re-solves.
-        let p = parse(CUT).unwrap();
-        let cache = AnalysisCache::new();
-        run_incremental(&p, &cache);
-        let edited =
-            parse(&CUT.replace("int leaf() { return 2; }", "int leaf() { int a = 2; return a; }"))
-                .unwrap();
-        let inc = run_incremental(&edited, &cache);
-        assert_eq!(inc.trace.solved, vec!["leaf".to_string()], "early cutoff failed");
-        assert_eq!(inc.trace.reused.len(), 3);
-    }
-
-    #[test]
-    fn changed_summary_invalidates_transitive_callers() {
-        let p = parse(CUT).unwrap();
-        let cache = AnalysisCache::new();
-        run_incremental(&p, &cache);
-        // `leaf` now summarises to [3, 3]: `mid`'s summary becomes [4, 4],
-        // so `top_fn` re-solves too; `side` has no path to `leaf` and is
-        // reused.
-        let edited =
-            parse(&CUT.replace("int leaf() { return 2; }", "int leaf() { return 3; }")).unwrap();
-        let inc = run_incremental(&edited, &cache);
-        let solved: BTreeSet<&str> = inc.trace.solved.iter().map(String::as_str).collect();
-        assert_eq!(solved, BTreeSet::from(["leaf", "mid", "top_fn"]));
-        assert_eq!(inc.trace.reused, vec!["side".to_string()]);
-        let cold = run_incremental(&edited, &AnalysisCache::disabled());
-        assert_eq!(inc.payloads, cold.payloads);
-    }
 
     #[test]
     fn fingerprints_cover_spans() {

@@ -53,10 +53,7 @@ pub use ast::{Expr, Function, Program, Stmt, Type};
 pub use cache::{AnalysisCache, CacheFaultHook, CacheOp, CacheStats, Stage, STAGE_TABLE_FANOUT};
 pub use clone::{CloneConfig, CloneIndex, MinHasher, TokenAlignment, UnionFind};
 pub use error::{ParseError, ParseResult};
-pub use incremental::{
-    analyze_program_incremental, analyze_program_incremental_in, fingerprint_function,
-    IncrementalContext, IncrementalRun, IncrementalTrace,
-};
+pub use incremental::{fingerprint_function, IncrementalTrace};
 pub use intern::{Interner, Symbol};
 pub use parser::parse;
 pub use printer::print_program;
