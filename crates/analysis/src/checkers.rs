@@ -122,10 +122,10 @@ impl SemanticEngine {
 
     /// Solves per-function fixpoints on up to `jobs` worker threads (the
     /// SCC-parallel mode of [`Substrate::run`]). Findings, summaries, and
-    /// statistics
-    /// are byte-identical for every value, so `jobs` is deliberately not
-    /// part of [`SemanticEngine::fingerprint`] — cached results are shared
-    /// across worker counts. Small programs always solve sequentially.
+    /// statistics are byte-identical for every value, so `jobs` is
+    /// deliberately not part of [`SemanticEngine::fingerprint`] — cached
+    /// results are shared across worker counts. Small programs always
+    /// solve sequentially.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
@@ -152,17 +152,16 @@ impl SemanticEngine {
     /// Runs all six domain passes and returns findings plus telemetry.
     pub fn analyze(&self, program: &Program) -> SemanticScan {
         let run = self.run_passes(&Substrate::new(program));
-        let [interval_micros, nullness_micros, init_micros, ownership_micros, width_micros, provenance_micros] =
-            run.micros;
+        let [interval, nullness, init, ownership, width, provenance] = run.micros;
         SemanticScan {
             findings: run.findings,
             stats: run.stats,
-            interval_micros,
-            nullness_micros,
-            init_micros,
-            ownership_micros,
-            width_micros,
-            provenance_micros,
+            interval_micros: interval,
+            nullness_micros: nullness,
+            init_micros: init,
+            ownership_micros: ownership,
+            width_micros: width,
+            provenance_micros: provenance,
         }
     }
 

@@ -38,7 +38,7 @@ pub type Summaries<V> = BTreeMap<Symbol, V>;
 /// over a table stores one value per slot, so joins and equality are
 /// vector scans, and iterating slots in order yields facts in name order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Slots {
+pub(crate) struct Slots {
     names: Box<[Symbol]>,
 }
 
@@ -46,7 +46,7 @@ impl Slots {
     /// The slot table of `func`. The CFG only re-arranges AST statements
     /// (it never invents variables), so walking the AST covers every name
     /// a block replay will look up.
-    pub fn of_function(func: &Function) -> Slots {
+    pub(crate) fn of_function(func: &Function) -> Slots {
         let mut names: Vec<Symbol> = func.params.iter().map(|p| p.name.clone()).collect();
         func.walk_stmts(&mut |s| match &s.kind {
             StmtKind::Decl { name, .. } => names.push(name.clone()),
@@ -81,23 +81,18 @@ impl Slots {
     }
 
     /// Number of slots.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.names.len()
     }
 
-    /// Whether the table has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
     /// The slot of `name`, if the table has one.
-    pub fn slot(&self, name: &str) -> Option<usize> {
+    pub(crate) fn slot(&self, name: &str) -> Option<usize> {
         self.names.binary_search_by(|n| n.as_str().cmp(name)).ok()
     }
 }
 
 /// Abstract state at a program point: one abstract value per variable slot
-/// of the function's [`Slots`] table, plus a reachability flag. An
+/// of the function's slot table, plus a reachability flag. An
 /// unreachable env is the bottom state — it contributes nothing at join
 /// points (which is why the CFG builder's unreachable-edge pruning matters:
 /// dead blocks never even reach a join).
@@ -125,12 +120,12 @@ impl<V: AbstractValue> Env<V> {
     }
 
     /// The bottom state over a slot table.
-    pub fn bottom_in(slots: &Arc<Slots>) -> Self {
+    pub(crate) fn bottom_in(slots: &Arc<Slots>) -> Self {
         Env { slots: slots.clone(), vals: vec![V::top(); slots.len()], reachable: false }
     }
 
     /// The reachable all-top state over a slot table.
-    pub fn reachable_top_in(slots: &Arc<Slots>) -> Self {
+    pub(crate) fn reachable_top_in(slots: &Arc<Slots>) -> Self {
         Env { reachable: true, ..Env::bottom_in(slots) }
     }
 

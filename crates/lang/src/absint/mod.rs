@@ -3,8 +3,9 @@
 //!
 //! The module is organised as a classic monotone framework:
 //!
-//! * [`domain`] — the [`AbstractValue`] lattice contract, the per-variable
-//!   [`Env`] state, and the [`Domain`] transfer-function trait;
+//! * [`domain`] — the [`AbstractValue`] lattice contract, the
+//!   slot-indexed per-variable [`Env`] state, and the [`Domain`]
+//!   transfer-function trait;
 //! * [`interval`] — value ranges with widening to ±∞ (out-of-bounds and
 //!   division-by-zero reasoning);
 //! * [`nullness`] — literal-null provenance tracking for pointers;
@@ -17,9 +18,15 @@
 //!   sanitizer masks (kind-mismatched sanitization proofs);
 //! * [`solver`] — the reverse-post-order worklist fixpoint engine with a
 //!   configurable widening threshold;
-//! * [`callgraph`] — program call graph plus the bottom-up driver that
-//!   computes context-insensitive interprocedural summaries (one abstract
-//!   return value per function) so facts flow across function boundaries.
+//! * [`callgraph`] — program call graph and its strongly connected
+//!   components;
+//! * [`substrate`] — the per-program [`Substrate`] (call graph, components,
+//!   and per-function CFG, RPO ranks, reachable mask and slot table, built
+//!   once) and [`Substrate::run`], the one driver: it solves a domain pass
+//!   bottom-up with context-insensitive interprocedural summaries (one
+//!   abstract return value per function) so facts flow across function
+//!   boundaries, optionally SCC-parallel or through the incremental stage
+//!   cache.
 //!
 //! Termination argument: every shipped domain is either of finite height
 //! (nullness, init, ownership: chains of length ≤ 4; provenance: rank chains
@@ -58,7 +65,7 @@ pub mod substrate;
 pub mod width;
 
 pub use callgraph::CallGraph;
-pub use domain::{AbstractValue, Domain, Env, Slots, Summaries};
+pub use domain::{AbstractValue, Domain, Env, Summaries};
 pub use init::{Init, InitDomain};
 pub use interval::{Interval, IntervalDomain};
 pub use nullness::{Nullness, NullnessDomain};

@@ -63,12 +63,12 @@ pub struct FnShape {
     /// [`Cfg::reachable`].
     pub reachable: Vec<bool>,
     /// The function's variable-slot table.
-    pub slots: Arc<Slots>,
+    pub(crate) slots: Arc<Slots>,
 }
 
 impl FnShape {
     /// Builds the shape of `func`.
-    pub fn build(func: &Function) -> FnShape {
+    pub(crate) fn build(func: &Function) -> FnShape {
         let cfg = Cfg::build(func);
         let (rpo, rank) = rpo_ranks(&cfg);
         let reachable = cfg.reachable();
@@ -223,11 +223,6 @@ impl<'p> Substrate<'p> {
     ) -> Substrate<'p> {
         let fps = program.functions.iter().map(fp).collect();
         Substrate { cache: Some(StageCache { cache, fps }), ..Substrate::new(program) }
-    }
-
-    /// The program's call graph.
-    pub fn graph(&self) -> &CallGraph {
-        &self.graph
     }
 
     /// The shape of function `f`, built (or fetched from the CFG stage) on
@@ -527,7 +522,7 @@ mod tests {
         let sub = Substrate::new(&p);
         let run = interval_pass(&sub, 1);
         let names: Vec<&str> = run.payloads.iter().map(|t| t.split(' ').next().unwrap()).collect();
-        assert_eq!(names, sub.graph().bottom_up());
+        assert_eq!(names, sub.graph.bottom_up());
     }
 
     #[test]
