@@ -80,14 +80,6 @@ pub struct IncrementalSemanticScan {
     pub trace: IncrementalTrace,
 }
 
-/// One domain pass's output: its findings in delivery order, statistics,
-/// and recompute trace.
-struct PassOutput {
-    findings: Vec<Finding>,
-    stats: SolverStats,
-    trace: IncrementalTrace,
-}
-
 /// All six passes' output; `micros` is each pass's wall time.
 struct EngineRun {
     findings: Vec<Finding>,
@@ -168,34 +160,35 @@ impl SemanticEngine {
     /// The six domain passes, in delivery order. Each solves its domain
     /// over the shared substrate and runs its checkers on every solved
     /// function; the tag separates the passes' incremental cache entries.
-    const PASSES: [fn(&SemanticEngine, &Substrate<'_>) -> PassOutput; 6] = [
-        |e, s| e.pass(s, 0x01, IntervalDomain::with_summaries, check_intervals),
-        |e, s| e.pass(s, 0x02, NullnessDomain::with_summaries, check_nullness),
-        |e, s| e.pass(s, 0x03, |_| InitDomain, check_init),
-        |e, s| {
-            e.pass(s, 0x04, OwnershipDomain::with_summaries, |solved, out| {
+    const PASSES: [fn(&SemanticEngine, &Substrate<'_>, &mut EngineRun); 6] = [
+        |e, s, run| e.pass(s, run, 0x01, IntervalDomain::with_summaries, check_intervals),
+        |e, s, run| e.pass(s, run, 0x02, NullnessDomain::with_summaries, check_nullness),
+        |e, s, run| e.pass(s, run, 0x03, |_| InitDomain, check_init),
+        |e, s, run| {
+            e.pass(s, run, 0x04, OwnershipDomain::with_summaries, |solved, out| {
                 check_ownership(solved, out);
                 check_toctou(solved.func.name.as_str(), solved.shape, out);
             })
         },
-        |e, s| e.pass(s, 0x05, WidthDomain::with_summaries, check_width),
-        |e, s| e.pass(s, 0x06, ProvenanceDomain::with_summaries, check_sinks),
+        |e, s, run| e.pass(s, run, 0x05, WidthDomain::with_summaries, check_width),
+        |e, s, run| e.pass(s, run, 0x06, ProvenanceDomain::with_summaries, check_sinks),
     ];
 
-    /// Runs one domain pass over `substrate`.
+    /// Runs one domain pass over `substrate` and appends its findings,
+    /// statistics and recompute trace to `run`.
     fn pass<D, M>(
         &self,
         substrate: &Substrate<'_>,
+        run: &mut EngineRun,
         tag: u64,
         make_domain: M,
         check: fn(&Solved<'_, D>, &mut Vec<Finding>),
-    ) -> PassOutput
-    where
+    ) where
         D: Domain,
         D::Value: Send + Sync + 'static,
         M: Fn(Arc<Summaries<D::Value>>) -> D + Sync,
     {
-        let run = substrate.run(
+        let pass = substrate.run(
             self.config,
             self.jobs,
             self.fingerprint() ^ tag,
@@ -206,11 +199,9 @@ impl SemanticEngine {
                 out
             },
         );
-        PassOutput {
-            findings: run.payloads.into_iter().flatten().collect(),
-            stats: run.stats,
-            trace: run.trace,
-        }
+        run.findings.extend(pass.payloads.into_iter().flatten());
+        run.stats.absorb(&pass.stats);
+        run.trace.merge(&pass.trace);
     }
 
     /// Runs every pass in [`Self::PASSES`] over `substrate`. Findings are
@@ -223,13 +214,10 @@ impl SemanticEngine {
             trace: IncrementalTrace::default(),
             micros: [0; 6],
         };
-        for (pass, micros) in Self::PASSES.iter().zip(&mut run.micros) {
+        for (i, pass) in Self::PASSES.iter().enumerate() {
             let t = Instant::now();
-            let out = pass(self, substrate);
-            *micros = t.elapsed().as_micros() as u64;
-            run.findings.extend(out.findings);
-            run.stats.absorb(&out.stats);
-            run.trace.merge(&out.trace);
+            pass(self, substrate, &mut run);
+            run.micros[i] = t.elapsed().as_micros() as u64;
         }
         run.findings.sort_by_key(|f| (f.span.start, f.cwe.id()));
         run

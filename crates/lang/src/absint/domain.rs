@@ -102,6 +102,7 @@ impl Slots {
 /// are the same state. Setting a name the table lacks extends the table
 /// (a copy, off the solver's path: the solver builds every env over the
 /// function's complete table).
+#[derive(Debug)]
 pub struct Env<V> {
     slots: Arc<Slots>,
     vals: Vec<V>,
@@ -234,21 +235,6 @@ impl<V: AbstractValue> PartialEq for Env<V> {
             } else {
                 self.facts().eq(other.facts())
             }
-    }
-}
-
-impl<V: AbstractValue> fmt::Debug for Env<V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Facts<'a, V: AbstractValue>(&'a Env<V>);
-        impl<V: AbstractValue> fmt::Debug for Facts<'_, V> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_map().entries(self.0.facts()).finish()
-            }
-        }
-        f.debug_struct("Env")
-            .field("vars", &Facts(self))
-            .field("reachable", &self.reachable)
-            .finish()
     }
 }
 

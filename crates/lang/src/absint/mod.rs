@@ -42,15 +42,19 @@
 //!
 //! ```
 //! use vulnman_lang::absint::interval::IntervalDomain;
-//! use vulnman_lang::absint::solver::{Solver, SolverConfig};
-//! use vulnman_lang::cfg::Cfg;
+//! use vulnman_lang::absint::{SolverConfig, Substrate};
 //! use vulnman_lang::parse;
 //!
 //! let p = parse("int f() { int i = 0; while (i < 10) { i = i + 1; } return i; }").unwrap();
-//! let cfg = Cfg::build(&p.functions[0]);
-//! let domain = IntervalDomain::default();
-//! let analysis = Solver::new(SolverConfig::default()).run(&domain, &cfg, &p.functions[0]);
-//! assert!(analysis.stats.converged);
+//! let pass = Substrate::new(&p).run(
+//!     SolverConfig::default(),
+//!     1,
+//!     0,
+//!     IntervalDomain::with_summaries,
+//!     |solved| solved.analysis.stats,
+//! );
+//! assert!(pass.stats.converged);
+//! assert!(pass.payloads[0].iterations > 0);
 //! ```
 
 pub mod callgraph;
@@ -71,6 +75,6 @@ pub use interval::{Interval, IntervalDomain};
 pub use nullness::{Nullness, NullnessDomain};
 pub use ownership::{Ownership, OwnershipDomain};
 pub use provenance::{Provenance, ProvenanceDomain};
-pub use solver::{DomainAnalysis, Solver, SolverConfig, SolverStats};
+pub use solver::{DomainAnalysis, SolverConfig, SolverStats};
 pub use substrate::{FnShape, PassRun, Solved, Substrate};
 pub use width::{Width, WidthDomain};

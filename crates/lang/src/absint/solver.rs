@@ -1,10 +1,9 @@
 //! Reverse-post-order worklist fixpoint solver for the monotone framework.
 
-use super::domain::{AbstractValue, Domain, Env, Slots};
+use super::domain::{AbstractValue, Domain, Env};
 use super::substrate::FnShape;
 use crate::ast::Function;
 use crate::cfg::{BlockId, Cfg, CfgInst, SpannedInst};
-use std::sync::Arc;
 
 /// Solver knobs. Defaults are tuned so every program the corpus generator
 /// can emit converges without hitting the iteration backstop.
@@ -49,7 +48,7 @@ impl SolverStats {
 /// Result of analysing one function: the abstract state at the entry of
 /// every basic block, plus iteration statistics.
 #[derive(Debug, Clone)]
-pub struct DomainAnalysis<V: AbstractValue> {
+pub struct DomainAnalysis<V> {
     /// Per-block entry state (bottom for unreachable blocks).
     pub block_entry: Vec<Env<V>>,
     /// Iteration statistics.
@@ -77,66 +76,31 @@ impl<V: AbstractValue> DomainAnalysis<V> {
     }
 }
 
-/// Reverse post-order of `cfg` and each block's rank in it (`usize::MAX`
-/// for blocks the entry cannot reach).
-pub(crate) fn rpo_ranks(cfg: &Cfg) -> (Vec<BlockId>, Vec<usize>) {
-    let rpo = cfg.reverse_post_order();
-    let mut rank = vec![usize::MAX; cfg.blocks.len()];
-    for (i, &b) in rpo.iter().enumerate() {
-        rank[b] = i;
-    }
-    (rpo, rank)
-}
-
 /// The worklist fixpoint engine. Blocks are prioritised by reverse
 /// post-order rank so forward information flows in as few sweeps as
 /// possible; re-enqueueing uses the same rank, keeping iteration order — and
 /// therefore results and statistics — fully deterministic.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Solver {
+pub(crate) struct Solver {
     config: SolverConfig,
 }
 
 impl Solver {
     /// A solver with the given configuration.
-    pub fn new(config: SolverConfig) -> Self {
+    pub(crate) fn new(config: SolverConfig) -> Self {
         Solver { config }
     }
 
-    /// Runs `domain` over `cfg` to a fixpoint and returns per-block entry
-    /// states. `func` seeds the entry environment (parameters etc.). The
-    /// program driver ([`super::substrate`]) solves through
-    /// [`Solver::solve`] with a prebuilt shape instead.
-    pub fn run<D: Domain>(
-        &self,
-        domain: &D,
-        cfg: &Cfg,
-        func: &Function,
-    ) -> DomainAnalysis<D::Value> {
-        let (rpo, rank) = rpo_ranks(cfg);
-        let slots = Arc::new(Slots::of_function(func));
-        self.fixpoint(domain, cfg, &rpo, &rank, &slots, func)
-    }
-
-    /// [`Solver::run`] over a function's prebuilt [`FnShape`].
-    pub fn solve<D: Domain>(
+    /// Runs `domain` over the function's CFG to a fixpoint and returns
+    /// per-block entry states. `func` seeds the entry environment
+    /// (parameters etc.).
+    pub(crate) fn solve<D: Domain>(
         &self,
         domain: &D,
         shape: &FnShape,
         func: &Function,
     ) -> DomainAnalysis<D::Value> {
-        self.fixpoint(domain, &shape.cfg, &shape.rpo, &shape.rank, &shape.slots, func)
-    }
-
-    fn fixpoint<D: Domain>(
-        &self,
-        domain: &D,
-        cfg: &Cfg,
-        rpo: &[BlockId],
-        rank: &[usize],
-        slots: &Arc<Slots>,
-        func: &Function,
-    ) -> DomainAnalysis<D::Value> {
+        let FnShape { cfg, rpo, rank, slots, .. } = shape;
         let n = cfg.blocks.len();
         let mut entry: Vec<Env<D::Value>> = vec![Env::bottom_in(slots); n];
         let mut seed = Env::reachable_top_in(slots);
@@ -217,12 +181,17 @@ mod tests {
     use crate::absint::AbstractValue;
     use crate::parse;
 
-    fn solve(src: &str) -> (Cfg, DomainAnalysis<Interval>, IntervalDomain) {
+    fn solve_with(src: &str, config: SolverConfig) -> (Cfg, DomainAnalysis<Interval>) {
         let p = parse(src).unwrap();
-        let cfg = Cfg::build(&p.functions[0]);
-        let domain = IntervalDomain::default();
-        let analysis = Solver::new(SolverConfig::default()).run(&domain, &cfg, &p.functions[0]);
-        (cfg, analysis, domain)
+        let shape = FnShape::build(&p.functions[0]);
+        let analysis =
+            Solver::new(config).solve(&IntervalDomain::default(), &shape, &p.functions[0]);
+        (shape.cfg, analysis)
+    }
+
+    fn solve(src: &str) -> (Cfg, DomainAnalysis<Interval>, IntervalDomain) {
+        let (cfg, analysis) = solve_with(src, SolverConfig::default());
+        (cfg, analysis, IntervalDomain::default())
     }
 
     #[test]
@@ -296,12 +265,9 @@ mod tests {
 
     #[test]
     fn iteration_backstop_reports_non_convergence() {
-        let cfgless =
-            parse("int f(int n) { int i = 0; while (i < n) { i = i + 1; } return i; }").unwrap();
-        let cfg = Cfg::build(&cfgless.functions[0]);
-        let domain = IntervalDomain::default();
         let tight = SolverConfig { widening_threshold: 4, max_iterations: 2 };
-        let analysis = Solver::new(tight).run(&domain, &cfg, &cfgless.functions[0]);
+        let (_, analysis) =
+            solve_with("int f(int n) { int i = 0; while (i < n) { i = i + 1; } return i; }", tight);
         assert!(!analysis.stats.converged);
     }
 }

@@ -40,7 +40,7 @@
 
 use super::callgraph::CallGraph;
 use super::domain::{Domain, Env, Slots, Summaries};
-use super::solver::{rpo_ranks, DomainAnalysis, Solver, SolverConfig, SolverStats};
+use super::solver::{DomainAnalysis, Solver, SolverConfig, SolverStats};
 use crate::ast::{Function, Program};
 use crate::cache::{AnalysisCache, Stage};
 use crate::cfg::{BlockId, Cfg, CfgInst, SpannedInst};
@@ -70,7 +70,11 @@ impl FnShape {
     /// Builds the shape of `func`.
     pub(crate) fn build(func: &Function) -> FnShape {
         let cfg = Cfg::build(func);
-        let (rpo, rank) = rpo_ranks(&cfg);
+        let rpo = cfg.reverse_post_order();
+        let mut rank = vec![usize::MAX; cfg.blocks.len()];
+        for (i, &b) in rpo.iter().enumerate() {
+            rank[b] = i;
+        }
         let reachable = cfg.reachable();
         FnShape { cfg, rpo, rank, reachable, slots: Arc::new(Slots::of_function(func)) }
     }
