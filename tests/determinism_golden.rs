@@ -84,6 +84,61 @@ fn metrics_json_round_trips_and_is_key_stable() {
     assert!(snap.histograms.contains_key("shard.latency_micros"));
 }
 
+/// FNV-1a 64 digests of the serialized `process_with_capacity` report on
+/// [`corpus`], one per review budget in [`capacity_budgets`] order:
+/// unlimited, then 50%, 20% and 0% of the unlimited run's analyst minutes.
+/// Generated before capacity shared the sharded per-sample pass, so they
+/// pin that the review-budget post-pass reproduces the old sequential
+/// allocation byte for byte.
+const CAPACITY_GOLDEN: [u64; 4] =
+    [0xe176f9ac6de028cc, 0xe574fe20cba37711, 0x3d3ca3ad562f091c, 0x9ba838c11fdb2faa];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+fn capacity_budgets(e: &WorkflowEngine, ds: &Dataset) -> [f64; 4] {
+    let full = e.process_with_capacity(ds.samples(), f64::INFINITY).analyst_minutes;
+    [f64::INFINITY, 0.5 * full, 0.2 * full, 0.0]
+}
+
+fn capacity_reports(e: &WorkflowEngine, ds: &Dataset) -> Vec<String> {
+    capacity_budgets(e, ds)
+        .iter()
+        .map(|&budget| {
+            let report = e.process_with_capacity(ds.samples(), budget);
+            serde_json::to_string(&report).expect("report serializes")
+        })
+        .collect()
+}
+
+#[test]
+fn capacity_reports_match_the_committed_golden_at_any_jobs() {
+    let ds = corpus();
+    for jobs in [1, 4] {
+        let digests: Vec<u64> = capacity_reports(&engine(jobs, true), &ds)
+            .iter()
+            .map(|j| fnv1a(j.as_bytes()))
+            .collect();
+        assert_eq!(digests, CAPACITY_GOLDEN, "capacity report digests at jobs={jobs}");
+    }
+}
+
+#[test]
+fn faulted_capacity_reports_are_byte_identical_across_jobs() {
+    let ds = corpus();
+    let faulted = |jobs| {
+        let mut registry = DetectorRegistry::new();
+        registry.register(Box::new(RuleBasedDetector::standard()));
+        let config = WorkflowConfig { jobs, ..Default::default() };
+        let faults = FaultConfig { seed: 1, rate: 0.2, ..Default::default() };
+        capacity_reports(&WorkflowEngine::with_fault_config(registry, config, faults), &ds)
+    };
+    assert_eq!(faulted(1), faulted(4), "faulted capacity reports must not depend on jobs");
+}
+
 #[test]
 fn pipelined_and_capacity_paths_match_the_golden_report_metrics() {
     // The alternative execution paths must agree with plain `process` on
