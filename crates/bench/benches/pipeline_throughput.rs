@@ -41,9 +41,6 @@ fn bench_workflow(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(ds.len() as u64));
     group.bench_function("sequential", |b| b.iter(|| engine.process(ds.samples())));
-    group.bench_function("pipelined_crossbeam", |b| {
-        b.iter(|| engine.process_pipelined(ds.samples()))
-    });
     group.finish();
 }
 

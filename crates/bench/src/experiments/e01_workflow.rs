@@ -63,10 +63,6 @@ pub fn run(quick: bool) -> vulnman_core::workflow::WorkflowReport {
     let t0 = std::time::Instant::now();
     let report = engine.process(stream.samples());
     let seq_ms = t0.elapsed().as_millis();
-    let t1 = std::time::Instant::now();
-    let piped = engine.process_pipelined(stream.samples());
-    let pipe_ms = t1.elapsed().as_millis();
-    assert_eq!(report.detection_metrics(), piped.detection_metrics());
 
     let total = report.cases.len();
     let vulnerable = report.cases.iter().filter(|c| c.truly_vulnerable).count();
@@ -137,7 +133,6 @@ pub fn run(quick: bool) -> vulnman_core::workflow::WorkflowReport {
     t3.row(vec!["prevented breach loss".into(), usd(cost.prevented_loss)]);
     t3.row(vec!["net value".into(), usd(cost.net_value)]);
     t3.row(vec!["sequential wall-time".into(), format!("{seq_ms} ms")]);
-    t3.row(vec!["pipelined wall-time".into(), format!("{pipe_ms} ms (3-stage crossbeam)")]);
     t3.print("E01.c  run economics");
 
     // E01.d: finite review capacity — the "scalability and prioritization"

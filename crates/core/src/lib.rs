@@ -7,7 +7,8 @@
 //!
 //! * [`workflow`] — the Figure-1 pipeline: automated detection →
 //!   threat-model gating → manual review → repair (auto-fix / AI suggestion
-//!   / expert) → training feedback; sequential or crossbeam-staged.
+//!   / expert) → training feedback; one sharded per-sample pass with a
+//!   priority-ordered review-budget post-pass.
 //! * [`detector`] — one interface over rule-based tools and ML models, with
 //!   per-CWE scoping and combination policies.
 //! * [`costmodel`] — the financial model Gap Observation 3 asks for

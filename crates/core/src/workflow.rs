@@ -3,15 +3,15 @@
 //! Pipeline per the paper: **Vulnerability Assessment** (automated detection
 //! → threat-model/reachability gating → manual security review) feeding
 //! **Vulnerability Repair** (auto-fix → AI suggestion → expert
-//! recommendation), with **Security Training** closing the loop. The engine
-//! runs either sequentially or as a staged concurrent pipeline over
-//! crossbeam channels (one worker per Figure-1 box).
+//! recommendation), with **Security Training** closing the loop. Every batch
+//! takes one execution path: a per-sample pass running all three stages,
+//! sharded across scoped worker threads, then a review-budget post-pass
+//! that allocates scarce manual reviews by threat-model priority, then a
+//! fold in submission order.
 
 use crate::costmodel::{CostParams, CostReport};
 use crate::detector::{Assessment, DetectorRegistry};
 use crate::resilience::{register_fault_instruments, ObsFaultObserver};
-use crossbeam::channel;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vulnman_analysis::autofix::AutoFixer;
@@ -41,10 +41,9 @@ pub struct WorkflowConfig {
     pub expert_fix_hours: f64,
     /// Deterministic seed for review outcomes.
     pub seed: u64,
-    /// Worker threads for [`WorkflowEngine::process`]: the corpus is
-    /// sharded across this many scoped threads. `1` (the default) runs the
-    /// sequential reference path; any value produces a byte-identical
-    /// report.
+    /// Worker threads for a batch run: the corpus is sharded across this
+    /// many scoped threads. `1` (the default) runs the per-sample pass
+    /// inline; any value produces a byte-identical report.
     pub jobs: usize,
     /// Whether the engine memoizes source-derived analyses (parse, rule
     /// findings, surface classification) in a content-addressed cache.
@@ -320,28 +319,22 @@ struct FaultHarness {
 /// Per-batch fault context: the injector plus each detector's quarantine
 /// point — the first submission index at which the plan exhausts that
 /// detector's retry budget. Computed from the plan alone (never from call
-/// order or timing), so every execution path and worker count agrees.
+/// order or timing), so every worker count agrees.
 struct FaultRun {
     injector: Arc<FaultInjector>,
     quarantine_at: Vec<u64>,
 }
 
-/// Every instrument name the engine emits, pre-registered at construction
-/// so the exported metrics schema does not depend on which processing path
-/// (sequential, sharded, pipelined, capacity-limited) a run happens to
-/// take. Stage spans land in `span.<name>` histograms.
-const ENGINE_SPANS: [&str; 12] = [
+/// Every span name the engine emits, pre-registered at construction so the
+/// exported metrics schema does not depend on the job count, the cache
+/// setting, or whether a run deduplicates. Stage spans land in
+/// `span.<name>` histograms.
+const ENGINE_SPANS: [&str; 6] = [
     "stage.assess",
     "stage.assess.detect",
     "stage.assess.surface",
     "stage.review",
     "stage.repair",
-    "pipeline.assess",
-    "pipeline.review",
-    "pipeline.repair",
-    "capacity.assess",
-    "capacity.allocate",
-    "capacity.resolve",
     "clone.index",
 ];
 
@@ -382,7 +375,7 @@ enum DedupDecision {
 /// The batch's clone-dedup plan: one decision per submission index,
 /// computed before any analysis starts. The plan is a pure function of
 /// the sample sources, the clone config, and the fault plan — never of
-/// worker count or call order — so every processing path agrees on it.
+/// worker count or call order — so every shard agrees on it.
 struct DedupPlan {
     decisions: Vec<DedupDecision>,
 }
@@ -397,14 +390,34 @@ impl DedupPlan {
 /// traced outcome plus the labour it consumed. Produced by the pure
 /// per-sample path ([`WorkflowEngine::assess_one`]) and folded into a
 /// [`WorkflowReport`] by [`WorkflowEngine::reduce`] in submission order, so
-/// sequential and sharded runs accumulate floating-point totals in exactly
-/// the same order and the reports are byte-identical.
+/// runs at any job count accumulate floating-point totals in exactly the
+/// same order and the reports are byte-identical.
 struct CaseWork {
     outcome: CaseOutcome,
     review_minutes: f64,
     repair_minutes: f64,
     expert_hours: f64,
     degradation: CaseDegradation,
+}
+
+impl CaseWork {
+    /// Undoes a manual review the budget could not cover: the case is
+    /// unreviewed and uncaught, and unless automation flagged it, also
+    /// unrepaired, so the fold counts it as escaped when it is truly
+    /// vulnerable. Repair is a pure function of the sample, so the
+    /// discarded repair carries no other state.
+    fn skip_review(&mut self) {
+        let outcome = &mut self.outcome;
+        outcome.manually_reviewed = false;
+        outcome.review_catch = false;
+        self.review_minutes = 0.0;
+        if !outcome.auto_flagged {
+            outcome.repaired_via = None;
+            outcome.patched_source = None;
+            self.repair_minutes = 0.0;
+            self.expert_hours = 0.0;
+        }
+    }
 }
 
 impl std::fmt::Debug for WorkflowEngine {
@@ -556,29 +569,36 @@ impl WorkflowEngine {
         self.cache.clear();
     }
 
-    /// Processes a batch, sharding it across [`WorkflowConfig::jobs`]
-    /// worker threads (sequentially when `jobs <= 1`). Per-sample decisions
-    /// are pure functions of the sample and the seed, and labour totals are
-    /// folded in submission order regardless of which shard computed them,
-    /// so the report is byte-identical for every `jobs` value.
+    /// Processes a batch with an unlimited review budget: every exposed or
+    /// flagged sample is reviewed. The batch is sharded across
+    /// [`WorkflowConfig::jobs`] worker threads (inline when `jobs <= 1`).
+    /// Per-sample decisions are pure functions of the sample and the seed,
+    /// and labour totals are folded in submission order regardless of which
+    /// shard computed them, so the report is byte-identical for every `jobs`
+    /// value.
     pub fn process(&self, samples: &[Sample]) -> WorkflowReport {
+        self.process_with_capacity(samples, f64::INFINITY)
+    }
+
+    /// Processes a batch under a finite manual-review budget, allocating
+    /// reviews by threat-model priority: zero-click surfaces first, then
+    /// one-click, then flagged-but-local — the "scalability and
+    /// prioritization" requirement of Gap Observation 1.
+    ///
+    /// This is the engine's one execution path. The fault plan, dedup plan
+    /// and cache are fixed once; every sample runs all three Figure-1 stages
+    /// in the sharded per-sample pass; a review-budget post-pass demotes the
+    /// reviews the budget cannot cover; and the fold runs in submission
+    /// order. An unlimited budget demotes nothing, which is
+    /// [`WorkflowEngine::process`].
+    pub fn process_with_capacity(&self, samples: &[Sample], budget_minutes: f64) -> WorkflowReport {
         let run = self.fault_run(samples.len());
         let dedup = self.dedup_plan(samples, run.as_ref());
         let scratch = self.scratch_cache();
         let cache = scratch.as_ref().unwrap_or(&self.cache);
-        let jobs = self.config.jobs.max(1);
-        let report = if jobs == 1 || samples.len() < 2 {
-            self.metrics.counter("workflow.samples").add(samples.len() as u64);
-            Self::reduce(
-                samples
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| self.assess_one(i, s, run.as_ref(), cache, dedup.as_ref()))
-                    .collect(),
-            )
-        } else {
-            self.process_sharded_inner(samples, jobs, run.as_ref(), cache, dedup.as_ref())
-        };
+        let mut work = self.assess_all(samples, run.as_ref(), cache, dedup.as_ref());
+        let reviews_skipped = self.allocate_reviews(&mut work, budget_minutes);
+        let report = WorkflowReport { reviews_skipped, ..Self::reduce(work) };
         self.finish_report(report, run.as_ref(), samples.len())
     }
 
@@ -599,30 +619,31 @@ impl WorkflowEngine {
         (!self.config.cache).then(AnalysisCache::new)
     }
 
-    /// Processes a batch across exactly `jobs` scoped worker threads,
-    /// overriding the configured job count. Shards are contiguous slices of
-    /// the input; results are concatenated in shard order (= submission
-    /// order) before the fold, so output equals the sequential path's.
-    pub fn process_sharded(&self, samples: &[Sample], jobs: usize) -> WorkflowReport {
-        let run = self.fault_run(samples.len());
-        let dedup = self.dedup_plan(samples, run.as_ref());
-        let scratch = self.scratch_cache();
-        let cache = scratch.as_ref().unwrap_or(&self.cache);
-        let report = self.process_sharded_inner(samples, jobs, run.as_ref(), cache, dedup.as_ref());
-        self.finish_report(report, run.as_ref(), samples.len())
-    }
-
-    fn process_sharded_inner(
+    /// The per-sample pass: [`WorkflowEngine::assess_one`] for every
+    /// sample, in submission order. With `jobs > 1` and at least two
+    /// samples the batch is cut into contiguous shards, one scoped worker
+    /// thread each, and the results are concatenated in shard order
+    /// (= submission order); otherwise the pass runs inline.
+    fn assess_all(
         &self,
         samples: &[Sample],
-        jobs: usize,
         run: Option<&FaultRun>,
         cache: &AnalysisCache,
         dedup: Option<&DedupPlan>,
-    ) -> WorkflowReport {
-        let jobs = jobs.clamp(1, samples.len().max(1));
-        let chunk = samples.len().div_ceil(jobs).max(1);
+    ) -> Vec<CaseWork> {
         self.metrics.counter("workflow.samples").add(samples.len() as u64);
+        let assess = |base: usize, shard: &[Sample]| -> Vec<CaseWork> {
+            shard
+                .iter()
+                .enumerate()
+                .map(|(i, s)| self.assess_one(base + i, s, run, cache, dedup))
+                .collect()
+        };
+        let jobs = self.config.jobs.clamp(1, samples.len().max(1));
+        if jobs == 1 {
+            return assess(0, samples);
+        }
+        let chunk = samples.len().div_ceil(jobs);
         let depth = self.metrics.histogram("shard.queue_depth");
         let latency = self.metrics.histogram("shard.latency_micros");
         let shards: Vec<&[Sample]> = samples.chunks(chunk).collect();
@@ -634,7 +655,6 @@ impl WorkflowEngine {
                 .map(|(shard_idx, shard)| {
                     let depth = depth.clone();
                     let latency = latency.clone();
-                    let base = shard_idx * chunk;
                     scope.spawn(move || {
                         depth.observe(shard.len() as u64);
                         let t0 = latency.is_enabled().then(std::time::Instant::now);
@@ -656,12 +676,7 @@ impl WorkflowEngine {
                             None => false,
                         };
                         let take = if crashed { shard.len() / 2 } else { shard.len() };
-                        let out: Vec<CaseWork> = shard
-                            .iter()
-                            .take(take)
-                            .enumerate()
-                            .map(|(i, s)| self.assess_one(base + i, s, run, cache, dedup))
-                            .collect();
+                        let out = assess(shard_idx * chunk, &shard[..take]);
                         if let Some(t0) = t0 {
                             latency.observe_duration(t0.elapsed());
                         }
@@ -671,40 +686,44 @@ impl WorkflowEngine {
                 .collect();
             for (shard_idx, handle) in handles.into_iter().enumerate() {
                 let shard = shards[shard_idx];
-                let base = shard_idx * chunk;
-                match handle.join() {
-                    Ok(partial) => {
-                        let done = partial.len();
-                        work.extend(partial);
-                        if done < shard.len() {
-                            // Per-sample work is pure, so finishing a dead
-                            // worker's slice inline reproduces exactly what
-                            // it would have computed.
-                            self.metrics.counter("fault.shard_crashes").inc();
-                            work.extend(
-                                shard
-                                    .iter()
-                                    .enumerate()
-                                    .skip(done)
-                                    .map(|(i, s)| self.assess_one(base + i, s, run, cache, dedup)),
-                            );
-                        }
-                    }
-                    Err(_) => {
-                        // A genuine panic (not an injected crash): recompute
-                        // the whole shard instead of poisoning the run.
-                        self.metrics.counter("fault.shard_crashes").inc();
-                        work.extend(
-                            shard
-                                .iter()
-                                .enumerate()
-                                .map(|(i, s)| self.assess_one(base + i, s, run, cache, dedup)),
-                        );
-                    }
+                // A genuine panic (not an injected crash) finishes nothing:
+                // the whole shard is recomputed instead of poisoning the run.
+                let partial = handle.join().unwrap_or_default();
+                let done = partial.len();
+                work.extend(partial);
+                if done < shard.len() {
+                    // Per-sample work is pure, so finishing a dead worker's
+                    // slice inline reproduces exactly what it would have
+                    // computed.
+                    self.metrics.counter("fault.shard_crashes").inc();
+                    work.extend(assess(shard_idx * chunk + done, &shard[done..]));
                 }
             }
         });
-        Self::reduce(work)
+        work
+    }
+
+    /// The review-budget post-pass over the per-sample results, which
+    /// reviewed every candidate (an exposed surface or an automated flag).
+    /// Candidates are ranked by `(surface, !auto_flagged, index)`; each
+    /// review costs [`WorkflowConfig::review_minutes`] until the budget
+    /// runs out, and every candidate after that point is demoted
+    /// ([`CaseWork::skip_review`]). Returns the number of skipped reviews.
+    fn allocate_reviews(&self, work: &mut [CaseWork], budget_minutes: f64) -> usize {
+        let mut candidates: Vec<usize> =
+            (0..work.len()).filter(|&i| work[i].outcome.manually_reviewed).collect();
+        candidates.sort_by_key(|&i| (work[i].outcome.surface, !work[i].outcome.auto_flagged, i));
+        let mut remaining = budget_minutes;
+        let mut skipped = 0;
+        for i in candidates {
+            if remaining >= self.config.review_minutes {
+                remaining -= self.config.review_minutes;
+            } else {
+                work[i].skip_review();
+                skipped += 1;
+            }
+        }
+        skipped
     }
 
     /// Precomputes the batch's clone-dedup plan when
@@ -833,215 +852,6 @@ impl WorkflowEngine {
             report.degradation.quarantined = quarantined;
         }
         report
-    }
-
-    /// Processes a batch under a finite manual-review budget, allocating
-    /// reviews by threat-model priority: zero-click surfaces first, then
-    /// one-click, then flagged-but-local — the "scalability and
-    /// prioritization" requirement of Gap Observation 1. With an unlimited
-    /// budget this matches [`WorkflowEngine::process`] exactly.
-    pub fn process_with_capacity(&self, samples: &[Sample], budget_minutes: f64) -> WorkflowReport {
-        let run = self.fault_run(samples.len());
-        let dedup = self.dedup_plan(samples, run.as_ref());
-        let scratch = self.scratch_cache();
-        let cache = scratch.as_ref().unwrap_or(&self.cache);
-        self.metrics.counter("workflow.samples").add(samples.len() as u64);
-        let mut report = WorkflowReport::default();
-        // Phase 1: automated assessment + threat model for every change.
-        let assess_span = self.metrics.span("capacity.assess");
-        let assessed: Vec<(usize, Assessed)> = samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let (a, deg) = self.assess_stage(s, i, run.as_ref(), cache, dedup.as_ref());
-                report.degradation.absorb(&deg);
-                (i, a)
-            })
-            .collect();
-        assess_span.stop();
-        // Phase 2: allocate the review budget by priority.
-        let allocate_span = self.metrics.span("capacity.allocate");
-        let mut candidates: Vec<&(usize, Assessed)> = assessed
-            .iter()
-            .filter(|(_, a)| a.surface.requires_manual_review() || a.flagged)
-            .collect();
-        candidates.sort_by_key(|(i, a)| (a.surface, !a.flagged, *i));
-        let mut remaining = budget_minutes;
-        let mut reviewed_set = std::collections::HashSet::new();
-        for (i, _) in &candidates {
-            if remaining >= self.config.review_minutes {
-                remaining -= self.config.review_minutes;
-                report.analyst_minutes += self.config.review_minutes;
-                reviewed_set.insert(*i);
-            } else {
-                report.reviews_skipped += 1;
-            }
-        }
-        allocate_span.stop();
-        // Phase 3: review outcomes + repair, per sample in submission order.
-        let resolve_span = self.metrics.span("capacity.resolve");
-        for (i, Assessed { flagged, surface, findings }) in assessed {
-            let sample = &samples[i];
-            let reviewed = reviewed_set.contains(&i);
-            let catch = reviewed
-                && sample.label
-                && hash_unit(sample.id ^ self.config.seed) < self.config.analyst_skill;
-            let mut outcome = CaseOutcome {
-                sample_id: sample.id,
-                truly_vulnerable: sample.label,
-                auto_flagged: flagged,
-                surface,
-                manually_reviewed: reviewed,
-                review_catch: catch,
-                findings,
-                repaired_via: None,
-                patched_source: None,
-            };
-            if outcome.detected() && sample.label {
-                let (channel_used, patched, analyst_min, expert_h) =
-                    repair(sample, &self.fixer, &self.verifier, &self.config, cache);
-                report.analyst_minutes += analyst_min;
-                report.expert_hours += expert_h;
-                match channel_used {
-                    RepairChannel::AutoFix => report.auto_fixed += 1,
-                    RepairChannel::AiSuggestion => report.ai_fixed += 1,
-                    RepairChannel::Expert => report.expert_fixed += 1,
-                }
-                outcome.repaired_via = Some(channel_used);
-                outcome.patched_source = patched;
-            } else if sample.label {
-                report.escaped += 1;
-            }
-            report.cases.push(outcome);
-        }
-        resolve_span.stop();
-        self.finish_report(report, run.as_ref(), samples.len())
-    }
-
-    /// Processes a batch through a staged concurrent pipeline: assessment,
-    /// threat-model/review, and repair each run on their own worker thread,
-    /// connected by bounded crossbeam channels (back-pressure included).
-    ///
-    /// The report is identical to [`WorkflowEngine::process`] — per-sample
-    /// decisions are seeded by sample id, not arrival order.
-    pub fn process_pipelined(&self, samples: &[Sample]) -> WorkflowReport {
-        let run = self.fault_run(samples.len());
-        let run_ref = run.as_ref();
-        let dedup = self.dedup_plan(samples, run_ref);
-        let dedup_ref = dedup.as_ref();
-        let scratch = self.scratch_cache();
-        let cache = scratch.as_ref().unwrap_or(&self.cache);
-        let (tx_in, rx_assess) = channel::bounded::<(usize, Sample)>(64);
-        let (tx_assess, rx_review) = channel::bounded::<(Sample, Assessed, CaseDegradation)>(64);
-        let (tx_review, rx_repair) =
-            channel::bounded::<(Sample, Assessed, CaseDegradation, bool, bool)>(64);
-        let report = Arc::new(Mutex::new(WorkflowReport::default()));
-
-        self.metrics.counter("workflow.samples").add(samples.len() as u64);
-        std::thread::scope(|scope| {
-            // Stage 1: automated vulnerability detection + threat model.
-            // Each stage worker runs under one span covering the batch, so
-            // the summary shows where pipeline wall-clock is spent.
-            let metrics1 = self.metrics.clone();
-            scope.spawn(move || {
-                let _span = metrics1.span("pipeline.assess");
-                for (idx, sample) in rx_assess {
-                    let (assessed, deg) =
-                        self.assess_stage(&sample, idx, run_ref, cache, dedup_ref);
-                    if tx_assess.send((sample, assessed, deg)).is_err() {
-                        return;
-                    }
-                }
-            });
-
-            // Stage 2: manual security review (gated by surface).
-            let config = self.config;
-            let report2 = Arc::clone(&report);
-            let metrics2 = self.metrics.clone();
-            scope.spawn(move || {
-                let _span = metrics2.span("pipeline.review");
-                for (sample, assessed, deg) in rx_review {
-                    let (reviewed, catch, minutes) =
-                        manual_review(&sample, assessed.flagged, assessed.surface, &config);
-                    if minutes > 0.0 {
-                        report2.lock().analyst_minutes += minutes;
-                    }
-                    if tx_review.send((sample, assessed, deg, reviewed, catch)).is_err() {
-                        return;
-                    }
-                }
-            });
-
-            // Stage 3: repair routing.
-            let report3 = Arc::clone(&report);
-            let fixer = &self.fixer;
-            let verifier = &self.verifier;
-            let metrics3 = self.metrics.clone();
-            scope.spawn(move || {
-                let _span = metrics3.span("pipeline.repair");
-                for (sample, assessed, deg, reviewed, catch) in rx_repair {
-                    let Assessed { flagged, surface, findings } = assessed;
-                    let mut outcome = CaseOutcome {
-                        sample_id: sample.id,
-                        truly_vulnerable: sample.label,
-                        auto_flagged: flagged,
-                        surface,
-                        manually_reviewed: reviewed,
-                        review_catch: catch,
-                        findings,
-                        repaired_via: None,
-                        patched_source: None,
-                    };
-                    let mut guard = report3.lock();
-                    guard.degradation.absorb(&deg);
-                    if outcome.detected() && sample.label {
-                        let (channel_used, patched, analyst_min, expert_h) =
-                            repair(&sample, fixer, verifier, &config, cache);
-                        guard.analyst_minutes += analyst_min;
-                        guard.expert_hours += expert_h;
-                        match channel_used {
-                            RepairChannel::AutoFix => guard.auto_fixed += 1,
-                            RepairChannel::AiSuggestion => guard.ai_fixed += 1,
-                            RepairChannel::Expert => guard.expert_fixed += 1,
-                        }
-                        outcome.repaired_via = Some(channel_used);
-                        outcome.patched_source = patched;
-                    } else if sample.label {
-                        guard.escaped += 1;
-                    }
-                    guard.cases.push(outcome);
-                }
-            });
-
-            for (i, s) in samples.iter().enumerate() {
-                // A send fails only when every downstream stage is gone;
-                // the fill pass below completes whatever never went through.
-                if tx_in.send((i, s.clone())).is_err() {
-                    break;
-                }
-            }
-            drop(tx_in);
-        });
-
-        let mut report = Arc::try_unwrap(report)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|report| report.lock().clone());
-        if report.cases.len() < samples.len() {
-            // A stage died mid-stream: fold the missing samples in inline.
-            // Per-sample work is pure, so their outcomes are what the
-            // pipeline would have produced.
-            let present: std::collections::HashSet<u64> =
-                report.cases.iter().map(|c| c.sample_id).collect();
-            for (i, s) in samples.iter().enumerate() {
-                if !present.contains(&s.id) {
-                    Self::fold_case(&mut report, self.assess_one(i, s, run_ref, cache, dedup_ref));
-                }
-            }
-        }
-        report.cases.sort_by_key(|c| {
-            samples.iter().position(|s| s.id == c.sample_id).unwrap_or(usize::MAX)
-        });
-        self.finish_report(report, run_ref, samples.len())
     }
 
     /// Stage 1 + threat model: detector verdicts and surface classification
@@ -1349,32 +1159,27 @@ impl WorkflowEngine {
         CaseWork { outcome, review_minutes, repair_minutes, expert_hours, degradation }
     }
 
-    /// Folds one case into the aggregate report (labour totals, repair
-    /// channel counts, degradation accounting, the traced outcome).
-    fn fold_case(report: &mut WorkflowReport, w: CaseWork) {
-        report.analyst_minutes += w.review_minutes;
-        report.analyst_minutes += w.repair_minutes;
-        report.expert_hours += w.expert_hours;
-        report.degradation.absorb(&w.degradation);
-        match w.outcome.repaired_via {
-            Some(RepairChannel::AutoFix) => report.auto_fixed += 1,
-            Some(RepairChannel::AiSuggestion) => report.ai_fixed += 1,
-            Some(RepairChannel::Expert) => report.expert_fixed += 1,
-            None if w.outcome.truly_vulnerable => report.escaped += 1,
-            None => {}
-        }
-        report.cases.push(w.outcome);
-    }
-
-    /// Folds per-case results into the aggregate report, in submission
-    /// order. Both the sequential and the sharded path run this exact fold,
-    /// which pins the floating-point accumulation order (review minutes
-    /// before repair minutes, case by case) and therefore makes the two
-    /// paths bit-identical.
+    /// Folds per-case results (labour totals, repair channel counts,
+    /// degradation accounting, the traced outcomes) into the aggregate
+    /// report, in submission order. Every run ends in this fold, which pins
+    /// the floating-point accumulation order (review minutes before repair
+    /// minutes, case by case) and therefore makes reports bit-identical at
+    /// any job count.
     fn reduce(work: Vec<CaseWork>) -> WorkflowReport {
         let mut report = WorkflowReport::default();
         for w in work {
-            Self::fold_case(&mut report, w);
+            report.analyst_minutes += w.review_minutes;
+            report.analyst_minutes += w.repair_minutes;
+            report.expert_hours += w.expert_hours;
+            report.degradation.absorb(&w.degradation);
+            match w.outcome.repaired_via {
+                Some(RepairChannel::AutoFix) => report.auto_fixed += 1,
+                Some(RepairChannel::AiSuggestion) => report.ai_fixed += 1,
+                Some(RepairChannel::Expert) => report.expert_fixed += 1,
+                None if w.outcome.truly_vulnerable => report.escaped += 1,
+                None => {}
+            }
+            report.cases.push(w.outcome);
         }
         report
     }
@@ -1558,22 +1363,6 @@ mod tests {
         let m = report.detection_metrics();
         assert!(m.recall() > 0.8, "rules + review should catch most: {:?}", m);
         assert!(m.precision() > 0.8);
-    }
-
-    #[test]
-    fn pipelined_matches_sequential() {
-        let samples = corpus();
-        let e = engine();
-        let seq = e.process(&samples);
-        let pipe = e.process_pipelined(&samples);
-        assert_eq!(seq.detection_metrics(), pipe.detection_metrics());
-        assert_eq!(seq.auto_fixed, pipe.auto_fixed);
-        assert_eq!(seq.expert_fixed, pipe.expert_fixed);
-        assert_eq!(seq.escaped, pipe.escaped);
-        assert!((seq.analyst_minutes - pipe.analyst_minutes).abs() < 1e-9);
-        let ids: Vec<u64> = pipe.cases.iter().map(|c| c.sample_id).collect();
-        let expected: Vec<u64> = samples.iter().map(|s| s.id).collect();
-        assert_eq!(ids, expected, "pipeline preserves submission order in the report");
     }
 
     #[test]
@@ -1769,8 +1558,8 @@ mod tests {
         let samples = corpus();
         let e = engine_with(4, true);
         // More jobs than samples, empty input, single sample.
-        assert_eq!(e.process_sharded(&samples, 64), engine_with(1, true).process(&samples));
-        assert!(e.process_sharded(&[], 4).cases.is_empty());
+        assert_eq!(engine_with(64, true).process(&samples), engine_with(1, true).process(&samples));
+        assert!(e.process(&[]).cases.is_empty());
         let one = &samples[..1];
         assert_eq!(e.process(one), engine_with(1, true).process(one));
     }

@@ -18,10 +18,10 @@ use crate::protocol::{
     Frame, Request, RequestError, Response, MAX_REQUEST_BYTES,
 };
 use crate::service::ServiceCore;
-use crossbeam::channel;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -167,7 +167,7 @@ pub fn spawn(addr: &str, config: ServeConfig, metrics: &Registry) -> std::io::Re
     // `queue + workers` slots: depth admission keeps at most `queue` jobs
     // pending, so a post-admission send always finds room even while every
     // worker holds one job it has not finished writing out.
-    let (tx, rx) = channel::bounded::<Job>(config.queue.max(1) + workers);
+    let (tx, rx) = sync_channel::<Job>(config.queue.max(1) + workers);
     let rx = Arc::new(Mutex::new(rx));
 
     let mut worker_handles = Vec::with_capacity(workers);
@@ -201,7 +201,7 @@ pub fn spawn(addr: &str, config: ServeConfig, metrics: &Registry) -> std::io::Re
 }
 
 /// Executes queued jobs until every sender is gone.
-fn worker_loop(shared: &Shared, rx: &Mutex<channel::Receiver<Job>>) {
+fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
     loop {
         let job = match rx.lock() {
             Ok(guard) => guard.recv(),
@@ -233,7 +233,7 @@ fn write_line(writer: &Mutex<TcpStream>, resp: &Response) {
 /// queue; an HTTP preamble diverts to the one-shot bridge.
 fn serve_connection(
     shared: &Shared,
-    tx: &channel::Sender<Job>,
+    tx: &SyncSender<Job>,
     stream: TcpStream,
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -268,12 +268,7 @@ fn reject(shared: &Shared, writer: &Arc<Mutex<TcpStream>>, err: &RequestError) {
 }
 
 /// Admission control: CAS the depth below the bound or shed.
-fn submit(
-    shared: &Shared,
-    tx: &channel::Sender<Job>,
-    writer: &Arc<Mutex<TcpStream>>,
-    req: Request,
-) {
+fn submit(shared: &Shared, tx: &SyncSender<Job>, writer: &Arc<Mutex<TcpStream>>, req: Request) {
     shared.metrics.counter("serve.requests").inc();
     let admitted = loop {
         let cur = shared.depth.load(Ordering::Acquire);
@@ -292,10 +287,13 @@ fn submit(
         shed(shared, writer, req.id);
         return;
     }
-    if tx.try_send(Job { req, writer: Arc::clone(writer) }).is_err() {
-        // Workers are gone (shutdown race); undo the admission and shed.
+    if let Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) =
+        tx.try_send(Job { req, writer: Arc::clone(writer) })
+    {
+        // Workers are gone (shutdown race); undo the admission and shed,
+        // answering with the id the refused job hands back.
         shared.depth.fetch_sub(1, Ordering::AcqRel);
-        shed(shared, writer, 0);
+        shed(shared, writer, job.req.id);
     }
 }
 
@@ -475,5 +473,39 @@ mod tests {
             assert!(raw.starts_with(&format!("HTTP/1.1 {expect}")), "{raw}");
         }
         server.shutdown();
+    }
+
+    #[test]
+    fn shed_on_a_dead_queue_keeps_the_request_id() {
+        let metrics = Registry::new();
+        register_serve_instruments(&metrics);
+        let shared = Shared {
+            core: ServiceCore::new(&metrics, &FaultConfig::default()),
+            ledger: Mutex::new(DegradationSummary::default()),
+            metrics,
+            depth: AtomicI64::new(0),
+            peak: AtomicI64::new(0),
+            queue_bound: 4,
+            max_request_bytes: MAX_REQUEST_BYTES,
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let writer = Arc::new(Mutex::new(listener.accept().unwrap().0));
+        let (tx, rx) = sync_channel::<Job>(1);
+        drop(rx);
+        let req = Request {
+            id: 42,
+            kind: "lint".into(),
+            source: "void f() {\n}\n".into(),
+            label: None,
+            cwe: None,
+        };
+        submit(&shared, &tx, &writer, req);
+        let mut line = String::new();
+        BufReader::new(client).read_line(&mut line).unwrap();
+        let resp: Response = serde_json::from_str(&line).unwrap();
+        assert_eq!((resp.id, resp.status.as_str()), (42, "shed"));
+        assert_eq!(shared.depth.load(Ordering::Acquire), 0);
+        assert_eq!(shared.ledger.lock().unwrap().shed, 1);
     }
 }
