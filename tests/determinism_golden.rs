@@ -8,6 +8,7 @@
 //! and dashboards. These tests pin that contract on a fixed-seed,
 //! ~500-sample corpus.
 
+use vulnman::analysis::detectors::TaintDetector;
 use vulnman::prelude::*;
 
 /// Fixed-seed corpus: 75 vulnerable / 500 total — the paper's imbalanced
@@ -93,6 +94,21 @@ fn metrics_json_round_trips_and_is_key_stable() {
 const CAPACITY_GOLDEN: [u64; 4] =
     [0xe176f9ac6de028cc, 0xe574fe20cba37711, 0x3d3ca3ad562f091c, 0x9ba838c11fdb2faa];
 
+/// [`CAPACITY_GOLDEN`] for a taint-only rule suite ([`taint_only_engine`]),
+/// generated the same way. That suite leaves most vulnerable samples
+/// unflagged, so exposed ones are caught and repaired only through manual
+/// review, and a short budget must drop those repairs.
+const TAINT_ONLY_CAPACITY_GOLDEN: [u64; 4] =
+    [0x733f382c9bdd9824, 0x7e582c710a52e085, 0x58b2982fa84ebccb, 0xc5a4c2ee06a5498e];
+
+fn taint_only_engine(jobs: usize) -> WorkflowEngine {
+    let mut rules = RuleEngine::new();
+    rules.register(Box::new(TaintDetector::default_config()));
+    let mut registry = DetectorRegistry::new();
+    registry.register(Box::new(RuleBasedDetector::new("taint-only", rules)));
+    WorkflowEngine::new(registry, WorkflowConfig { jobs, ..Default::default() })
+}
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
         .iter()
@@ -114,15 +130,22 @@ fn capacity_reports(e: &WorkflowEngine, ds: &Dataset) -> Vec<String> {
         .collect()
 }
 
+fn capacity_digests(e: &WorkflowEngine, ds: &Dataset) -> Vec<u64> {
+    capacity_reports(e, ds).iter().map(|j| fnv1a(j.as_bytes())).collect()
+}
+
 #[test]
 fn capacity_reports_match_the_committed_golden_at_any_jobs() {
     let ds = corpus();
+    // The taint-only golden only pins review-only repairs if the corpus
+    // has some.
+    let unlimited = taint_only_engine(1).process(ds.samples());
+    assert!(unlimited.cases.iter().any(|c| c.review_catch && !c.auto_flagged));
     for jobs in [1, 4] {
-        let digests: Vec<u64> = capacity_reports(&engine(jobs, true), &ds)
-            .iter()
-            .map(|j| fnv1a(j.as_bytes()))
-            .collect();
+        let digests = capacity_digests(&engine(jobs, true), &ds);
         assert_eq!(digests, CAPACITY_GOLDEN, "capacity report digests at jobs={jobs}");
+        let digests = capacity_digests(&taint_only_engine(jobs), &ds);
+        assert_eq!(digests, TAINT_ONLY_CAPACITY_GOLDEN, "taint-only digests at jobs={jobs}");
     }
 }
 
