@@ -707,8 +707,13 @@ mod tests {
 
     #[test]
     fn hashing_is_stable_fnv() {
-        // Pin a value so accidental hasher changes show up.
-        assert_eq!(super::hash_str("exec_query") % 256, hash_str("exec_query") % 256);
-        assert_ne!(hash_str("a"), hash_str("b"));
+        // Literal FNV-1a values: a hasher or token-text change moves every
+        // trained model's buckets, so it must show up here.
+        assert_eq!(hash_str("exec_query"), 0xff1f_cfba_083e_040f);
+        assert_eq!(hash_str("exec_query") % 256, 15);
+        assert_eq!(hash_str("<int:small>") % 256, 229);
+        // The bigram `exec_query (`: both token texts joined by U+0001.
+        assert_eq!(hash_str("exec_query\u{1}`(`"), 0xdd51_e90f_2446_ad86);
+        assert_eq!(hash_str("exec_query\u{1}`(`") % 256, 134);
     }
 }
