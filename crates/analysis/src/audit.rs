@@ -52,8 +52,9 @@ const COVERAGE_DEN: usize = 10;
 
 /// A trained classifier's binary verdict, injected by the caller (the CLI
 /// and server wire the tool-augmented model from the core crate). The
-/// indirection keeps `vulnman-analysis` free of a model-stack dependency,
-/// mirroring the `ToolSuite` shim on the ML side.
+/// indirection keeps `vulnman-analysis` free of a model-stack dependency:
+/// `vulnman-ml` depends on this crate (its tool-augmented features read
+/// the rule suite's findings), so the reverse edge would be a cycle.
 pub trait MlVerdict: Send + Sync {
     /// Model name recorded in the report.
     fn name(&self) -> String;

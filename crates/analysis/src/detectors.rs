@@ -120,16 +120,13 @@ impl RuleEngine {
     /// lineup), used as the cache config key: two engines with the same
     /// detectors share memoized findings, different lineups never collide.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        for name in self.detector_names() {
-            for b in name.bytes() {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-            h = (h ^ 0x1f).wrapping_mul(PRIME); // name separator
+        use std::hash::Hasher;
+        let mut h = vulnman_lang::intern::Fnv64::default();
+        for d in &self.detectors {
+            h.write(d.name().as_bytes());
+            h.write(&[0x1f]); // name separator
         }
-        h
+        h.finish()
     }
 
     /// Parses and scans source text through a content-addressed cache:
@@ -166,12 +163,27 @@ impl RuleEngine {
         source: &str,
         cache: &vulnman_lang::AnalysisCache,
     ) -> Result<Vec<Finding>, vulnman_lang::ParseError> {
+        Ok((*self.findings_cached_keyed(content_key, source, cache)?).clone())
+    }
+
+    /// The cache entry behind [`RuleEngine::scan_source_cached_keyed`],
+    /// shared rather than copied: consumers that only read the findings
+    /// (tool-verdict ML features) take the `Arc` the first scan of this
+    /// content stored.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse error if `source` is not valid mini-C.
+    pub fn findings_cached_keyed(
+        &self,
+        content_key: u64,
+        source: &str,
+        cache: &vulnman_lang::AnalysisCache,
+    ) -> Result<std::sync::Arc<Vec<Finding>>, vulnman_lang::ParseError> {
         let program = cache.parse_keyed(content_key, source)?;
-        let findings =
-            cache.analysis_keyed(content_key, "rule-findings", self.fingerprint(), || {
-                self.scan(&program)
-            });
-        Ok((*findings).clone())
+        Ok(cache.analysis_keyed(content_key, "rule-findings", self.fingerprint(), || {
+            self.scan(&program)
+        }))
     }
 }
 

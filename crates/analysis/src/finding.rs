@@ -16,6 +16,18 @@ pub enum Confidence {
     High,
 }
 
+impl Confidence {
+    /// How much one finding at this confidence counts when tool verdicts
+    /// become ML features: 1.0 for high, 0.7 for medium, 0.4 for low.
+    pub fn weight(self) -> f64 {
+        match self {
+            Confidence::High => 1.0,
+            Confidence::Medium => 0.7,
+            Confidence::Low => 0.4,
+        }
+    }
+}
+
 /// One abstract fact backing a semantic finding: a variable and its
 /// abstract value at the report point, rendered by the domain.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

@@ -62,52 +62,33 @@ pub trait Detector: Send + Sync {
     /// Assesses one sample.
     fn assess(&self, sample: &Sample) -> Assessment;
 
-    /// Assesses one sample with access to a shared content-addressed
-    /// analysis cache. Detectors whose work is source-derived (parse, CFG,
-    /// dataflow, taint) override this to memoize per unique content; the
+    /// Assesses one sample through a shared content-addressed analysis
+    /// cache, under `content_key`: the sample source's
+    /// [`vulnman_lang::AnalysisCache::content_key`], hashed once per sample
+    /// by the caller no matter how many cache-aware detectors run.
+    /// Detectors whose work is source-derived (parse, CFG, dataflow, taint,
+    /// ML features) override this to memoize per unique content; the
     /// default ignores the cache. Must return exactly what
     /// [`Detector::assess`] returns.
-    fn assess_cached(&self, sample: &Sample, _cache: &vulnman_lang::AnalysisCache) -> Assessment {
-        self.assess(sample)
-    }
-
-    /// [`Detector::assess_cached`] with a precomputed content key
-    /// ([`vulnman_lang::AnalysisCache::content_key`] of the sample source),
-    /// so the assessment stage hashes each sample once no matter how many
-    /// cache-aware detectors run. Must return exactly what
-    /// [`Detector::assess_cached`] returns; the default ignores the key.
     fn assess_cached_keyed(
         &self,
         sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
+        _cache: &vulnman_lang::AnalysisCache,
         _content_key: u64,
     ) -> Assessment {
-        self.assess_cached(sample, cache)
+        self.assess(sample)
     }
 
-    /// Fallible [`Detector::assess_cached`]: detectors with fallible
+    /// Fallible [`Detector::assess_cached_keyed`]: detectors with fallible
     /// backends (e.g. ML prediction under fault injection) override this to
     /// surface failures the engine degrades on. The default never fails.
-    fn try_assess_cached(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> Result<Assessment, AssessError> {
-        Ok(self.assess_cached(sample, cache))
-    }
-
-    /// [`Detector::try_assess_cached`] with a precomputed content key
-    /// ([`vulnman_lang::AnalysisCache::content_key`] of the sample source),
-    /// so the assessment stage hashes each sample once no matter how many
-    /// cache-aware detectors run. Must return exactly what
-    /// [`Detector::try_assess_cached`] returns; the default ignores the key.
     fn try_assess_cached_keyed(
         &self,
         sample: &Sample,
         cache: &vulnman_lang::AnalysisCache,
-        _content_key: u64,
+        content_key: u64,
     ) -> Result<Assessment, AssessError> {
-        self.try_assess_cached(sample, cache)
+        Ok(self.assess_cached_keyed(sample, cache, content_key))
     }
 
     /// Whether this detector's assessment is invariant under the clone
@@ -162,11 +143,6 @@ impl Detector for RuleBasedDetector {
         self.to_assessment(findings)
     }
 
-    fn assess_cached(&self, sample: &Sample, cache: &vulnman_lang::AnalysisCache) -> Assessment {
-        let findings = self.engine.scan_source_cached(&sample.source, cache).unwrap_or_default();
-        self.to_assessment(findings)
-    }
-
     fn assess_cached_keyed(
         &self,
         sample: &Sample,
@@ -178,15 +154,6 @@ impl Detector for RuleBasedDetector {
             .scan_source_cached_keyed(content_key, &sample.source, cache)
             .unwrap_or_default();
         self.to_assessment(findings)
-    }
-
-    fn try_assess_cached_keyed(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-        content_key: u64,
-    ) -> Result<Assessment, AssessError> {
-        Ok(self.assess_cached_keyed(sample, cache, content_key))
     }
 
     /// Rule findings are derived from the lexed/parsed program, where
@@ -246,12 +213,23 @@ impl SemanticDetector {
             detector: "semantic-suite".into(),
         }
     }
+}
+
+impl Detector for SemanticDetector {
+    fn name(&self) -> &str {
+        "semantic-suite"
+    }
+
+    fn assess(&self, sample: &Sample) -> Assessment {
+        let findings = self.engine.scan_source(&sample.source).unwrap_or_default();
+        self.to_assessment(findings)
+    }
 
     /// Same cache key as `SemanticEngine::scan_source_cached`, but cold
     /// scans flow through `scan_with_metrics` so the `absint.*`
     /// instruments see real solver work. Warm hits skip the fixpoint and
     /// leave the counters untouched, which is exactly what they measure.
-    fn assess_cached_with_key(
+    fn assess_cached_keyed(
         &self,
         sample: &Sample,
         cache: &vulnman_lang::AnalysisCache,
@@ -267,40 +245,6 @@ impl SemanticDetector {
             });
         self.to_assessment((*findings).clone())
     }
-}
-
-impl Detector for SemanticDetector {
-    fn name(&self) -> &str {
-        "semantic-suite"
-    }
-
-    fn assess(&self, sample: &Sample) -> Assessment {
-        let findings = self.engine.scan_source(&sample.source).unwrap_or_default();
-        self.to_assessment(findings)
-    }
-
-    fn assess_cached(&self, sample: &Sample, cache: &vulnman_lang::AnalysisCache) -> Assessment {
-        let key = vulnman_lang::AnalysisCache::content_key(&sample.source);
-        self.assess_cached_with_key(sample, cache, key)
-    }
-
-    fn assess_cached_keyed(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-        content_key: u64,
-    ) -> Assessment {
-        self.assess_cached_with_key(sample, cache, content_key)
-    }
-
-    fn try_assess_cached(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> Result<Assessment, AssessError> {
-        let key = vulnman_lang::AnalysisCache::content_key(&sample.source);
-        self.try_assess_cached_keyed(sample, cache, key)
-    }
 
     fn try_assess_cached_keyed(
         &self,
@@ -311,14 +255,14 @@ impl Detector for SemanticDetector {
         match &self.faults {
             Some(inj) => inj
                 .run(Site::CheckerCall, sample.id, || {
-                    self.assess_cached_with_key(sample, cache, content_key)
+                    self.assess_cached_keyed(sample, cache, content_key)
                 })
                 .map(|attempted| attempted.value)
                 .map_err(|e| AssessError {
                     detector: "semantic-suite".into(),
                     reason: e.to_string(),
                 }),
-            None => Ok(self.assess_cached_with_key(sample, cache, content_key)),
+            None => Ok(self.assess_cached_keyed(sample, cache, content_key)),
         }
     }
 
@@ -335,44 +279,6 @@ impl Detector for SemanticDetector {
     /// stage remaps alongside the rename.
     fn clone_invariant(&self) -> bool {
         true
-    }
-}
-
-/// Adapter making a [`RuleEngine`] usable as feature input for ML models
-/// (see [`vulnman_ml::features::ToolAugmentedFeatures`]): the "learning from
-/// existing tool ecosystems" integration of Future Direction Proposal 2.
-#[derive(Debug)]
-pub struct RuleEngineToolSuite {
-    engine: RuleEngine,
-}
-
-impl RuleEngineToolSuite {
-    /// Wraps the default industry suite.
-    pub fn standard() -> Self {
-        RuleEngineToolSuite { engine: RuleEngine::default_suite() }
-    }
-
-    /// Wraps a custom engine.
-    pub fn new(engine: RuleEngine) -> Self {
-        RuleEngineToolSuite { engine }
-    }
-}
-
-impl vulnman_ml::features::ToolSuite for RuleEngineToolSuite {
-    fn scan_counts(&self, source: &str) -> Vec<(u32, f64)> {
-        self.engine
-            .scan_source(source)
-            .unwrap_or_default()
-            .into_iter()
-            .map(|f| {
-                let confidence = match f.confidence {
-                    vulnman_analysis::Confidence::High => 1.0,
-                    vulnman_analysis::Confidence::Medium => 0.7,
-                    vulnman_analysis::Confidence::Low => 0.4,
-                };
-                (f.cwe.id(), confidence)
-            })
-            .collect()
     }
 }
 
@@ -423,7 +329,7 @@ pub fn tool_augmented_model(seed: u64) -> vulnman_ml::pipeline::DetectionModel {
     use vulnman_ml::features::{ComposedFeatures, TokenNgramFeatures, ToolAugmentedFeatures};
     let features = ComposedFeatures::new(vec![
         Box::new(TokenNgramFeatures::new(256)),
-        Box::new(ToolAugmentedFeatures::new(Box::new(RuleEngineToolSuite::standard()))),
+        Box::new(ToolAugmentedFeatures::new(RuleEngine::default_suite())),
     ]);
     let dim = vulnman_ml::features::FeatureExtractor::dim(&features);
     vulnman_ml::pipeline::DetectionModel::new(
@@ -474,6 +380,15 @@ impl MlDetector {
     pub fn model(&self) -> &DetectionModel {
         &self.model
     }
+
+    fn to_assessment(&self, score: f64) -> Assessment {
+        Assessment {
+            vulnerable: score >= 0.5,
+            score,
+            findings: Vec::new(),
+            detector: self.model.name().to_string(),
+        }
+    }
 }
 
 impl Detector for MlDetector {
@@ -486,27 +401,28 @@ impl Detector for MlDetector {
     }
 
     fn assess(&self, sample: &Sample) -> Assessment {
-        let score = self.model.predict_proba(sample);
-        Assessment {
-            vulnerable: score >= 0.5,
-            score,
-            findings: Vec::new(),
-            detector: self.model.name().to_string(),
-        }
+        self.to_assessment(self.model.predict_proba(sample))
     }
 
-    fn try_assess_cached(
+    /// Features read the parse and rule findings the detectors before the
+    /// model stored under `content_key`.
+    fn assess_cached_keyed(
         &self,
         sample: &Sample,
-        _cache: &vulnman_lang::AnalysisCache,
+        cache: &vulnman_lang::AnalysisCache,
+        content_key: u64,
+    ) -> Assessment {
+        self.to_assessment(self.model.predict_proba_cached(sample, cache, content_key))
+    }
+
+    fn try_assess_cached_keyed(
+        &self,
+        sample: &Sample,
+        cache: &vulnman_lang::AnalysisCache,
+        content_key: u64,
     ) -> Result<Assessment, AssessError> {
-        match self.model.try_predict_proba(sample) {
-            Ok(score) => Ok(Assessment {
-                vulnerable: score >= 0.5,
-                score,
-                findings: Vec::new(),
-                detector: self.model.name().to_string(),
-            }),
+        match self.model.try_predict_proba_cached(sample, cache, content_key) {
+            Ok(score) => Ok(self.to_assessment(score)),
             Err(e) => {
                 Err(AssessError { detector: self.model.name().to_string(), reason: e.to_string() })
             }
@@ -707,22 +623,9 @@ impl DetectorRegistry {
         self.applicable(sample).map(|(i, d)| self.observed(i, || d.assess(sample))).collect()
     }
 
-    /// Runs every applicable detector through a shared analysis cache.
+    /// Runs every applicable detector through a shared analysis cache,
+    /// with the sample source hashed once by the caller (`content_key`).
     /// Assessments are identical to [`DetectorRegistry::assess_all`].
-    pub fn assess_all_cached(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> Vec<Assessment> {
-        self.applicable(sample)
-            .map(|(i, d)| self.observed(i, || d.assess_cached(sample, cache)))
-            .collect()
-    }
-
-    /// [`DetectorRegistry::assess_all_cached`] with a precomputed content
-    /// key, so every cache-aware detector shares one hash of the sample
-    /// source. Assessments are identical to
-    /// [`DetectorRegistry::assess_all`].
     pub fn assess_all_cached_keyed(
         &self,
         sample: &Sample,
@@ -740,18 +643,8 @@ impl DetectorRegistry {
         self.combine(self.assess_all(sample))
     }
 
-    /// Cache-assisted [`DetectorRegistry::verdict`]; the verdict and the
+    /// Cache-assisted [`DetectorRegistry::verdict`]: the verdict and the
     /// assessments are identical, only repeated work is skipped.
-    pub fn verdict_cached(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> (bool, Vec<Assessment>) {
-        self.combine(self.assess_all_cached(sample, cache))
-    }
-
-    /// Keyed [`DetectorRegistry::verdict_cached`]: identical verdict and
-    /// assessments, with the sample source hashed once by the caller.
     pub fn verdict_cached_keyed(
         &self,
         sample: &Sample,

@@ -7,11 +7,18 @@
 //! crafted representations out-perform raw ones — is directly testable by
 //! swapping extractors on the same classifier.
 
+use std::borrow::Cow;
+use std::collections::HashSet;
+use std::hash::Hasher;
+use std::sync::OnceLock;
+use vulnman_analysis::detectors::RuleEngine;
 use vulnman_lang::ast::{ExprKind, StmtKind, Type};
-use vulnman_lang::lexer::lex;
+use vulnman_lang::intern::{Fnv64, FnvBuildHasher};
+use vulnman_lang::lexer::lex_ref;
 use vulnman_lang::metrics::FunctionMetrics;
 use vulnman_lang::taint::{TaintAnalysis, TaintConfig};
-use vulnman_lang::token::TokenKind;
+use vulnman_lang::token::{TokenKind, TokenRef};
+use vulnman_lang::AnalysisCache;
 use vulnman_synth::sample::Sample;
 
 /// Extracts a fixed-dimension feature vector from a sample.
@@ -20,18 +27,35 @@ pub trait FeatureExtractor: Send + Sync {
     fn name(&self) -> &'static str;
     /// Output dimensionality.
     fn dim(&self) -> usize;
-    /// Extracts features for one sample.
-    fn extract(&self, sample: &Sample) -> Vec<f64>;
+    /// Extracts features for one sample, reading source-derived work (the
+    /// parse, the rule suite's findings) from `cache` under `content_key`,
+    /// the sample's [`AnalysisCache::content_key`]. Inside a workflow run
+    /// the detectors before the model have already stored that work, so
+    /// the extractor pays only for what is its own. The vector does not
+    /// depend on the cache's state.
+    fn extract_cached(&self, sample: &Sample, cache: &AnalysisCache, content_key: u64) -> Vec<f64>;
+    /// Extracts features for one sample on its own:
+    /// [`FeatureExtractor::extract_cached`] over a pass-through cache.
+    fn extract(&self, sample: &Sample) -> Vec<f64> {
+        let key = AnalysisCache::content_key(&sample.source);
+        self.extract_cached(sample, uncached(), key)
+    }
+}
+
+/// The pass-through cache behind the standalone entry points
+/// ([`FeatureExtractor::extract`], `DetectionModel::predict_proba`): it
+/// stores nothing and, on a no-op registry, counts nothing, so sharing one
+/// costs no set-up per call.
+pub(crate) fn uncached() -> &'static AnalysisCache {
+    static CACHE: OnceLock<AnalysisCache> = OnceLock::new();
+    CACHE.get_or_init(|| AnalysisCache::disabled_with_metrics(&vulnman_obs::Registry::noop()))
 }
 
 fn hash_str(s: &str) -> u64 {
     // FNV-1a: stable across runs and platforms, unlike `DefaultHasher`.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = Fnv64::default();
+    h.write(s.as_bytes());
+    h.finish()
 }
 
 fn l2_normalize(v: &mut [f64]) {
@@ -43,26 +67,55 @@ fn l2_normalize(v: &mut [f64]) {
     }
 }
 
-/// Token text used by n-gram features: identifiers and keywords verbatim,
-/// literals partially abstracted (string content kept — real sequence models
-/// see it too).
-fn token_text(kind: &TokenKind) -> String {
+/// Feeds the text n-gram features see for one token into `h`: identifiers
+/// and keywords verbatim, literals partially abstracted (string content
+/// kept — real sequence models see it too). Writing the bytes straight
+/// into the hasher allocates nothing.
+fn feed_token(h: &mut Fnv64, kind: &TokenKind<Cow<'_, str>>) {
     match kind {
-        TokenKind::Ident(s) => s.clone(),
-        TokenKind::Int(v) => {
-            // Bucket magnitudes so sizes generalize.
-            let m = match v.unsigned_abs() {
-                0..=1 => "01",
-                2..=16 => "small",
-                17..=256 => "mid",
-                _ => "big",
-            };
-            format!("<int:{m}>")
+        TokenKind::Ident(s) => h.write(s.as_bytes()),
+        // Bucket magnitudes so sizes generalize.
+        TokenKind::Int(v) => h.write(match v.unsigned_abs() {
+            0..=1 => b"<int:01>",
+            2..=16 => b"<int:small>",
+            17..=256 => b"<int:mid>",
+            _ => b"<int:big>",
+        }),
+        TokenKind::Char(_) => h.write(b"<char>"),
+        TokenKind::Str(s) => {
+            h.write(b"<str:");
+            h.write(s.as_bytes());
+            h.write(b">");
         }
-        TokenKind::Char(_) => "<char>".to_string(),
-        TokenKind::Str(s) => format!("<str:{s}>"),
-        other => other.describe().to_string(),
+        other => h.write(other.describe().as_bytes()),
     }
+}
+
+/// Binary presence features over the hashed unigrams and adjacent bigrams
+/// of `tokens`, L2-normalized. `feed` writes one token's text. A bigram
+/// hashes the first token's text, the byte `0x01`, then the second's, so
+/// it continues from the first token's unigram state.
+fn ngram_presence(
+    dim: usize,
+    tokens: &[TokenRef<'_>],
+    feed: impl Fn(&mut Fnv64, &TokenKind<Cow<'_, str>>),
+) -> Vec<f64> {
+    let mut v = vec![0.0; dim];
+    let bucket = |h: &Fnv64| (h.finish() % dim as u64) as usize;
+    let mut prev: Option<Fnv64> = None;
+    for t in tokens.iter().filter(|t| t.kind != TokenKind::Eof) {
+        let mut unigram = Fnv64::default();
+        feed(&mut unigram, &t.kind);
+        v[bucket(&unigram)] = 1.0;
+        if let Some(mut bigram) = prev {
+            bigram.write(&[1]);
+            feed(&mut bigram, &t.kind);
+            v[bucket(&bigram)] = 1.0;
+        }
+        prev = Some(unigram);
+    }
+    l2_normalize(&mut v);
+    v
 }
 
 /// Hashed token uni+bi-gram presence features over the source text
@@ -99,28 +152,13 @@ impl FeatureExtractor for TokenNgramFeatures {
         self.dim
     }
 
-    fn extract(&self, sample: &Sample) -> Vec<f64> {
-        let mut v = vec![0.0; self.dim];
-        let Ok(out) = lex(&sample.source) else { return v };
-        let texts: Vec<String> = out
-            .tokens
-            .iter()
-            .filter(|t| t.kind != TokenKind::Eof)
-            .map(|t| token_text(&t.kind))
-            .collect();
+    fn extract_cached(&self, sample: &Sample, _: &AnalysisCache, _: u64) -> Vec<f64> {
+        let Ok(out) = lex_ref(&sample.source) else { return vec![0.0; self.dim] };
         // Binary presence features: the discriminating signal is *whether*
         // a security-relevant token/bigram occurs, not how often padding
         // tokens repeat. Presence + per-sample scaling keeps the signal
         // from being diluted by long real-world functions.
-        for t in &texts {
-            v[(hash_str(t) % self.dim as u64) as usize] = 1.0;
-        }
-        for w in texts.windows(2) {
-            let bigram = format!("{}\u{1}{}", w[0], w[1]);
-            v[(hash_str(&bigram) % self.dim as u64) as usize] = 1.0;
-        }
-        l2_normalize(&mut v);
-        v
+        ngram_presence(self.dim, &out.tokens, feed_token)
     }
 }
 
@@ -155,14 +193,15 @@ impl FeatureExtractor for NormalizedTokenFeatures {
         self.dim
     }
 
-    fn extract(&self, sample: &Sample) -> Vec<f64> {
-        let mut v = vec![0.0; self.dim];
-        let Ok(out) = lex(&sample.source) else { return v };
-        let Ok(program) = vulnman_lang::parse(&sample.source) else { return v };
+    fn extract_cached(&self, sample: &Sample, cache: &AnalysisCache, content_key: u64) -> Vec<f64> {
+        let (Ok(program), Ok(out)) =
+            (cache.parse_keyed(content_key, &sample.source), lex_ref(&sample.source))
+        else {
+            return vec![0.0; self.dim];
+        };
         // Library calls are kept (they are the semantic anchors); everything
         // declared locally is erased.
-        let mut declared: std::collections::HashSet<vulnman_lang::Symbol> =
-            std::collections::HashSet::new();
+        let mut declared: HashSet<vulnman_lang::Symbol, FnvBuildHasher> = HashSet::default();
         for f in &program.functions {
             declared.insert(f.name.clone());
             for p in &f.params {
@@ -174,24 +213,10 @@ impl FeatureExtractor for NormalizedTokenFeatures {
                 }
             });
         }
-        let texts: Vec<String> = out
-            .tokens
-            .iter()
-            .filter(|t| t.kind != TokenKind::Eof)
-            .map(|t| match &t.kind {
-                TokenKind::Ident(name) if declared.contains(name.as_str()) => "<id>".to_string(),
-                other => token_text(other),
-            })
-            .collect();
-        for t in &texts {
-            v[(hash_str(t) % self.dim as u64) as usize] = 1.0;
-        }
-        for w in texts.windows(2) {
-            let bigram = format!("{}\u{1}{}", w[0], w[1]);
-            v[(hash_str(&bigram) % self.dim as u64) as usize] = 1.0;
-        }
-        l2_normalize(&mut v);
-        v
+        ngram_presence(self.dim, &out.tokens, |h, kind| match kind {
+            TokenKind::Ident(name) if declared.contains(name.as_ref()) => h.write(b"<id>"),
+            other => feed_token(h, other),
+        })
     }
 }
 
@@ -214,9 +239,9 @@ impl FeatureExtractor for AstStatFeatures {
         Self::DIM
     }
 
-    fn extract(&self, sample: &Sample) -> Vec<f64> {
+    fn extract_cached(&self, sample: &Sample, cache: &AnalysisCache, content_key: u64) -> Vec<f64> {
         let mut v = vec![0.0; Self::DIM];
-        let Ok(program) = vulnman_lang::parse(&sample.source) else { return v };
+        let Ok(program) = cache.parse_keyed(content_key, &sample.source) else { return v };
         let mut agg = FunctionMetrics::default();
         let mut str_lits = 0.0;
         let mut int_lits = 0.0;
@@ -316,9 +341,9 @@ impl FeatureExtractor for ExpertFlowFeatures {
         Self::DIM
     }
 
-    fn extract(&self, sample: &Sample) -> Vec<f64> {
+    fn extract_cached(&self, sample: &Sample, cache: &AnalysisCache, content_key: u64) -> Vec<f64> {
         let mut v = vec![0.0; Self::DIM];
-        let Ok(program) = vulnman_lang::parse(&sample.source) else { return v };
+        let Ok(program) = cache.parse_keyed(content_key, &sample.source) else { return v };
         let analysis = TaintAnalysis::run(&program, &self.config);
 
         // Flow counts per sink kind.
@@ -459,23 +484,16 @@ impl FeatureExtractor for ExpertFlowFeatures {
 /// Gap Observation 2 / Future Direction Proposal 2. A model trained over
 /// these learns *when to trust each installed tool*, which is exactly how
 /// industry composes a new model with its incumbent suite.
+///
+/// The vector holds, per catalog CWE, the summed
+/// [`Confidence::weight`](vulnman_analysis::Confidence::weight) of the
+/// suite's findings of that class, then the total. The findings come from
+/// the cache entry the suite's own detector fills, so inside a workflow run
+/// the suite scans each sample once.
+#[derive(Debug)]
 pub struct ToolAugmentedFeatures {
-    engine: vulnman_analysis_shim::RuleEngineShim,
+    engine: RuleEngine,
 }
-
-// `vulnman-ml` must not depend on `vulnman-analysis` (it would create a
-// cycle once analysis consumes ML detectors); the shim below duplicates the
-// minimal scan-call via a trait object injected at construction.
-mod vulnman_analysis_shim {
-    /// Object-safe adapter over any scanner that can count findings per CWE.
-    pub trait ToolSuite: Send + Sync {
-        /// Returns `(cwe id, confidence in [0,1])` pairs for the unit.
-        fn scan_counts(&self, source: &str) -> Vec<(u32, f64)>;
-    }
-    pub struct RuleEngineShim(pub Box<dyn ToolSuite>);
-}
-
-pub use vulnman_analysis_shim::ToolSuite;
 
 impl ToolAugmentedFeatures {
     /// Number of output dimensions: one slot per catalog CWE plus a total.
@@ -483,16 +501,9 @@ impl ToolAugmentedFeatures {
     /// indexing past it (the pre-derivation constant lagged the catalog).
     pub const DIM: usize = vulnman_synth::cwe::Cwe::ALL.len() + 1;
 
-    /// Wraps a tool suite (e.g. the rule engine from `vulnman-analysis`,
-    /// adapted through [`ToolSuite`]).
-    pub fn new(suite: Box<dyn ToolSuite>) -> Self {
-        ToolAugmentedFeatures { engine: vulnman_analysis_shim::RuleEngineShim(suite) }
-    }
-}
-
-impl std::fmt::Debug for ToolAugmentedFeatures {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ToolAugmentedFeatures").finish()
+    /// Learns from `engine`'s verdicts (e.g. [`RuleEngine::default_suite`]).
+    pub fn new(engine: RuleEngine) -> Self {
+        ToolAugmentedFeatures { engine }
     }
 }
 
@@ -505,14 +516,19 @@ impl FeatureExtractor for ToolAugmentedFeatures {
         Self::DIM
     }
 
-    fn extract(&self, sample: &Sample) -> Vec<f64> {
+    fn extract_cached(&self, sample: &Sample, cache: &AnalysisCache, content_key: u64) -> Vec<f64> {
         use vulnman_synth::cwe::Cwe;
         let mut v = vec![0.0; Self::DIM];
-        for (id, confidence) in self.engine.0.scan_counts(&sample.source) {
-            if let Some(pos) = Cwe::ALL.iter().position(|c| c.id() == id) {
-                v[pos] += confidence;
+        let Ok(findings) = self.engine.findings_cached_keyed(content_key, &sample.source, cache)
+        else {
+            return v;
+        };
+        for f in findings.iter() {
+            let weight = f.confidence.weight();
+            if let Some(pos) = Cwe::ALL.iter().position(|c| c.id() == f.cwe.id()) {
+                v[pos] += weight;
             }
-            v[Self::DIM - 1] += confidence;
+            v[Self::DIM - 1] += weight;
         }
         v
     }
@@ -552,7 +568,7 @@ impl FeatureExtractor for ArtifactTextFeatures {
         self.dim
     }
 
-    fn extract(&self, sample: &Sample) -> Vec<f64> {
+    fn extract_cached(&self, sample: &Sample, _: &AnalysisCache, _: u64) -> Vec<f64> {
         let mut v = vec![0.0; self.dim];
         let text = sample.artifacts.combined_text().to_ascii_lowercase();
         for word in text.split(|c: char| !c.is_ascii_alphanumeric()).filter(|w| !w.is_empty()) {
@@ -600,10 +616,10 @@ impl FeatureExtractor for ComposedFeatures {
         self.dim
     }
 
-    fn extract(&self, sample: &Sample) -> Vec<f64> {
+    fn extract_cached(&self, sample: &Sample, cache: &AnalysisCache, content_key: u64) -> Vec<f64> {
         let mut v = Vec::with_capacity(self.dim);
         for p in &self.parts {
-            v.extend(p.extract(sample));
+            v.extend(p.extract_cached(sample, cache, content_key));
         }
         v
     }
@@ -712,8 +728,30 @@ mod tests {
         assert_eq!(hash_str("exec_query"), 0xff1f_cfba_083e_040f);
         assert_eq!(hash_str("exec_query") % 256, 15);
         assert_eq!(hash_str("<int:small>") % 256, 229);
-        // The bigram `exec_query (`: both token texts joined by U+0001.
-        assert_eq!(hash_str("exec_query\u{1}`(`"), 0xdd51_e90f_2446_ad86);
-        assert_eq!(hash_str("exec_query\u{1}`(`") % 256, 134);
+        // `exec_query(` sets bucket 15 (`exec_query`), 207 (`` `(` ``) and
+        // 134: the bigram, whose text `exec_query`, U+0001, `` `(` `` has
+        // FNV-1a 0xdd51_e90f_2446_ad86.
+        let out = lex_ref("exec_query(").unwrap();
+        let v = ngram_presence(256, &out.tokens, feed_token);
+        let set: Vec<usize> = (0..256).filter(|&i| v[i] > 0.0).collect();
+        assert_eq!(set, [15, 134, 207]);
+    }
+
+    #[test]
+    fn cached_extraction_matches_standalone() {
+        let (v, f) = samples();
+        let cache = AnalysisCache::new();
+        let fx = ComposedFeatures::new(vec![
+            Box::new(TokenNgramFeatures::new(64)),
+            Box::new(NormalizedTokenFeatures::new(64)),
+            Box::new(AstStatFeatures),
+            Box::new(ExpertFlowFeatures::new()),
+            Box::new(ToolAugmentedFeatures::new(RuleEngine::default_suite())),
+        ]);
+        for s in [&v, &f, &v] {
+            let key = AnalysisCache::content_key(&s.source);
+            assert_eq!(fx.extract_cached(s, &cache, key), fx.extract(s));
+        }
+        assert!(cache.stats().hits > 0, "the repeat reads the stored parse and findings");
     }
 }

@@ -3,8 +3,8 @@
 
 use crate::eval::Metrics;
 use crate::features::{
-    ArtifactTextFeatures, AstStatFeatures, ComposedFeatures, ExpertFlowFeatures, FeatureExtractor,
-    NormalizedTokenFeatures, TokenNgramFeatures,
+    uncached, ArtifactTextFeatures, AstStatFeatures, ComposedFeatures, ExpertFlowFeatures,
+    FeatureExtractor, NormalizedTokenFeatures, TokenNgramFeatures,
 };
 use crate::knn::Knn;
 use crate::linear::LogisticRegression;
@@ -14,6 +14,7 @@ use crate::naive_bayes::GaussianNb;
 use crate::tree::RandomForest;
 use std::sync::Arc;
 use vulnman_faults::{FaultError, FaultInjector, Site};
+use vulnman_lang::AnalysisCache;
 use vulnman_synth::dataset::Dataset;
 use vulnman_synth::sample::Sample;
 
@@ -168,30 +169,59 @@ impl DetectionModel {
         self.faults = Some(faults);
     }
 
-    /// Probability the sample is vulnerable.
+    /// Probability the sample is vulnerable:
+    /// [`DetectionModel::predict_proba_cached`] over a pass-through cache.
     pub fn predict_proba(&self, sample: &Sample) -> f64 {
+        let key = AnalysisCache::content_key(&sample.source);
+        self.predict_proba_cached(sample, uncached(), key)
+    }
+
+    /// Probability the sample is vulnerable, with features extracted
+    /// through `cache` under `content_key` (see
+    /// [`FeatureExtractor::extract_cached`]). The score does not depend on
+    /// the cache's state.
+    pub fn predict_proba_cached(
+        &self,
+        sample: &Sample,
+        cache: &AnalysisCache,
+        content_key: u64,
+    ) -> f64 {
         self.predictions.inc();
         let t0 = self.predict_micros.is_enabled().then(std::time::Instant::now);
-        let p = self.classifier.predict_proba(&self.features.extract(sample));
+        let x = self.features.extract_cached(sample, cache, content_key);
+        let p = self.classifier.predict_proba(&x);
         if let Some(t0) = t0 {
             self.predict_micros.observe_duration(t0.elapsed());
         }
         p
     }
 
-    /// Fallible probability: routes through the attached fault injector
-    /// (when any) and rejects non-finite classifier output.
+    /// Fallible probability:
+    /// [`DetectionModel::try_predict_proba_cached`] over a pass-through
+    /// cache.
+    pub fn try_predict_proba(&self, sample: &Sample) -> Result<f64, PredictError> {
+        let key = AnalysisCache::content_key(&sample.source);
+        self.try_predict_proba_cached(sample, uncached(), key)
+    }
+
+    /// Fallible [`DetectionModel::predict_proba_cached`]: routes through
+    /// the attached fault injector (when any) and rejects non-finite
+    /// classifier output.
     ///
     /// Without an injector this only adds the finiteness guard, so the `Ok`
     /// value is always identical to [`DetectionModel::predict_proba`].
-    pub fn try_predict_proba(&self, sample: &Sample) -> Result<f64, PredictError> {
+    pub fn try_predict_proba_cached(
+        &self,
+        sample: &Sample,
+        cache: &AnalysisCache,
+        content_key: u64,
+    ) -> Result<f64, PredictError> {
+        let predict = || self.predict_proba_cached(sample, cache, content_key);
         let p = match &self.faults {
             Some(inj) => {
-                inj.run(Site::MlPredict, sample.id, || self.predict_proba(sample))
-                    .map_err(PredictError::Injected)?
-                    .value
+                inj.run(Site::MlPredict, sample.id, predict).map_err(PredictError::Injected)?.value
             }
-            None => self.predict_proba(sample),
+            None => predict(),
         };
         if p.is_finite() {
             Ok(p)

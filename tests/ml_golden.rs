@@ -14,7 +14,7 @@
 //! report fails here.
 
 use vulnman::core::detector::tool_augmented_model;
-use vulnman::core::detector::RuleEngineToolSuite;
+use vulnman::lang::AnalysisCache;
 use vulnman::ml::features::{
     FeatureExtractor, NormalizedTokenFeatures, TokenNgramFeatures, ToolAugmentedFeatures,
 };
@@ -41,7 +41,7 @@ const REPORT_GOLDEN: [u64; 5] = [
 
 /// The tool-augmented extractor over the default rule suite.
 fn tool_features() -> ToolAugmentedFeatures {
-    ToolAugmentedFeatures::new(Box::new(RuleEngineToolSuite::standard()))
+    ToolAugmentedFeatures::new(RuleEngine::default_suite())
 }
 
 /// 640 samples, half vulnerable, spread evenly over every CWE class.
@@ -148,6 +148,21 @@ fn feature_vectors_match_the_golden() {
     ];
     let digests: Vec<u64> = extractors.iter().map(|fx| feature_digest(*fx, &ds)).collect();
     assert_eq!(digests, FEATURE_GOLDEN, "feature digests (got {digests:#x?})");
+    // Through a shared cache the rule suite filled first, as in a workflow
+    // run, every extractor reads stored work and yields the same bits.
+    let cache = AnalysisCache::new();
+    let rules = RuleEngine::default_suite();
+    let keys: Vec<u64> = ds.iter().map(|s| AnalysisCache::content_key(&s.source)).collect();
+    for (s, &key) in ds.iter().zip(&keys) {
+        let _ = rules.scan_source_cached_keyed(key, &s.source, &cache);
+    }
+    let misses = cache.stats().misses;
+    for (fx, golden) in extractors.iter().zip(FEATURE_GOLDEN) {
+        let rows = ds.iter().zip(&keys).map(|(s, &key)| fx.extract_cached(s, &cache, key));
+        let digest = digest_f64s(rows.collect::<Vec<_>>().iter().flatten());
+        assert_eq!(digest, golden, "{} through the cache", fx.name());
+    }
+    assert_eq!(cache.stats().misses, misses, "the extractors recompute nothing the suite stored");
 }
 
 #[test]
