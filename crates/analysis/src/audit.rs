@@ -361,13 +361,9 @@ impl AuditEngine {
         units
     }
 
-    /// Scans one unit with every family. Engines are provided per worker;
-    /// the ML scorer is shared (it is `Sync`).
-    fn scan_unit(
-        unit: &AuditUnit,
-        engines: &WorkerEngines,
-        ml: Option<&dyn MlVerdict>,
-    ) -> UnitHits {
+    /// Scans one unit with every family. The engines and the ML scorer are
+    /// shared by every worker.
+    fn scan_unit(unit: &AuditUnit, engines: &Engines, ml: Option<&dyn MlVerdict>) -> UnitHits {
         let mut hits = Vec::with_capacity(5);
         match vulnman_lang::parse(&unit.sample.source) {
             Err(_) => hits.extend([false; 4]),
@@ -386,36 +382,16 @@ impl AuditEngine {
         hits
     }
 
-    /// Runs the audit. The report is a pure function of the configuration:
+    /// Runs the audit, scanning units on the [`par`](vulnman_lang::par) work
+    /// queue. The report is a pure function of the configuration:
     /// byte-identical for any `jobs` value.
     pub fn run(&self) -> AuditReport {
         let units = self.corpus();
-        let jobs = self.config.jobs.max(1).min(units.len().max(1));
         let ml = self.ml.as_deref();
-        let mut hits: Vec<UnitHits> = Vec::with_capacity(units.len());
-        if jobs <= 1 {
-            let engines = WorkerEngines::new();
-            hits.extend(units.iter().map(|u| Self::scan_unit(u, &engines, ml)));
-        } else {
-            // Contiguous chunks, results reassembled in unit order: the
-            // partition affects only wall-clock, never the report.
-            let chunk = units.len().div_ceil(jobs);
-            let mut results: Vec<Vec<UnitHits>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = units
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            let engines = WorkerEngines::new();
-                            part.iter().map(|u| Self::scan_unit(u, &engines, ml)).collect()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("audit worker panicked")).collect()
-            });
-            for part in results.drain(..) {
-                hits.extend(part);
-            }
-        }
+        let engines = Engines::new();
+        let hits = vulnman_lang::par::map_ordered(&units, self.config.jobs, |u| {
+            Self::scan_unit(u, &engines, ml)
+        });
 
         let families = self.families();
         let n = self.config.samples_per_class;
@@ -467,17 +443,18 @@ impl AuditEngine {
     }
 }
 
-/// Per-worker detector instances (none of them borrow the corpus).
-struct WorkerEngines {
+/// The static and dynamic families' engines, built once per run and shared
+/// by every worker (each is `Sync`; none borrows the corpus).
+struct Engines {
     rules: RuleEngine,
     taint: TaintDetector,
     semantics: SemanticEngine,
     dynamic: DynamicSanitizer,
 }
 
-impl WorkerEngines {
+impl Engines {
     fn new() -> Self {
-        WorkerEngines {
+        Engines {
             rules: RuleEngine::syntactic_suite(),
             taint: TaintDetector::default_config(),
             semantics: SemanticEngine::new(),

@@ -116,8 +116,7 @@ impl SemanticEngine {
     /// SCC-parallel mode of [`Substrate::run`]). Findings, summaries, and
     /// statistics are byte-identical for every value, so `jobs` is
     /// deliberately not part of [`SemanticEngine::fingerprint`] — cached
-    /// results are shared across worker counts. Small programs always
-    /// solve sequentially.
+    /// results are shared across worker counts.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
@@ -127,18 +126,13 @@ impl SemanticEngine {
     /// analysis-cache config key (same FNV construction as
     /// [`RuleEngine::fingerprint`](crate::detectors::RuleEngine::fingerprint)).
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        for b in "semantic-suite".bytes() {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
+        use std::hash::Hasher;
+        let mut h = vulnman_lang::intern::Fnv64::default();
+        h.write(b"semantic-suite");
         for v in [self.config.widening_threshold as u64, self.config.max_iterations] {
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
+            h.write(&v.to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Runs all six domain passes and returns findings plus telemetry.
@@ -1104,6 +1098,13 @@ mod tests {
     use vulnman_synth::style::StyleProfile;
     use vulnman_synth::templates::semantic::{semantic_gap_pair, GAP_CLASSES};
     use vulnman_synth::tier::Tier;
+
+    #[test]
+    fn fingerprint_value_is_pinned() {
+        // The fingerprint is the analysis-cache config key; a drift would
+        // silently orphan every cached semantic scan.
+        assert_eq!(SemanticEngine::new().fingerprint(), 0x75459cb9990f5ef1);
+    }
 
     #[test]
     fn semantic_suite_catches_gap_templates_and_passes_fixes() {

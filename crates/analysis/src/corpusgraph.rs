@@ -24,10 +24,10 @@
 use crate::reachability::Surface;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use vulnman_lang::absint::callgraph::strongly_connected;
 use vulnman_lang::cache::AnalysisCache;
+use vulnman_lang::par;
 use vulnman_lang::{ParseError, Program, Symbol};
 use vulnman_obs::Registry;
 use vulnman_synth::sample::Sample;
@@ -548,35 +548,15 @@ impl CorpusGraph {
     }
 }
 
-/// Parses all units, sharded over `jobs` threads. Results land by index, so
-/// output is independent of the worker count; errors surface in unit order.
+/// Parses all units on the [`par`](vulnman_lang::par) work queue with
+/// `jobs` threads. Results come back in unit order, so output is
+/// independent of the worker count; the first error in unit order wins.
 fn parse_units(
     units: &[UnitRef<'_>],
     cache: &AnalysisCache,
     jobs: usize,
 ) -> Result<Vec<Arc<Program>>, ParseError> {
-    let jobs = jobs.max(1);
-    if jobs == 1 || units.len() < 4 {
-        return units.iter().map(|u| cache.parse(u.source)).collect();
-    }
-    type ParseSlot = Mutex<Option<Result<Arc<Program>, ParseError>>>;
-    let results: Vec<ParseSlot> = units.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(units.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= units.len() {
-                    break;
-                }
-                *results[i].lock().expect("parse slot") = Some(cache.parse(units[i].source));
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("parse slot").expect("every unit parsed"))
-        .collect()
+    par::map_ordered(units, jobs, |u| cache.parse(u.source)).into_iter().collect()
 }
 
 /// Brandes betweenness centrality over the directed graph, normalized by
@@ -588,35 +568,17 @@ fn betweenness_centrality(callees: &[Vec<usize>], jobs: usize) -> Vec<f64> {
     if n < 3 {
         return vec![0.0; n];
     }
-    let n_chunks = n.div_ceil(BETWEENNESS_CHUNK);
-    let partials: Vec<Mutex<Option<Vec<f64>>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let worker = || loop {
-        let chunk = next.fetch_add(1, Ordering::Relaxed);
-        if chunk >= n_chunks {
-            break;
-        }
+    let chunks: Vec<usize> = (0..n.div_ceil(BETWEENNESS_CHUNK)).collect();
+    let partials = par::map_ordered(&chunks, jobs, |&chunk| {
         let lo = chunk * BETWEENNESS_CHUNK;
-        let hi = (lo + BETWEENNESS_CHUNK).min(n);
         let mut acc = vec![0.0f64; n];
-        for s in lo..hi {
+        for s in lo..(lo + BETWEENNESS_CHUNK).min(n) {
             brandes_from(s, callees, &mut acc);
         }
-        *partials[chunk].lock().expect("partial slot") = Some(acc);
-    };
-    let jobs = jobs.max(1).min(n_chunks);
-    if jobs == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(worker);
-            }
-        });
-    }
+        acc
+    });
     let mut bc = vec![0.0f64; n];
-    for slot in partials {
-        let part = slot.into_inner().expect("partial slot").expect("every chunk computed");
+    for part in partials {
         for (b, p) in bc.iter_mut().zip(&part) {
             *b += p;
         }

@@ -33,9 +33,9 @@
 //! corpus under `tests/golden_oracle/` (see [`GoldenCase`]) so every triaged
 //! disagreement becomes a permanent regression test.
 //!
-//! The whole pass is deterministic: per-sample assessment is pure, shards
-//! are contiguous chunks joined in order (the same discipline as the
-//! workflow engine), so reports are byte-identical across `--jobs` settings.
+//! The whole pass is deterministic: per-sample assessment is pure and the
+//! [`par`](vulnman_lang::par) work queue returns results in corpus order,
+//! so reports are byte-identical across `--jobs` settings.
 
 use crate::detectors::{sink_kind_to_cwe, RuleEngine, StaticDetector};
 use crate::dynamic::{dynamically_detectable, DynamicSanitizer};
@@ -730,30 +730,10 @@ impl DifferentialOracle {
         }
     }
 
-    /// Assesses every sample, preserving corpus order regardless of `jobs`.
+    /// Assesses every sample on the [`par`](vulnman_lang::par) work queue,
+    /// preserving corpus order regardless of `jobs`.
     fn assess_all(&self, samples: &[Sample]) -> Vec<Vec<Disagreement>> {
-        let jobs = self.config.jobs.max(1);
-        if jobs == 1 || samples.len() <= 1 {
-            return samples.iter().map(|s| self.classify_sample(s)).collect();
-        }
-        // Contiguous chunks joined in spawn order: the same determinism
-        // discipline as the workflow engine's sharded path.
-        let chunk = samples.len().div_ceil(jobs);
-        let mut out = Vec::with_capacity(samples.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = samples
-                .chunks(chunk)
-                .map(|slice| {
-                    scope.spawn(move || {
-                        slice.iter().map(|s| self.classify_sample(s)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                out.extend(handle.join().expect("oracle shard panicked"));
-            }
-        });
-        out
+        vulnman_lang::par::map_ordered(samples, self.config.jobs, |s| self.classify_sample(s))
     }
 
     /// Runs the full differential pass over a corpus.

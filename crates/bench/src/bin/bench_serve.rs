@@ -90,6 +90,7 @@ fn sources() -> Vec<String> {
 
 /// Sustained closed-loop load: `clients` threads each run one connection,
 /// lockstep request/response, for `window`. Returns the measured config.
+#[allow(clippy::disallowed_methods)] // one closed-loop client thread per connection, not a work queue
 fn measure_serve(clients: usize, window: Duration) -> ConfigResult {
     let metrics = Registry::new();
     let config = ServeConfig { workers: clients, queue: 256, ..ServeConfig::default() };

@@ -5,14 +5,15 @@
 //! **Vulnerability Repair** (auto-fix → AI suggestion → expert
 //! recommendation), with **Security Training** closing the loop. Every batch
 //! takes one execution path: a per-sample pass running all three stages,
-//! sharded across scoped worker threads, then a review-budget post-pass
-//! that allocates scarce manual reviews by threat-model priority, then a
-//! fold in submission order.
+//! sharded on the `vulnman_lang::par` work queue, then a review-budget
+//! post-pass that allocates scarce manual reviews by threat-model priority,
+//! then a fold in submission order.
 
 use crate::costmodel::{CostParams, CostReport};
 use crate::detector::{Assessment, DetectorRegistry};
 use crate::resilience::{register_fault_instruments, ObsFaultObserver};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 use vulnman_analysis::autofix::AutoFixer;
 use vulnman_analysis::detectors::RuleEngine;
@@ -21,6 +22,7 @@ use vulnman_analysis::reachability::{CallGraph, Surface};
 use vulnman_faults::{site_key, FaultConfig, FaultInjector, FaultKind, Site};
 use vulnman_lang::clone::{CloneConfig, CloneIndex, TokenAlignment};
 use vulnman_lang::lexer::lex_ref;
+use vulnman_lang::par;
 use vulnman_lang::{AnalysisCache, CacheOp, CacheStats};
 use vulnman_ml::eval::Metrics;
 use vulnman_obs::{PreparedSpan, Registry, Snapshot};
@@ -41,9 +43,10 @@ pub struct WorkflowConfig {
     pub expert_fix_hours: f64,
     /// Deterministic seed for review outcomes.
     pub seed: u64,
-    /// Worker threads for a batch run: the corpus is sharded across this
-    /// many scoped threads. `1` (the default) runs the per-sample pass
-    /// inline; any value produces a byte-identical report.
+    /// Worker threads for a batch run: the corpus is sharded across up to
+    /// this many threads (never more than the host's cores). `1` (the
+    /// default) runs the per-sample pass inline; any value produces a
+    /// byte-identical report.
     pub jobs: usize,
     /// Whether the engine memoizes source-derived analyses (parse, rule
     /// findings, surface classification) in a content-addressed cache.
@@ -570,7 +573,7 @@ impl WorkflowEngine {
     }
 
     /// Processes a batch with an unlimited review budget: every exposed or
-    /// flagged sample is reviewed. The batch is sharded across
+    /// flagged sample is reviewed. The batch is sharded across up to
     /// [`WorkflowConfig::jobs`] worker threads (inline when `jobs <= 1`).
     /// Per-sample decisions are pure functions of the sample and the seed,
     /// and labour totals are folded in submission order regardless of which
@@ -620,10 +623,15 @@ impl WorkflowEngine {
     }
 
     /// The per-sample pass: [`WorkflowEngine::assess_one`] for every
-    /// sample, in submission order. With `jobs > 1` and at least two
-    /// samples the batch is cut into contiguous shards, one scoped worker
-    /// thread each, and the results are concatenated in shard order
-    /// (= submission order); otherwise the pass runs inline.
+    /// sample, in submission order, on the [`par`] work queue. At
+    /// `jobs > 1` every block is a shard: it records the `shard.*`
+    /// histograms and draws its [`Site::ShardWorker`] coordinate (the block
+    /// index). A shard worker whose coordinate says "crash" dies mid-block
+    /// and hands back the half it finished; a genuine panic finishes
+    /// nothing. Either way the rest of the block is completed inline, and
+    /// since per-sample work is pure, that reproduces exactly what the
+    /// worker would have computed. At `jobs == 1` the blocks are the
+    /// sequential path and record no shard instruments.
     fn assess_all(
         &self,
         samples: &[Sample],
@@ -632,74 +640,45 @@ impl WorkflowEngine {
         dedup: Option<&DedupPlan>,
     ) -> Vec<CaseWork> {
         self.metrics.counter("workflow.samples").add(samples.len() as u64);
-        let assess = |base: usize, shard: &[Sample]| -> Vec<CaseWork> {
-            shard
-                .iter()
-                .enumerate()
-                .map(|(i, s)| self.assess_one(base + i, s, run, cache, dedup))
-                .collect()
+        let assess = |range: Range<usize>| -> Vec<CaseWork> {
+            range.map(|i| self.assess_one(i, &samples[i], run, cache, dedup)).collect()
         };
-        let jobs = self.config.jobs.clamp(1, samples.len().max(1));
-        if jobs == 1 {
-            return assess(0, samples);
-        }
-        let chunk = samples.len().div_ceil(jobs);
+        let jobs = self.config.jobs;
         let depth = self.metrics.histogram("shard.queue_depth");
         let latency = self.metrics.histogram("shard.latency_micros");
-        let shards: Vec<&[Sample]> = samples.chunks(chunk).collect();
-        let mut work: Vec<CaseWork> = Vec::with_capacity(samples.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .enumerate()
-                .map(|(shard_idx, shard)| {
-                    let depth = depth.clone();
-                    let latency = latency.clone();
-                    scope.spawn(move || {
-                        depth.observe(shard.len() as u64);
-                        let t0 = latency.is_enabled().then(std::time::Instant::now);
-                        // A worker whose plan coordinate says "crash" dies
-                        // mid-shard: it hands back the half it finished and
-                        // the coordinator completes the rest inline.
-                        let crashed = match run {
-                            Some(r) => {
-                                let key = site_key(0x5A, shard_idx as u64);
-                                match r.injector.attempt(Site::ShardWorker, key, 0) {
-                                    Some(FaultKind::Crash) => true,
-                                    Some(_) => {
-                                        r.injector.note_recovered(Site::ShardWorker, 1);
-                                        false
-                                    }
-                                    None => false,
-                                }
-                            }
-                            None => false,
-                        };
-                        let take = if crashed { shard.len() / 2 } else { shard.len() };
-                        let out = assess(shard_idx * chunk, &shard[..take]);
-                        if let Some(t0) = t0 {
-                            latency.observe_duration(t0.elapsed());
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for (shard_idx, handle) in handles.into_iter().enumerate() {
-                let shard = shards[shard_idx];
-                // A genuine panic (not an injected crash) finishes nothing:
-                // the whole shard is recomputed instead of poisoning the run.
-                let partial = handle.join().unwrap_or_default();
-                let done = partial.len();
-                work.extend(partial);
-                if done < shard.len() {
-                    // Per-sample work is pure, so finishing a dead worker's
-                    // slice inline reproduces exactly what it would have
-                    // computed.
-                    self.metrics.counter("fault.shard_crashes").inc();
-                    work.extend(assess(shard_idx * chunk + done, &shard[done..]));
-                }
+        let blocks = par::map_blocks(samples.len(), jobs, |block, range| {
+            if jobs <= 1 {
+                return assess(range);
             }
+            depth.observe(range.len() as u64);
+            let t0 = latency.is_enabled().then(std::time::Instant::now);
+            let crashed = run.is_some_and(|r| {
+                match r.injector.attempt(Site::ShardWorker, site_key(0x5A, block as u64), 0) {
+                    Some(FaultKind::Crash) => true,
+                    Some(_) => {
+                        r.injector.note_recovered(Site::ShardWorker, 1);
+                        false
+                    }
+                    None => false,
+                }
+            });
+            let take = if crashed { range.len() / 2 } else { range.len() };
+            let out = assess(range.start..range.start + take);
+            if let Some(t0) = t0 {
+                latency.observe_duration(t0.elapsed());
+            }
+            out
         });
+        let mut work: Vec<CaseWork> = Vec::with_capacity(samples.len());
+        for (range, block) in par::blocks(samples.len(), jobs).into_iter().zip(blocks) {
+            let partial = block.unwrap_or_default();
+            let done = range.start + partial.len();
+            work.extend(partial);
+            if done < range.end {
+                self.metrics.counter("fault.shard_crashes").inc();
+                work.extend(assess(done..range.end));
+            }
+        }
         work
     }
 
@@ -1773,6 +1752,43 @@ mod tests {
             snap.counters["fault.shard_crashes"] >= 1,
             "a 90% crash rate across 4 shard workers must kill at least one"
         );
+    }
+
+    #[test]
+    fn genuinely_panicking_shard_is_recomputed_into_an_identical_report() {
+        // A detector that panics on its first call (a bug, not an injected
+        // fault) kills one shard worker mid-block; the coordinator
+        // recomputes the whole block inline, and the report matches a
+        // healthy sequential run byte for byte.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        struct PanicsOnce(AtomicBool);
+        impl crate::detector::Detector for PanicsOnce {
+            fn name(&self) -> &str {
+                "panics-once"
+            }
+            fn assess(&self, _: &Sample) -> Assessment {
+                assert!(!self.0.swap(false, Ordering::Relaxed), "detector bug");
+                Assessment {
+                    vulnerable: false,
+                    score: 0.0,
+                    findings: vec![],
+                    detector: "panics-once".into(),
+                }
+            }
+        }
+        let engine = |jobs: usize, armed: bool| {
+            let mut registry = DetectorRegistry::new();
+            registry.register(Box::new(PanicsOnce(AtomicBool::new(armed))));
+            registry.register(Box::new(RuleBasedDetector::standard()));
+            WorkflowEngine::new(registry, WorkflowConfig { jobs, ..Default::default() })
+        };
+        let samples = big_corpus();
+        let healthy = engine(1, false).process(&samples);
+        let par_engine = engine(4, true);
+        let par = par_engine.process(&samples);
+        assert_eq!(par.cases.len(), samples.len(), "no sample may be dropped");
+        assert_eq!(serde_json::to_string(&healthy).unwrap(), serde_json::to_string(&par).unwrap());
+        assert_eq!(par_engine.metrics_snapshot().counters["fault.shard_crashes"], 1);
     }
 
     #[test]

@@ -25,11 +25,10 @@
 //! * **SCC-parallel** (`jobs > 1`): the condensation is level-scheduled —
 //!   a component's level is one past the deepest level among its callee
 //!   components — so when a level runs, every summary its functions can
-//!   look up is final. Components on one level solve on scoped worker
-//!   threads; members of one component stay sequential in post-order, so
-//!   cycle members see exactly the partial summary tables of the plain
-//!   walk. Programs under four functions always solve sequentially: thread
-//!   set-up costs more than a handful of CFGs.
+//!   look up is final. Components on one level solve on the
+//!   [`par`](crate::par) work queue; members of one component stay
+//!   sequential in post-order, so cycle members see exactly the partial
+//!   summary tables of the plain walk.
 //! * **Incremental** ([`Substrate::incremental`]): each component is first
 //!   looked up in the [`AnalysisCache`] summary and findings stages and
 //!   solved only on a miss (see [`crate::incremental`] for the keys).
@@ -244,10 +243,10 @@ impl<'p> Substrate<'p> {
     /// Runs one domain pass: solves every function bottom-up under the
     /// domain `make_domain` builds from the summaries so far, and runs
     /// `check` on each solved function. `jobs > 1` solves independent
-    /// components on worker threads. On an incremental substrate,
-    /// `pass_tag` must fingerprint everything else the outputs depend on —
-    /// the domain's identity, the solver configuration, and the checker —
-    /// so distinct passes never share cache entries.
+    /// components on the [`par`](crate::par) work queue. On an incremental
+    /// substrate, `pass_tag` must fingerprint everything else the outputs
+    /// depend on — the domain's identity, the solver configuration, and
+    /// the checker — so distinct passes never share cache entries.
     pub fn run<D, M, C, T>(
         &self,
         config: SolverConfig,
@@ -271,9 +270,8 @@ impl<'p> Substrate<'p> {
 
         // Components solved together: one level of the condensation when
         // solving in parallel, otherwise each component on its own.
-        let parallel = jobs > 1 && self.graph.len() >= 4;
         let groups =
-            if parallel { self.levels() } else { (0..self.sccs.len()).map(|c| vec![c]).collect() };
+            if jobs > 1 { self.levels() } else { (0..self.sccs.len()).map(|c| vec![c]).collect() };
         for group in &groups {
             let mut todo: Vec<(usize, Option<StageMiss>)> = Vec::new();
             for &c in group {
@@ -317,26 +315,7 @@ impl<'p> Substrate<'p> {
 
             let solve =
                 |c: usize| self.solve_component(c, &solver, &completed, &make_domain, &check);
-            let solved: Vec<Component<D::Value, T>> = if parallel && todo.len() > 1 {
-                let chunk = todo.len().div_ceil(jobs);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = todo
-                        .chunks(chunk)
-                        .map(|part| {
-                            let solve = &solve;
-                            scope.spawn(move || {
-                                part.iter().map(|&(c, _)| solve(c)).collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("absint worker thread panicked"))
-                        .collect()
-                })
-            } else {
-                todo.iter().map(|&(c, _)| solve(c)).collect()
-            };
+            let solved = crate::par::map_ordered(&todo, jobs, |&(c, _)| solve(c));
 
             let table = Arc::make_mut(&mut completed);
             for ((_, miss), comp) in todo.iter().zip(solved) {

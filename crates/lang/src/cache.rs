@@ -23,8 +23,10 @@
 
 use crate::ast::Program;
 use crate::error::ParseError;
+use crate::intern::Fnv64;
 use std::any::Any;
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::{Arc, Mutex};
 use vulnman_obs::{Counter, Gauge, Registry};
 
@@ -329,12 +331,8 @@ impl AnalysisCache {
         // runs (including newlines) are buffered until the next
         // non-whitespace byte — so trailing whitespace on each line and
         // trailing blank lines at EOF never reach the hash.
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut eat = |b: u8| {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        };
+        let mut h = Fnv64::default();
+        let mut eat = |b: u8| h.write_u8(b);
         let mut pending_ws = 0usize;
         let mut pending_nl = 0usize;
         for &b in source.as_bytes() {
@@ -358,7 +356,7 @@ impl AnalysisCache {
                 }
             }
         }
-        h
+        h.finish()
     }
 
     /// Parses `source`, reusing the stored result when the same content has
@@ -574,6 +572,14 @@ impl AnalysisCache {
 mod tests {
     use super::*;
 
+    #[test]
+    fn content_key_value_is_pinned() {
+        // Content keys address persisted cache entries and feed golden
+        // digests, so the hash function must never drift.
+        let src = "int f(int x) {\r\n  return x;   \n\n\tx = 1;\n}\n\n";
+        assert_eq!(AnalysisCache::content_key(src), 0x423e05fa7a306508);
+    }
+
     const SRC: &str = "int f(int a) { return a + 1; }";
 
     #[test]
@@ -645,6 +651,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // raw threads racing on one cache is what this test checks
     fn cache_is_shareable_across_threads() {
         let cache = AnalysisCache::new();
         std::thread::scope(|scope| {

@@ -31,15 +31,17 @@
 //!
 //! Everything is seeded and byte-deterministic: signatures depend only on
 //! `(source, config)`, bucket maps are ordered, pairs are verified in
-//! sorted order, and the parallel builder chunks the corpus exactly like
-//! the workflow engine's sharded path (contiguous chunks joined in spawn
-//! order), so `jobs` never changes a single byte of the output.
+//! sorted order, and the builder shingles on the [`par`](crate::par) work
+//! queue, whose output is in input order, so `jobs` never changes a single
+//! byte of the output.
 
 use crate::error::ParseResult;
+use crate::intern::Fnv64;
 use crate::lexer::{lex_ref, LexOutput};
 use crate::span::Span;
 use crate::token::TokenKind;
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 
 /// splitmix64 finalizer: the same cheap, well-mixed permutation used by the
 /// workflow engine's deterministic per-sample draws.
@@ -50,17 +52,15 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a over raw bytes, the workspace's standard content hash.
-fn fnv_bytes(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Folds a shingle window or an LSH band into one hash, order-sensitively:
+/// FNV-1a over the words' little-endian bytes.
+fn fold_words(words: &[u64]) -> u64 {
+    let mut h = Fnv64::default();
+    for &w in words {
+        h.write(&w.to_le_bytes());
     }
-    h
+    h.finish()
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Parameters of the clone detector. The defaults are calibrated for the
 /// synthetic corpus (see DESIGN.md §14): `shingle_k = 4` is long enough
@@ -107,11 +107,16 @@ impl CloneConfig {
 /// [`TokenKind::describe`] label.
 fn token_hash<S: AsRef<str>>(kind: &TokenKind<S>) -> u64 {
     match kind {
-        TokenKind::Ident(_) => fnv_bytes(FNV_OFFSET, b"<id>"),
-        TokenKind::Int(v) => fnv_bytes(FNV_OFFSET, b"<int>") ^ mix64(*v as u64),
-        TokenKind::Char(c) => fnv_bytes(FNV_OFFSET, b"<char>") ^ mix64(u64::from(*c as u32)),
-        TokenKind::Str(s) => fnv_bytes(fnv_bytes(FNV_OFFSET, b"<str>"), s.as_ref().as_bytes()),
-        other => fnv_bytes(FNV_OFFSET, other.describe().as_bytes()),
+        TokenKind::Ident(_) => Fnv64::of(b"<id>"),
+        TokenKind::Int(v) => Fnv64::of(b"<int>") ^ mix64(*v as u64),
+        TokenKind::Char(c) => Fnv64::of(b"<char>") ^ mix64(u64::from(*c as u32)),
+        TokenKind::Str(s) => {
+            let mut h = Fnv64::default();
+            h.write(b"<str>");
+            h.write(s.as_ref().as_bytes());
+            h.finish()
+        }
+        other => Fnv64::of(other.describe().as_bytes()),
     }
 }
 
@@ -131,22 +136,13 @@ pub fn shingles(source: &str, k: usize) -> ParseResult<Vec<u64>> {
     let mut out: Vec<u64> = if hashes.is_empty() {
         Vec::new()
     } else if hashes.len() < k {
-        vec![fold_window(&hashes)]
+        vec![fold_words(&hashes)]
     } else {
-        hashes.windows(k).map(fold_window).collect()
+        hashes.windows(k).map(fold_words).collect()
     };
     out.sort_unstable();
     out.dedup();
     Ok(out)
-}
-
-/// Folds one shingle window into a single hash, order-sensitively.
-fn fold_window(window: &[u64]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &t in window {
-        h = fnv_bytes(h, &t.to_le_bytes());
-    }
-    h
 }
 
 /// Exact Jaccard similarity of two sorted, deduplicated shingle sets.
@@ -326,13 +322,10 @@ impl CloneIndex {
 
     /// The `(band, band-hash)` bucket keys of a signature.
     fn band_keys<'a>(&'a self, signature: &'a [u64]) -> impl Iterator<Item = (u32, u64)> + 'a {
-        signature.chunks(self.config.rows).enumerate().map(|(band, chunk)| {
-            let mut h = FNV_OFFSET;
-            for &v in chunk {
-                h = fnv_bytes(h, &v.to_le_bytes());
-            }
-            (band as u32, h)
-        })
+        signature
+            .chunks(self.config.rows)
+            .enumerate()
+            .map(|(band, chunk)| (band as u32, fold_words(chunk)))
     }
 
     /// Ids of indexed units sharing at least one LSH band with `source`,
@@ -414,40 +407,15 @@ impl CloneIndex {
         uf.classes().into_iter().map(|c| c.into_iter().map(|i| i as u32).collect()).collect()
     }
 
-    /// Builds an index over `(id, source)` pairs with `config.jobs` worker
-    /// threads. Shingling is chunked exactly like the workflow engine's
-    /// sharded path (contiguous chunks, joined in spawn order), then
+    /// Builds an index over `(id, source)` pairs. Shingling runs on the
+    /// [`par`](crate::par) work queue with `config.jobs` threads, then
     /// entries are indexed sequentially in corpus order — the result is
     /// byte-identical at any job count. Units that fail to lex are
     /// skipped (they can never share a clone class).
     pub fn build(sources: &[(u64, &str)], config: CloneConfig) -> Self {
-        let jobs = config.jobs.max(1).min(sources.len().max(1));
-        let shingled: Vec<Option<(u64, Vec<u64>)>> = if jobs <= 1 {
-            sources
-                .iter()
-                .map(|(id, src)| Some((*id, shingles(src, config.shingle_k).ok()?)))
-                .collect()
-        } else {
-            let chunk = sources.len().div_ceil(jobs);
-            let mut out = Vec::with_capacity(sources.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = sources
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            slice
-                                .iter()
-                                .map(|(id, src)| Some((*id, shingles(src, config.shingle_k).ok()?)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    out.extend(handle.join().expect("clone shingler panicked"));
-                }
-            });
-            out
-        };
+        let shingled = crate::par::map_ordered(sources, config.jobs, |(id, src)| {
+            Some((*id, shingles(src, config.shingle_k).ok()?))
+        });
         let mut index = CloneIndex::new(config);
         for entry in shingled.into_iter().flatten() {
             index.insert_entry(entry.0, entry.1);
@@ -687,6 +655,15 @@ impl TokenAlignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shingle_hashes_are_pinned() {
+        // Shingle hashes decide MinHash signatures and band buckets; pin one
+        // shingle set so the hash function cannot drift.
+        let got = shingles("int f(int x) { return x + 1; }", 4).unwrap();
+        assert_eq!(got.len(), 10);
+        assert_eq!((got[0], got[got.len() - 1]), (0x26eb67ec725987c, 0xee82cd167614cef7));
+    }
 
     const BASE: &str = r#"
         void handler() {

@@ -52,35 +52,10 @@
 //! [`Stage::Lex`]: crate::cache::Stage::Lex
 
 use crate::ast::Function;
+use crate::intern::Fnv64;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// FNV-1a over a byte slice.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// A [`std::fmt::Write`] sink that FNV-1a-hashes everything written to it.
-/// Hashing `Debug` output as it streams produces the same value as
-/// formatting into a `String` first, without the allocation — fingerprints
-/// sit on the per-request hot path of the serving loop.
-struct FnvWriter(u64);
-
-impl std::fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        Ok(())
-    }
-}
+use std::hash::Hasher;
 
 /// splitmix64 finalizer, used to separate the per-stage key spaces derived
 /// from one base hash.
@@ -96,11 +71,11 @@ fn mix64(mut x: u64) -> u64 {
 /// and source span. Two functions with equal fingerprints have structurally
 /// identical ASTs at identical source locations, so every per-function
 /// analysis result — spans and line numbers included — is interchangeable
-/// between them.
+/// between them. The rendering streams into the hash unallocated.
 pub fn fingerprint_function(func: &Function) -> u64 {
-    let mut w = FnvWriter(FNV_OFFSET);
-    let _ = write!(w, "{func:?}");
-    w.0
+    let mut h = Fnv64::default();
+    let _ = write!(h, "{func:?}");
+    h.finish()
 }
 
 /// Content fingerprint of one function computed from its raw source slice
@@ -120,18 +95,12 @@ pub fn fingerprint_function_source(source: &str, func: &Function) -> u64 {
         // always sound.
         return fingerprint_function(func);
     };
-    let mut h = FNV_OFFSET;
-    for bytes in [
-        &(span.start as u64).to_le_bytes()[..],
-        &(span.line as u64).to_le_bytes()[..],
-        &(span.col as u64).to_le_bytes()[..],
-        slice,
-    ] {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
+    let mut h = Fnv64::default();
+    for pos in [span.start as u64, span.line as u64, span.col as u64] {
+        h.write(&pos.to_le_bytes());
     }
-    h
+    h.write(slice);
+    h.finish()
 }
 
 /// Which functions an incremental pass actually re-solved, and which it
@@ -180,10 +149,10 @@ pub(crate) fn component_keys<'a, V: std::fmt::Debug + 'a>(
         h = mix64(h ^ fp);
     }
     for (callee, summary) in externals {
-        let mut w = FnvWriter(FNV_OFFSET);
+        let mut w = Fnv64::default();
         let _ = write!(w, "{summary:?}");
-        h = mix64(h ^ fnv(callee.as_bytes()));
-        h = mix64(h ^ w.0);
+        h = mix64(h ^ Fnv64::of(callee.as_bytes()));
+        h = mix64(h ^ w.finish());
     }
     (mix64(h ^ 0x5e55), mix64(h ^ 0xf1fd))
 }
@@ -192,6 +161,20 @@ pub(crate) fn component_keys<'a, V: std::fmt::Debug + 'a>(
 mod tests {
     use super::*;
     use crate::parse;
+
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        // Fingerprints key the per-function stage cache.
+        let src = "int f(int x) { return x + 1; }";
+        let program = parse(src).unwrap();
+        let f = &program.functions[0];
+        assert_eq!(fingerprint_function(f), 0xe59f3b44d1d360f0);
+        assert_eq!(fingerprint_function_source(src, f), 0x892ae1a25cc9c08b);
+        assert_eq!(
+            component_keys::<u64>(7, [1u64, 2].into_iter(), [("g", &3u64)].into_iter()),
+            (0xdd909e87538552ad, 0x2531ab30acc9de5e)
+        );
+    }
 
     #[test]
     fn fingerprints_cover_spans() {

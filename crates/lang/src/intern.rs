@@ -15,14 +15,34 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// [FNV-1a](https://en.wikipedia.org/wiki/Fowler%E2%80%93Noll%E2%80%93Vo_hash_function)
-/// hasher for the identifier-keyed maps on the analysis hot paths. Keys are
-/// short program identifiers from a trusted parser — SipHash's
+/// [FNV-1a](https://en.wikipedia.org/wiki/Fowler%E2%80%93Noll%E2%80%93Vo_hash_function),
+/// the workspace's one stable content hash: cache keys, fingerprints,
+/// shingles, feature buckets and fault keys all go through it. It also
+/// hashes the identifier-keyed maps on the analysis hot paths, whose keys
+/// are short program identifiers from a trusted parser — SipHash's
 /// flooding resistance buys nothing there, while its per-hash setup cost
 /// dominates for sub-16-byte strings.
 #[derive(Debug, Clone)]
 pub struct Fnv64 {
     state: u64,
+}
+
+impl Fnv64 {
+    /// FNV-1a of `bytes`.
+    pub fn of(bytes: &[u8]) -> u64 {
+        let mut h = Fnv64::default();
+        h.write(bytes);
+        h.finish()
+    }
+}
+
+/// Streams formatted text into the hash: hashing `Debug` output this way
+/// equals hashing the formatted `String`, without allocating it.
+impl fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 impl Default for Fnv64 {

@@ -51,13 +51,6 @@ pub(crate) fn uncached() -> &'static AnalysisCache {
     CACHE.get_or_init(|| AnalysisCache::disabled_with_metrics(&vulnman_obs::Registry::noop()))
 }
 
-fn hash_str(s: &str) -> u64 {
-    // FNV-1a: stable across runs and platforms, unlike `DefaultHasher`.
-    let mut h = Fnv64::default();
-    h.write(s.as_bytes());
-    h.finish()
-}
-
 fn l2_normalize(v: &mut [f64]) {
     let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
     if norm > 0.0 {
@@ -572,7 +565,7 @@ impl FeatureExtractor for ArtifactTextFeatures {
         let mut v = vec![0.0; self.dim];
         let text = sample.artifacts.combined_text().to_ascii_lowercase();
         for word in text.split(|c: char| !c.is_ascii_alphanumeric()).filter(|w| !w.is_empty()) {
-            v[(hash_str(word) % self.dim as u64) as usize] += 1.0;
+            v[(Fnv64::of(word.as_bytes()) % self.dim as u64) as usize] += 1.0;
         }
         l2_normalize(&mut v);
         v
@@ -725,9 +718,9 @@ mod tests {
     fn hashing_is_stable_fnv() {
         // Literal FNV-1a values: a hasher or token-text change moves every
         // trained model's buckets, so it must show up here.
-        assert_eq!(hash_str("exec_query"), 0xff1f_cfba_083e_040f);
-        assert_eq!(hash_str("exec_query") % 256, 15);
-        assert_eq!(hash_str("<int:small>") % 256, 229);
+        assert_eq!(Fnv64::of(b"exec_query"), 0xff1f_cfba_083e_040f);
+        assert_eq!(Fnv64::of(b"exec_query") % 256, 15);
+        assert_eq!(Fnv64::of(b"<int:small>") % 256, 229);
         // `exec_query(` sets bucket 15 (`exec_query`), 207 (`` `(` ``) and
         // 134: the bigram, whose text `exec_query`, U+0001, `` `(` `` has
         // FNV-1a 0xdd51_e90f_2446_ad86.

@@ -20,18 +20,14 @@ use vulnman_analysis::{
 use vulnman_core::DegradationSummary;
 use vulnman_faults::{site_key, FaultConfig, FaultKind, FaultPlan, Site};
 use vulnman_lang::clone::{CloneConfig, CloneIndex};
+use vulnman_lang::intern::Fnv64;
 use vulnman_lang::AnalysisCache;
 use vulnman_obs::Registry;
 use vulnman_synth::{Cwe, Sample, Tier};
 
-/// FNV-1a, for hashing the request kind into the fault key.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// A request's fault-plan coordinate: its id and the hash of its kind.
+fn fault_key(id: u64, kind: &str) -> u64 {
+    site_key(id, Fnv64::of(kind.as_bytes()))
 }
 
 /// Unit bound on the service's [`AnalysisCache`] (parse/analysis tables
@@ -103,7 +99,7 @@ impl ServiceCore {
     /// function of the request coordinates, so the answer is identical for
     /// any worker count (used by tests to precompute expected statuses).
     pub fn degrades(&self, id: u64, kind: &str) -> bool {
-        self.plan.exhausts(Site::ServeRequest, site_key(id, fnv(kind.as_bytes())), self.max_retries)
+        self.plan.exhausts(Site::ServeRequest, fault_key(id, kind), self.max_retries)
     }
 
     /// Handles one admitted request: fault walk first, then the operation.
@@ -132,7 +128,7 @@ impl ServiceCore {
         if self.plan.rate() <= 0.0 {
             return false;
         }
-        let key = site_key(req.id, fnv(req.kind.as_bytes()));
+        let key = fault_key(req.id, &req.kind);
         let mut led = ledger.lock().unwrap_or_else(|e| e.into_inner());
         for attempt in 0..=self.max_retries {
             match self.plan.decide(Site::ServeRequest, key, attempt) {
@@ -315,6 +311,13 @@ impl ServiceCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fault_key_hash_is_pinned() {
+        // The request kind's hash is a fault-plan coordinate: a drift would
+        // move every seeded serve fault.
+        assert_eq!(fault_key(3, "analyze"), site_key(3, 0xc175dd4a02cce6d3));
+    }
 
     fn core(rate: f64) -> ServiceCore {
         ServiceCore::new(&Registry::new(), &FaultConfig::with_rate(7, rate))

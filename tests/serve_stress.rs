@@ -64,6 +64,7 @@ fn run_client(addr: std::net::SocketAddr, requests: &[Request]) -> BTreeMap<u64,
         .collect()
 }
 
+#[allow(clippy::disallowed_methods)] // one client thread per concurrent connection, not a work queue
 fn stress_at_rate(rate: f64) {
     const CLIENTS: usize = 6;
     const PER_CLIENT: usize = 24;
@@ -136,6 +137,7 @@ fn concurrent_responses_match_single_threaded_goldens_at_5_percent_faults() {
 /// deterministically into the ledger — and the depth gauge never exceeds
 /// the bound.
 #[test]
+#[allow(clippy::disallowed_methods)] // one client thread per concurrent connection, not a work queue
 fn overload_sheds_into_the_degradation_ledger_and_respects_the_bound() {
     const QUEUE: usize = 2;
     const CLIENTS: usize = 8;
