@@ -13,23 +13,26 @@
 //! Families are disjoint techniques, not product bundles:
 //!
 //! * `rules` — the syntactic single-pattern detectors
-//!   ([`RuleEngine::syntactic_suite`]).
-//! * `taint` — interprocedural source→sink dataflow ([`TaintDetector`]).
+//!   ([`RuleEngine::syntactic_suite`](crate::RuleEngine::syntactic_suite)).
+//! * `taint` — interprocedural source→sink dataflow
+//!   ([`TaintDetector`](crate::detectors::TaintDetector)).
 //! * `semantic` — the abstract-interpretation checkers with evidence
-//!   traces ([`SemanticEngine`]).
+//!   traces ([`SemanticEngine`](crate::SemanticEngine)).
 //! * `dynamic` — the sanitizer-instrumented concrete interpreter
-//!   ([`DynamicSanitizer`]).
+//!   ([`DynamicSanitizer`](crate::DynamicSanitizer)).
 //! * `ml` — a trained classifier, injected via [`MlVerdict`] so this crate
 //!   stays independent of the model stack.
 //!
-//! Everything is deterministic: the corpus is seeded, scanning is
-//! order-independent, and the report is byte-identical at any `--jobs`.
+//! The four static and dynamic columns are a pure reduction over one
+//! `UnitViews` record per corpus unit; `rules` and `taint` are the two halves of
+//! the default suite's one scan. Everything is deterministic: the corpus is
+//! seeded, scanning is order-independent, and the report is byte-identical
+//! at any `--jobs`.
 
-use crate::checkers::SemanticEngine;
-use crate::detectors::{RuleEngine, StaticDetector, TaintDetector};
-use crate::dynamic::DynamicSanitizer;
+use crate::views::{UnitViews, UnitViewsBuilder};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use vulnman_lang::AnalysisCache;
 use vulnman_obs::Registry;
 use vulnman_synth::cwe::Cwe;
 use vulnman_synth::generator::SampleGenerator;
@@ -58,8 +61,10 @@ const COVERAGE_DEN: usize = 10;
 pub trait MlVerdict: Send + Sync {
     /// Model name recorded in the report.
     fn name(&self) -> String;
-    /// `true` when the model flags the sample as vulnerable.
-    fn flags(&self, sample: &Sample) -> bool;
+    /// `true` when the model flags the sample as vulnerable. `cache` holds
+    /// the sample's parse and rule findings under `content_key`, so the
+    /// model can read them instead of recomputing.
+    fn flags(&self, sample: &Sample, cache: &AnalysisCache, content_key: u64) -> bool;
 }
 
 /// Audit parameters. The committed baseline pins these: change them and
@@ -305,9 +310,6 @@ struct AuditUnit {
     sample: Sample,
 }
 
-/// Per-unit family verdicts, index-aligned with the report's family list.
-type UnitHits = Vec<bool>;
-
 /// Computes the audit matrix. Construction is cheap; [`AuditEngine::run`]
 /// does the work.
 pub struct AuditEngine {
@@ -361,54 +363,41 @@ impl AuditEngine {
         units
     }
 
-    /// Scans one unit with every family. The engines and the ML scorer are
-    /// shared by every worker.
-    fn scan_unit(unit: &AuditUnit, engines: &Engines, ml: Option<&dyn MlVerdict>) -> UnitHits {
-        let mut hits = Vec::with_capacity(5);
-        match vulnman_lang::parse(&unit.sample.source) {
-            Err(_) => hits.extend([false; 4]),
-            Ok(program) => {
-                let class_hit =
-                    |findings: &[crate::Finding]| findings.iter().any(|f| f.cwe == unit.cwe);
-                hits.push(class_hit(&engines.rules.scan(&program)));
-                hits.push(class_hit(&engines.taint.scan(&program)));
-                hits.push(class_hit(&engines.semantics.analyze(&program).findings));
-                hits.push(class_hit(&engines.dynamic.scan(&program)));
-            }
-        }
-        if let Some(ml) = ml {
-            hits.push(ml.flags(&unit.sample));
-        }
-        hits
-    }
-
-    /// Runs the audit, scanning units on the [`par`](vulnman_lang::par) work
-    /// queue. The report is a pure function of the configuration:
-    /// byte-identical for any `jobs` value.
+    /// Runs the audit: builds every unit's views (and ML verdict) on the
+    /// [`par`](vulnman_lang::par) work queue through a run-local cache, then
+    /// reduces them to the matrix. The report is a pure function of the
+    /// configuration: byte-identical for any `jobs` value.
     pub fn run(&self) -> AuditReport {
         let units = self.corpus();
-        let ml = self.ml.as_deref();
-        let engines = Engines::new();
-        let hits = vulnman_lang::par::map_ordered(&units, self.config.jobs, |u| {
-            Self::scan_unit(u, &engines, ml)
+        let builder = UnitViewsBuilder::new();
+        let cache = AnalysisCache::new();
+        let scanned = vulnman_lang::par::map_ordered(&units, self.config.jobs, |u| {
+            let key = AnalysisCache::content_key(&u.sample.source);
+            let views = builder.build(key, &u.sample.source, &cache);
+            let ml_hit = self.ml.as_ref().is_some_and(|ml| ml.flags(&u.sample, &cache, key));
+            (views, ml_hit)
         });
+        let (views, ml_hits): (Vec<UnitViews>, Vec<bool>) = scanned.into_iter().unzip();
+        self.reduce(&units, &views, &ml_hits)
+    }
 
+    /// The matrix as a pure function of the units' views and ML verdicts
+    /// (both index-aligned with `units`).
+    fn reduce(&self, units: &[AuditUnit], views: &[UnitViews], ml_hits: &[bool]) -> AuditReport {
         let families = self.families();
         let n = self.config.samples_per_class;
         let mut classes = Vec::with_capacity(Cwe::ALL.len());
         for cwe in Cwe::ALL {
             let mut cells = BTreeMap::new();
-            for (fi, family) in families.iter().enumerate() {
-                let mut detected = 0;
-                let mut false_positives = 0;
-                for (unit, unit_hits) in units.iter().zip(&hits) {
-                    if unit.cwe != cwe || !unit_hits[fi] {
-                        continue;
-                    }
-                    if unit.vulnerable {
-                        detected += 1;
-                    } else {
-                        false_positives += 1;
+            for family in &families {
+                let (mut detected, mut false_positives) = (0, 0);
+                for (i, unit) in units.iter().enumerate().filter(|(_, u)| u.cwe == cwe) {
+                    let hit =
+                        family_set(&views[i], family).map_or(ml_hits[i], |s| s.contains(&cwe));
+                    match (hit, unit.vulnerable) {
+                        (false, _) => {}
+                        (true, true) => detected += 1,
+                        (true, false) => false_positives += 1,
                     }
                 }
                 cells.insert(family.clone(), Cell::new(detected, false_positives, n));
@@ -443,23 +432,14 @@ impl AuditEngine {
     }
 }
 
-/// The static and dynamic families' engines, built once per run and shared
-/// by every worker (each is `Sync`; none borrows the corpus).
-struct Engines {
-    rules: RuleEngine,
-    taint: TaintDetector,
-    semantics: SemanticEngine,
-    dynamic: DynamicSanitizer,
-}
-
-impl Engines {
-    fn new() -> Self {
-        Engines {
-            rules: RuleEngine::syntactic_suite(),
-            taint: TaintDetector::default_config(),
-            semantics: SemanticEngine::new(),
-            dynamic: DynamicSanitizer::new(),
-        }
+/// The view behind a static family's column; `None` for the `ml` column.
+fn family_set<'a>(views: &'a UnitViews, family: &str) -> Option<&'a BTreeSet<Cwe>> {
+    match family {
+        "rules" => Some(&views.rules),
+        "taint" => Some(&views.taint_flow),
+        "semantic" => Some(&views.semantic),
+        "dynamic" => Some(&views.dynamic),
+        _ => None,
     }
 }
 
@@ -486,7 +466,7 @@ mod tests {
         fn name(&self) -> String {
             "name-length".into()
         }
-        fn flags(&self, sample: &Sample) -> bool {
+        fn flags(&self, sample: &Sample, _: &AnalysisCache, _: u64) -> bool {
             sample.source.len().is_multiple_of(2)
         }
     }

@@ -238,33 +238,23 @@ impl SemanticEngine {
         source: &str,
         cache: &vulnman_lang::AnalysisCache,
     ) -> Result<Vec<Finding>, vulnman_lang::ParseError> {
-        self.scan_source_cached_keyed(
-            vulnman_lang::AnalysisCache::content_key(source),
-            source,
-            cache,
-        )
+        let key = vulnman_lang::AnalysisCache::content_key(source);
+        let program = cache.parse_keyed(key, source)?;
+        Ok((*self.findings_cached_parsed(key, &program, cache)).clone())
     }
 
-    /// [`SemanticEngine::scan_source_cached`] with a precomputed
-    /// [`content_key`](vulnman_lang::AnalysisCache::content_key), so callers
-    /// that consult several cache tables for the same sample hash its source
-    /// once. Results are identical to [`SemanticEngine::scan_source`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error if `source` is not valid mini-C.
-    pub fn scan_source_cached_keyed(
+    /// The cache entry behind [`SemanticEngine::scan_source_cached`] for an
+    /// already-parsed unit, shared rather than copied (the semantic half of
+    /// [`RuleEngine::findings_cached_parsed`](crate::RuleEngine::findings_cached_parsed)).
+    pub(crate) fn findings_cached_parsed(
         &self,
         content_key: u64,
-        source: &str,
+        program: &Program,
         cache: &vulnman_lang::AnalysisCache,
-    ) -> Result<Vec<Finding>, vulnman_lang::ParseError> {
-        let program = cache.parse_keyed(content_key, source)?;
-        let findings =
-            cache.analysis_keyed(content_key, "absint-findings", self.fingerprint(), || {
-                self.scan(&program)
-            });
-        Ok((*findings).clone())
+    ) -> Arc<Vec<Finding>> {
+        cache.analysis_keyed(content_key, "absint-findings", self.fingerprint(), || {
+            self.scan(program)
+        })
     }
 
     /// [`SemanticEngine::analyze`] through the per-stage incremental

@@ -129,30 +129,13 @@ impl RuleEngine {
         h.finish()
     }
 
-    /// Parses and scans source text through a content-addressed cache:
+    /// Parses and scans source text through a content-addressed cache
+    /// under its precomputed
+    /// [`content_key`](vulnman_lang::AnalysisCache::content_key):
     /// textually identical sources (duplicated corpus slices, repeated
-    /// scans) are parsed and analyzed once. Results are identical to
-    /// [`RuleEngine::scan_source`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error if `source` is not valid mini-C.
-    pub fn scan_source_cached(
-        &self,
-        source: &str,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> Result<Vec<Finding>, vulnman_lang::ParseError> {
-        self.scan_source_cached_keyed(
-            vulnman_lang::AnalysisCache::content_key(source),
-            source,
-            cache,
-        )
-    }
-
-    /// [`RuleEngine::scan_source_cached`] with a precomputed
-    /// [`content_key`](vulnman_lang::AnalysisCache::content_key), so callers
-    /// that consult several cache tables for the same sample hash its source
-    /// once. Results are identical to [`RuleEngine::scan_source`].
+    /// scans) are parsed and analyzed once, and callers that consult
+    /// several cache tables for the same sample hash its source once.
+    /// Results are identical to [`RuleEngine::scan_source`].
     ///
     /// # Errors
     ///
@@ -181,9 +164,21 @@ impl RuleEngine {
         cache: &vulnman_lang::AnalysisCache,
     ) -> Result<std::sync::Arc<Vec<Finding>>, vulnman_lang::ParseError> {
         let program = cache.parse_keyed(content_key, source)?;
-        Ok(cache.analysis_keyed(content_key, "rule-findings", self.fingerprint(), || {
-            self.scan(&program)
-        }))
+        Ok(self.findings_cached_parsed(content_key, &program, cache))
+    }
+
+    /// [`RuleEngine::findings_cached_keyed`] over an already-parsed unit,
+    /// so a caller that runs several views on one tree parses it once even
+    /// when `cache` is disabled. The one place the `"rule-findings"` entry
+    /// is spelled.
+    pub(crate) fn findings_cached_parsed(
+        &self,
+        content_key: u64,
+        program: &Program,
+        cache: &vulnman_lang::AnalysisCache,
+    ) -> std::sync::Arc<Vec<Finding>> {
+        cache
+            .analysis_keyed(content_key, "rule-findings", self.fingerprint(), || self.scan(program))
     }
 }
 

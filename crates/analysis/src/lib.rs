@@ -37,6 +37,7 @@ pub mod fuzz;
 pub mod oracle;
 pub mod reachability;
 pub mod severity;
+mod views;
 
 pub use audit::{register_audit_instruments, AuditConfig, AuditEngine, AuditReport, MlVerdict};
 pub use autofix::AutoFixer;

@@ -4,14 +4,22 @@
 //! leading models agree on only ~7% of verdicts, and up to 70% of labels in
 //! OSS datasets are inaccurate. This module turns that observation into
 //! correctness tooling for the platform itself. Every sample is assessed by
-//! three fully independent views —
+//! five views —
 //!
-//! 1. the rule-based static suite ([`RuleEngine`]),
-//! 2. the sanitizer-instrumented dynamic interpreter ([`DynamicSanitizer`]),
-//! 3. the interprocedural taint engine ([`TaintAnalysis`]) mapped through
-//!    the shared sink vocabulary ([`sink_kind_to_cwe`]),
+//! 1. the syntactic rule detectors and
+//! 2. the `taint-flow` detector, which together form the default static
+//!    suite ([`RuleEngine::default_suite`](crate::RuleEngine::default_suite)),
+//! 3. the sanitizer-instrumented dynamic interpreter
+//!    ([`DynamicSanitizer`](crate::DynamicSanitizer)),
+//! 4. the abstract-interpretation checkers
+//!    ([`SemanticEngine`](crate::SemanticEngine)),
+//! 5. the interprocedural taint engine run directly ([`TaintAnalysis`]) and
+//!    mapped through the shared sink vocabulary ([`sink_kind_to_cwe`]), the
+//!    reference the `taint-flow` detector must agree with,
 //!
-//! — and cross-checked against the corpus ground truth. Each per-sample,
+//! — and cross-checked against the corpus ground truth. The first four come
+//! from the one per-unit `UnitViews` record the [audit](crate::audit)
+//! also reduces; the taxonomy is the oracle's reduction of it. Each per-sample,
 //! per-CWE disagreement is classified into a closed taxonomy
 //! ([`DisagreementKind`]): a static false positive, a static blind spot, a
 //! *documented* dynamic blind spot (the logic classes that cannot fault
@@ -37,8 +45,9 @@
 //! [`par`](vulnman_lang::par) work queue returns results in corpus order,
 //! so reports are byte-identical across `--jobs` settings.
 
-use crate::detectors::{sink_kind_to_cwe, RuleEngine, StaticDetector};
-use crate::dynamic::{dynamically_detectable, DynamicSanitizer};
+use crate::detectors::{sink_kind_to_cwe, StaticDetector};
+use crate::dynamic::dynamically_detectable;
+use crate::views::{UnitViews, UnitViewsBuilder};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -58,9 +67,10 @@ use vulnman_synth::sample::Sample;
 /// One of the independent views the oracle cross-checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum View {
-    /// The rule-based static suite ([`RuleEngine`]).
+    /// The default static rule suite: the syntactic detectors plus the
+    /// `taint-flow` detector.
     StaticRules,
-    /// The sanitizer-instrumented dynamic interpreter ([`DynamicSanitizer`]).
+    /// The sanitizer-instrumented dynamic interpreter.
     Dynamic,
     /// The interprocedural taint engine, mapped through the shared sink
     /// vocabulary. A divergence here is always a defect, because the static
@@ -234,29 +244,25 @@ pub struct TaxonomyCounts {
 impl TaxonomyCounts {
     /// Increments the counter for `kind`.
     pub fn record(&mut self, kind: DisagreementKind) {
-        match kind {
-            DisagreementKind::StaticFalsePositive => self.static_false_positive += 1,
-            DisagreementKind::StaticBlindSpot => self.static_blind_spot += 1,
-            DisagreementKind::DynamicBlindSpot => self.dynamic_blind_spot += 1,
-            DisagreementKind::LabelNoiseArtifact => self.label_noise_artifact += 1,
-            DisagreementKind::AnalyzerDefect => self.analyzer_defect += 1,
-            DisagreementKind::SemanticBlindSpot => self.semantic_blind_spot += 1,
-            DisagreementKind::SemanticFalsePositive => self.semantic_false_positive += 1,
-            DisagreementKind::CloneInconsistency => self.clone_inconsistency += 1,
-        }
+        *self.slot(kind) += 1;
     }
 
     /// The count for `kind`.
     pub fn count(&self, kind: DisagreementKind) -> usize {
+        let mut counts = *self;
+        *counts.slot(kind)
+    }
+
+    fn slot(&mut self, kind: DisagreementKind) -> &mut usize {
         match kind {
-            DisagreementKind::StaticFalsePositive => self.static_false_positive,
-            DisagreementKind::StaticBlindSpot => self.static_blind_spot,
-            DisagreementKind::DynamicBlindSpot => self.dynamic_blind_spot,
-            DisagreementKind::LabelNoiseArtifact => self.label_noise_artifact,
-            DisagreementKind::AnalyzerDefect => self.analyzer_defect,
-            DisagreementKind::SemanticBlindSpot => self.semantic_blind_spot,
-            DisagreementKind::SemanticFalsePositive => self.semantic_false_positive,
-            DisagreementKind::CloneInconsistency => self.clone_inconsistency,
+            DisagreementKind::StaticFalsePositive => &mut self.static_false_positive,
+            DisagreementKind::StaticBlindSpot => &mut self.static_blind_spot,
+            DisagreementKind::DynamicBlindSpot => &mut self.dynamic_blind_spot,
+            DisagreementKind::LabelNoiseArtifact => &mut self.label_noise_artifact,
+            DisagreementKind::AnalyzerDefect => &mut self.analyzer_defect,
+            DisagreementKind::SemanticBlindSpot => &mut self.semantic_blind_spot,
+            DisagreementKind::SemanticFalsePositive => &mut self.semantic_false_positive,
+            DisagreementKind::CloneInconsistency => &mut self.clone_inconsistency,
         }
     }
 
@@ -344,20 +350,19 @@ pub struct DefectBaseline {
 // Oracle
 // ---------------------------------------------------------------------------
 
-/// Execution knobs for [`DifferentialOracle::run`].
+/// Execution knobs for [`DifferentialOracle::run`]. Memoization is the
+/// caller's: every pass takes the [`AnalysisCache`] to run through, and a
+/// disabled cache gives the same report.
 #[derive(Debug, Clone, Copy)]
 pub struct OracleConfig {
     /// Worker threads for the corpus pass. Reports are byte-identical for
     /// any value.
     pub jobs: usize,
-    /// Whether to share a content-addressed [`AnalysisCache`] across views
-    /// and shards (identical results either way).
-    pub cache: bool,
 }
 
 impl Default for OracleConfig {
     fn default() -> Self {
-        OracleConfig { jobs: 1, cache: true }
+        OracleConfig { jobs: 1 }
     }
 }
 
@@ -379,48 +384,30 @@ fn register_oracle_instruments(metrics: &Registry) {
     metrics.histogram("span.oracle.clone_view");
 }
 
-/// Internal per-source verdicts of every view.
-#[derive(Debug, Default)]
-struct Verdicts {
-    /// Set when the source does not parse (all views are then undefined).
-    parse_error: Option<String>,
-    /// Classes flagged by the full static suite.
-    statics: BTreeSet<Cwe>,
-    /// Subset of `statics` produced by the taint-flow detector.
-    static_taint: BTreeSet<Cwe>,
-    /// Classes whose faults the dynamic sanitizer observed.
-    dynamics: BTreeSet<Cwe>,
-    /// Classes the interprocedural taint engine reports directly.
-    taint: BTreeSet<Cwe>,
-    /// Classes the abstract-interpretation checker suite proves.
-    absints: BTreeSet<Cwe>,
+/// The evidence views that report per source, in cross-check order.
+const SOURCE_VIEWS: [View; 4] = [View::StaticRules, View::Dynamic, View::TaintEngine, View::Absint];
+
+/// The classes `view` reports on a unit, read from its shared `views` and
+/// the oracle's reference `taint` set. Empty for the corpus-level views:
+/// the recorded label and clone consistency are never evidence on one
+/// source.
+fn view_set(views: &UnitViews, taint: &BTreeSet<Cwe>, view: View) -> BTreeSet<Cwe> {
+    match view {
+        View::StaticRules => views.rule_suite(),
+        View::Dynamic => views.dynamic.clone(),
+        View::TaintEngine => taint.clone(),
+        View::Absint => views.semantic.clone(),
+        View::RecordedLabel | View::CloneClass => BTreeSet::new(),
+    }
 }
 
-impl Verdicts {
-    /// Whether `view` reports `cwe` (the recorded label is not a source
-    /// verdict and always reads as negative here).
-    fn positive(&self, view: View, cwe: Cwe) -> bool {
-        match view {
-            View::StaticRules => self.statics.contains(&cwe),
-            View::Dynamic => self.dynamics.contains(&cwe),
-            View::TaintEngine => self.taint.contains(&cwe),
-            View::RecordedLabel => false,
-            View::Absint => self.absints.contains(&cwe),
-            // Not a per-source verdict: clone consistency is a corpus-level
-            // property over classes, never evidence on one source.
-            View::CloneClass => false,
-        }
-    }
-
-    /// The verdict set of one evidence view, for cross-member comparison.
-    fn view_set(&self, view: View) -> Option<&BTreeSet<Cwe>> {
-        match view {
-            View::StaticRules => Some(&self.statics),
-            View::Dynamic => Some(&self.dynamics),
-            View::TaintEngine => Some(&self.taint),
-            View::Absint => Some(&self.absints),
-            View::RecordedLabel | View::CloneClass => None,
-        }
+/// A sample's ground truth: its class when genuinely vulnerable, `None`
+/// when genuinely clean.
+fn truth_of(sample: &Sample) -> Option<Cwe> {
+    if sample.label {
+        sample.cwe
+    } else {
+        None
     }
 }
 
@@ -440,22 +427,20 @@ pub struct ShrinkOutcome {
 /// converges far below this.
 const MAX_SHRINK_ATTEMPTS: usize = 1024;
 
-/// Cross-checks the static suite, the dynamic sanitizer, the taint engine,
-/// and ground truth over a corpus, classifying every disagreement.
+/// One shrinking pass: its slot count, and the reduction at one slot
+/// (`false` when the slot has nothing to reduce).
+type ShrinkPass = (fn(&mut Program) -> usize, fn(&mut Program, usize) -> bool);
+
+/// Cross-checks the static suite, the dynamic sanitizer, the semantic
+/// checkers, the taint engine, and ground truth over a corpus, classifying
+/// every disagreement. The oracle owns no cache: every pass runs through
+/// the [`AnalysisCache`] its caller passes.
+#[derive(Debug)]
 pub struct DifferentialOracle {
-    statics: RuleEngine,
-    dynamic: DynamicSanitizer,
+    views: UnitViewsBuilder,
     taint: TaintConfig,
-    semantics: crate::checkers::SemanticEngine,
-    cache: AnalysisCache,
     config: OracleConfig,
     metrics: Registry,
-}
-
-impl std::fmt::Debug for DifferentialOracle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DifferentialOracle").field("config", &self.config).finish()
-    }
 }
 
 impl Default for DifferentialOracle {
@@ -476,43 +461,25 @@ impl DifferentialOracle {
     }
 
     /// Default suite reporting through `metrics` under pre-registered
-    /// `oracle.*` (and `cache.*`) instrument names.
+    /// `oracle.*` instrument names.
     pub fn with_metrics(config: OracleConfig, metrics: &Registry) -> Self {
         register_oracle_instruments(metrics);
-        let cache = if config.cache {
-            AnalysisCache::with_metrics(metrics)
-        } else {
-            AnalysisCache::disabled_with_metrics(metrics)
-        };
         DifferentialOracle {
-            statics: RuleEngine::default_suite(),
-            dynamic: DynamicSanitizer::new(),
+            views: UnitViewsBuilder::new(),
             taint: TaintConfig::default_config(),
-            semantics: crate::checkers::SemanticEngine::new(),
-            cache,
             config,
             metrics: metrics.clone(),
         }
     }
 
-    /// Runs all views over `source` through `cache`, hashing the source
-    /// once for all five memoized views.
-    fn verdicts(&self, source: &str, cache: &AnalysisCache) -> Verdicts {
+    /// Builds `source`'s shared views and the oracle's reference taint set
+    /// through `cache`, parsing (and hashing) the source once.
+    fn examine(&self, source: &str, cache: &AnalysisCache) -> (UnitViews, BTreeSet<Cwe>) {
         let key = AnalysisCache::content_key(source);
         let program = match cache.parse_keyed(key, source) {
             Ok(p) => p,
-            Err(e) => return Verdicts { parse_error: Some(e.to_string()), ..Verdicts::default() },
+            Err(e) => return (UnitViews::unparsed(&e), BTreeSet::new()),
         };
-        let findings =
-            cache.analysis_keyed(key, "rule-findings", self.statics.fingerprint(), || {
-                self.statics.scan(&program)
-            });
-        let statics = findings.iter().map(|f| f.cwe).collect();
-        let static_taint =
-            findings.iter().filter(|f| f.detector == "taint-flow").map(|f| f.cwe).collect();
-        let dynamics = cache.analysis_keyed(key, "oracle-dynamic", 0, || {
-            self.dynamic.scan(&program).iter().map(|f| f.cwe).collect::<BTreeSet<Cwe>>()
-        });
         let taint = cache.analysis_keyed(key, "oracle-taint", 0, || {
             TaintAnalysis::run(&program, &self.taint)
                 .findings
@@ -520,55 +487,43 @@ impl DifferentialOracle {
                 .filter_map(|f| sink_kind_to_cwe(&f.sink_kind))
                 .collect::<BTreeSet<Cwe>>()
         });
-        // Same cache kind and fingerprint as `SemanticEngine::
-        // scan_source_cached`, so oracle runs and `vulnman lint` share warm
-        // entries and a warm pass skips the fixpoint entirely.
-        let semantic_findings =
-            cache.analysis_keyed(key, "absint-findings", self.semantics.fingerprint(), || {
-                self.semantics.analyze(&program).findings
-            });
-        let absints = semantic_findings.iter().map(|f| f.cwe).collect();
-        Verdicts {
-            parse_error: None,
-            statics,
-            static_taint,
-            dynamics: (*dynamics).clone(),
-            taint: (*taint).clone(),
-            absints,
-        }
+        (self.views.build_parsed(key, &program, cache), (*taint).clone())
     }
 
     /// Classifies every disagreement for one source against `truth`
     /// (`Some(c)` = the sample genuinely contains class `c`, `None` =
-    /// genuinely clean) using the oracle's shared cache. `mislabeled` is
-    /// the dataset's own noise provenance (see `Dataset::mislabeled_ids`).
+    /// genuinely clean), running the views through `cache`. `mislabeled`
+    /// is the dataset's own noise provenance (see `Dataset::mislabeled_ids`).
     pub fn classify_source(
         &self,
         source: &str,
         truth: Option<Cwe>,
         mislabeled: bool,
+        cache: &AnalysisCache,
     ) -> Vec<Disagreement> {
-        self.classify(0, source, truth, mislabeled, &self.cache)
+        let (views, taint) = self.examine(source, cache);
+        self.taxonomy(0, &views, &taint, truth, mislabeled)
     }
 
     /// [`DifferentialOracle::classify_source`] with the sample's own id,
     /// ground truth, and noise provenance.
-    pub fn classify_sample(&self, sample: &Sample) -> Vec<Disagreement> {
-        let truth = if sample.label { sample.cwe } else { None };
-        self.classify(sample.id, &sample.source, truth, sample.is_mislabeled(), &self.cache)
+    pub fn classify_sample(&self, sample: &Sample, cache: &AnalysisCache) -> Vec<Disagreement> {
+        let (views, taint) = self.examine(&sample.source, cache);
+        self.taxonomy(sample.id, &views, &taint, truth_of(sample), sample.is_mislabeled())
     }
 
-    fn classify(
+    /// The taxonomy reduction: every disagreement among one unit's `views`,
+    /// its reference `taint` set, and the ground truth.
+    fn taxonomy(
         &self,
         sample_id: u64,
-        source: &str,
+        views: &UnitViews,
+        taint: &BTreeSet<Cwe>,
         truth: Option<Cwe>,
         mislabeled: bool,
-        cache: &AnalysisCache,
     ) -> Vec<Disagreement> {
-        let v = self.verdicts(source, cache);
         let mut out = Vec::new();
-        if let Some(err) = &v.parse_error {
+        if let Some(err) = &views.parse_error {
             // No view can assess an unparseable unit; the whole sample is
             // one defect (the corpus generator only emits valid mini-C, so
             // a parse failure is a parser or generator bug by definition).
@@ -584,73 +539,51 @@ impl DifferentialOracle {
             }
             return out;
         }
-        let mut scope: BTreeSet<Cwe> = BTreeSet::new();
-        scope.extend(&v.statics);
-        scope.extend(&v.dynamics);
-        scope.extend(&v.taint);
-        scope.extend(&v.absints);
+        let statics = views.rule_suite();
+        let mut scope = statics.clone();
+        scope.extend(&views.dynamic);
+        scope.extend(taint);
+        scope.extend(&views.semantic);
         scope.extend(truth);
-        let semantic_coverage = self.semantics.cwes();
+        let semantic_coverage = self.views.semantics().cwes();
         for cwe in scope {
+            use DisagreementKind::*;
             let planted = truth == Some(cwe);
+            let ruled = statics.contains(&cwe);
+            let mut flag = |view, kind, detail: String| {
+                out.push(Disagreement { sample_id, cwe: Some(cwe), view, kind, detail })
+            };
             if planted {
-                if !v.statics.contains(&cwe) {
-                    out.push(Disagreement {
-                        sample_id,
-                        cwe: Some(cwe),
-                        view: View::StaticRules,
-                        kind: DisagreementKind::StaticBlindSpot,
-                        detail: format!("ground truth plants {cwe} but no static rule fires"),
-                    });
+                if !ruled {
+                    let detail = format!("ground truth plants {cwe} but no static rule fires");
+                    flag(View::StaticRules, StaticBlindSpot, detail);
                 }
-                if !v.dynamics.contains(&cwe) {
+                if !views.dynamic.contains(&cwe) {
                     if dynamically_detectable(cwe) {
-                        out.push(Disagreement {
-                            sample_id,
-                            cwe: Some(cwe),
-                            view: View::Dynamic,
-                            kind: DisagreementKind::AnalyzerDefect,
-                            detail: format!(
-                                "{cwe} is dynamically detectable but no runtime fault was \
-                                 observed"
-                            ),
-                        });
+                        let detail = format!(
+                            "{cwe} is dynamically detectable but no runtime fault was observed"
+                        );
+                        flag(View::Dynamic, AnalyzerDefect, detail);
                     } else {
-                        out.push(Disagreement {
-                            sample_id,
-                            cwe: Some(cwe),
-                            view: View::Dynamic,
-                            kind: DisagreementKind::DynamicBlindSpot,
-                            detail: format!(
-                                "{cwe} is a logic class that cannot fault under \
-                                 single-threaded execution"
-                            ),
-                        });
+                        let detail = format!(
+                            "{cwe} is a logic class that cannot fault under single-threaded \
+                             execution"
+                        );
+                        flag(View::Dynamic, DynamicBlindSpot, detail);
                     }
                 }
             } else {
-                if v.statics.contains(&cwe) {
-                    out.push(Disagreement {
-                        sample_id,
-                        cwe: Some(cwe),
-                        view: View::StaticRules,
-                        kind: DisagreementKind::StaticFalsePositive,
-                        detail: format!(
-                            "static rules flag {cwe} but ground truth is clean for this class"
-                        ),
-                    });
+                if ruled {
+                    let detail =
+                        format!("static rules flag {cwe} but ground truth is clean for this class");
+                    flag(View::StaticRules, StaticFalsePositive, detail);
                 }
-                if v.dynamics.contains(&cwe) {
-                    out.push(Disagreement {
-                        sample_id,
-                        cwe: Some(cwe),
-                        view: View::Dynamic,
-                        kind: DisagreementKind::AnalyzerDefect,
-                        detail: format!(
-                            "runtime fault observed for {cwe} in a sample whose ground truth \
-                             is clean for this class"
-                        ),
-                    });
+                if views.dynamic.contains(&cwe) {
+                    let detail = format!(
+                        "runtime fault observed for {cwe} in a sample whose ground truth is \
+                         clean for this class"
+                    );
+                    flag(View::Dynamic, AnalyzerDefect, detail);
                 }
             }
             // Rule-vs-semantic cross-check. The semantic suite is a
@@ -659,50 +592,31 @@ impl DifferentialOracle {
             // clean class questions its soundness; both details record
             // the rule suite's verdict so the gap between syntax and
             // semantics stays auditable per sample.
-            if planted && semantic_coverage.contains(&cwe) && !v.absints.contains(&cwe) {
-                out.push(Disagreement {
-                    sample_id,
-                    cwe: Some(cwe),
-                    view: View::Absint,
-                    kind: DisagreementKind::SemanticBlindSpot,
-                    detail: format!(
-                        "ground truth plants {cwe} but the semantic checkers prove nothing \
-                         (static rules {})",
-                        if v.statics.contains(&cwe) { "catch it" } else { "miss it too" }
-                    ),
-                });
+            if planted && semantic_coverage.contains(&cwe) && !views.semantic.contains(&cwe) {
+                let detail = format!(
+                    "ground truth plants {cwe} but the semantic checkers prove nothing (static \
+                     rules {})",
+                    if ruled { "catch it" } else { "miss it too" }
+                );
+                flag(View::Absint, SemanticBlindSpot, detail);
             }
-            if !planted && v.absints.contains(&cwe) {
-                out.push(Disagreement {
-                    sample_id,
-                    cwe: Some(cwe),
-                    view: View::Absint,
-                    kind: DisagreementKind::SemanticFalsePositive,
-                    detail: format!(
-                        "semantic checkers claim a proof of {cwe} but ground truth is clean \
-                         for this class (static rules {})",
-                        if v.statics.contains(&cwe) {
-                            "agree with the claim"
-                        } else {
-                            "stay silent"
-                        }
-                    ),
-                });
+            if !planted && views.semantic.contains(&cwe) {
+                let detail = format!(
+                    "semantic checkers claim a proof of {cwe} but ground truth is clean for this \
+                     class (static rules {})",
+                    if ruled { "agree with the claim" } else { "stay silent" }
+                );
+                flag(View::Absint, SemanticFalsePositive, detail);
             }
             // The static taint-flow detector wraps the same engine and
             // configuration as the direct taint view, so any divergence
             // between them is a defect regardless of ground truth.
-            if v.taint.contains(&cwe) != v.static_taint.contains(&cwe) {
-                out.push(Disagreement {
-                    sample_id,
-                    cwe: Some(cwe),
-                    view: View::TaintEngine,
-                    kind: DisagreementKind::AnalyzerDefect,
-                    detail: format!(
-                        "taint engine and static taint-flow detector diverge on {cwe} despite \
-                         sharing engine and configuration"
-                    ),
-                });
+            if taint.contains(&cwe) != views.taint_flow.contains(&cwe) {
+                let detail = format!(
+                    "taint engine and static taint-flow detector diverge on {cwe} despite \
+                     sharing engine and configuration"
+                );
+                flag(View::TaintEngine, AnalyzerDefect, detail);
             }
         }
         if mislabeled {
@@ -730,30 +644,42 @@ impl DifferentialOracle {
         }
     }
 
-    /// Assesses every sample on the [`par`](vulnman_lang::par) work queue,
-    /// preserving corpus order regardless of `jobs`.
-    fn assess_all(&self, samples: &[Sample]) -> Vec<Vec<Disagreement>> {
-        vulnman_lang::par::map_ordered(samples, self.config.jobs, |s| self.classify_sample(s))
-    }
-
-    /// Runs the full differential pass over a corpus.
+    /// Runs the full differential pass over a corpus through `cache`.
     ///
     /// Deterministic: the report is byte-identical across `jobs` and cache
     /// settings for a fixed corpus.
-    pub fn run(&self, samples: &[Sample]) -> OracleReport {
+    pub fn run(&self, samples: &[Sample], cache: &AnalysisCache) -> OracleReport {
+        self.run_examined(samples, cache).0
+    }
+
+    /// [`DifferentialOracle::run`], also returning every sample's views and
+    /// reference taint set in corpus order. Samples are examined and
+    /// classified on the [`par`](vulnman_lang::par) work queue, which keeps
+    /// corpus order regardless of `jobs`.
+    fn run_examined(
+        &self,
+        samples: &[Sample],
+        cache: &AnalysisCache,
+    ) -> (OracleReport, Vec<(UnitViews, BTreeSet<Cwe>)>) {
         let span = self.metrics.span("oracle.run");
-        let per_sample = self.assess_all(samples);
+        let assessed = vulnman_lang::par::map_ordered(samples, self.config.jobs, |s| {
+            let (views, taint) = self.examine(&s.source, cache);
+            let found = self.taxonomy(s.id, &views, &taint, truth_of(s), s.is_mislabeled());
+            (views, taint, found)
+        });
         let mut taxonomy = TaxonomyCounts::default();
         let mut disagreements = Vec::new();
         let mut agreed = 0usize;
-        for sample_result in per_sample {
-            if sample_result.is_empty() {
+        let mut examined = Vec::with_capacity(assessed.len());
+        for (views, taint, found) in assessed {
+            if found.is_empty() {
                 agreed += 1;
             }
-            for d in sample_result {
+            for d in found {
                 taxonomy.record(d.kind);
                 disagreements.push(d);
             }
+            examined.push((views, taint));
         }
         self.metrics.counter("oracle.samples").add(samples.len() as u64);
         self.metrics.counter("oracle.agreed").add(agreed as u64);
@@ -764,7 +690,7 @@ impl DifferentialOracle {
                 .add(taxonomy.count(kind) as u64);
         }
         drop(span);
-        OracleReport { samples: samples.len(), agreed, taxonomy, disagreements }
+        (OracleReport { samples: samples.len(), agreed, taxonomy, disagreements }, examined)
     }
 
     /// [`DifferentialOracle::run`] plus the sixth, corpus-level `clones`
@@ -779,9 +705,9 @@ impl DifferentialOracle {
     /// observations don't demote a sample from "all views agreed").
     /// Deterministic: classes in submission order, views and CWEs in fixed
     /// order.
-    pub fn run_with_clones(&self, samples: &[Sample]) -> OracleReport {
-        let mut report = self.run(samples);
-        let clones = self.clone_view(samples);
+    pub fn run_with_clones(&self, samples: &[Sample], cache: &AnalysisCache) -> OracleReport {
+        let (mut report, examined) = self.run_examined(samples, cache);
+        let clones = self.clone_view(samples, &examined);
         self.metrics.counter("oracle.disagreements").add(clones.len() as u64);
         self.metrics.counter("oracle.kind.clone_inconsistency").add(clones.len() as u64);
         for d in clones {
@@ -794,8 +720,13 @@ impl DifferentialOracle {
     /// The clone-class cross-check behind
     /// [`DifferentialOracle::run_with_clones`]: one [`Disagreement`] per
     /// `(class, view, CWE)` where members of a verified clone class split
-    /// positive/negative.
-    fn clone_view(&self, samples: &[Sample]) -> Vec<Disagreement> {
+    /// positive/negative. Reads the views the per-sample pass already built
+    /// (`examined`, index-aligned with `samples`).
+    fn clone_view(
+        &self,
+        samples: &[Sample],
+        examined: &[(UnitViews, BTreeSet<Cwe>)],
+    ) -> Vec<Disagreement> {
         let span = self.metrics.span("oracle.clone_view");
         let sources: Vec<(u64, &str)> =
             samples.iter().enumerate().map(|(i, s)| (i as u64, s.source.as_str())).collect();
@@ -805,37 +736,35 @@ impl DifferentialOracle {
             if class.len() < 2 {
                 continue;
             }
-            let members: Vec<&Sample> =
-                class.iter().map(|&e| &samples[index.entries()[e as usize].id as usize]).collect();
             // Parse failures have no view verdicts to compare; they are
             // already surfaced per-sample as analyzer defects.
-            let verdicts: Vec<(&Sample, Verdicts)> = members
+            let members: Vec<(u64, &UnitViews, &BTreeSet<Cwe>)> = class
                 .iter()
-                .map(|s| (*s, self.verdicts(&s.source, &self.cache)))
-                .filter(|(_, v)| v.parse_error.is_none())
+                .map(|&e| index.entries()[e as usize].id as usize)
+                .filter(|&i| examined[i].0.parse_error.is_none())
+                .map(|i| (samples[i].id, &examined[i].0, &examined[i].1))
                 .collect();
-            if verdicts.len() < 2 {
+            if members.len() < 2 {
                 continue;
             }
-            for view in [View::StaticRules, View::Dynamic, View::TaintEngine, View::Absint] {
-                let union: BTreeSet<Cwe> = verdicts
-                    .iter()
-                    .flat_map(|(_, v)| v.view_set(view).into_iter().flatten().copied())
-                    .collect();
+            for view in SOURCE_VIEWS {
+                let sets: Vec<BTreeSet<Cwe>> =
+                    members.iter().map(|(_, views, taint)| view_set(views, taint, view)).collect();
+                let union: BTreeSet<Cwe> = sets.iter().flatten().copied().collect();
                 for cwe in union {
                     let (mut hits, mut misses) = (Vec::new(), Vec::new());
-                    for (s, v) in &verdicts {
-                        if v.view_set(view).is_some_and(|set| set.contains(&cwe)) {
-                            hits.push(s.id);
+                    for ((id, _, _), set) in members.iter().zip(&sets) {
+                        if set.contains(&cwe) {
+                            hits.push(*id);
                         } else {
-                            misses.push(s.id);
+                            misses.push(*id);
                         }
                     }
                     if hits.is_empty() || misses.is_empty() {
                         continue;
                     }
                     out.push(Disagreement {
-                        sample_id: verdicts[0].0.id,
+                        sample_id: members[0].0,
                         cwe: Some(cwe),
                         view: View::CloneClass,
                         kind: DisagreementKind::CloneInconsistency,
@@ -888,6 +817,7 @@ impl DifferentialOracle {
         d: &Disagreement,
         truth: Option<Cwe>,
         mislabeled: bool,
+        cache: &AnalysisCache,
     ) -> Option<ShrinkOutcome> {
         let cwe = d.cwe?;
         if d.kind == DisagreementKind::LabelNoiseArtifact
@@ -899,106 +829,77 @@ impl DifferentialOracle {
             // observations; no single source encodes the evidence.
             return None;
         }
-        // Candidates are one-shot sources; memoizing them would only grow
-        // the main cache, so shrinking runs against a pass-through cache.
-        let scratch = AnalysisCache::disabled_with_metrics(&Registry::noop());
-        let original = self.verdicts(source, &scratch);
-        if original.parse_error.is_some() {
+        let (views, taint) = self.examine(source, cache);
+        if views.parse_error.is_some() {
             return None;
         }
-        let evidence: Vec<View> =
-            [View::StaticRules, View::Dynamic, View::TaintEngine, View::Absint]
-                .into_iter()
-                .filter(|view| original.positive(*view, cwe))
-                .collect();
+        let evidence: Vec<View> = SOURCE_VIEWS
+            .into_iter()
+            .filter(|view| view_set(&views, &taint, *view).contains(&cwe))
+            .collect();
         if evidence.is_empty() {
             return None;
         }
+        // Candidates are one-shot sources; memoizing them would only grow
+        // the caller's cache, so they run through a pass-through cache.
+        let scratch = AnalysisCache::disabled_with_metrics(&Registry::noop());
         let signature = d.signature();
         let holds = |candidate: &str| -> bool {
-            let v = self.verdicts(candidate, &scratch);
-            if v.parse_error.is_some() {
-                return false;
-            }
-            if !evidence.iter().all(|view| v.positive(*view, cwe)) {
-                return false;
-            }
-            self.classify(d.sample_id, candidate, truth, mislabeled, &scratch)
-                .iter()
-                .any(|c| c.signature() == signature)
+            let (views, taint) = self.examine(candidate, &scratch);
+            views.parse_error.is_none()
+                && evidence.iter().all(|view| view_set(&views, &taint, *view).contains(&cwe))
+                && self
+                    .taxonomy(d.sample_id, &views, &taint, truth, mislabeled)
+                    .iter()
+                    .any(|c| c.signature() == signature)
         };
 
-        let mut program = (*self.cache.parse(source).ok()?).clone();
+        let mut program = (*cache.parse(source).ok()?).clone();
         // Normalize through the printer first; if canonical form already
         // loses the disagreement, the round-trip invariant is broken and
         // shrinking would chase a moving target.
         if !holds(&print_program(&program)) {
             return None;
         }
+        // Statement removal, then whole-function removal, then expression
+        // simplification.
+        let passes: [ShrinkPass; 3] = [
+            (stmt_slots, remove_stmt),
+            (
+                |p| p.functions.len(),
+                |p, idx| {
+                    p.functions.remove(idx);
+                    true
+                },
+            ),
+            (expr_slots, simplify_expr_at),
+        ];
         let mut steps = 0usize;
         let mut attempts = 0usize;
         loop {
             let mut progressed = false;
-            // Pass 1: statement removal, restarting after each acceptance
-            // (indices shift as statements disappear).
-            'stmts: loop {
-                let slots = stmt_slots(&mut program);
-                for target in 0..slots {
-                    if attempts >= MAX_SHRINK_ATTEMPTS {
-                        break 'stmts;
+            for (slots, reduce) in passes {
+                // Each pass restarts after an acceptance (indices shift as
+                // the program shrinks).
+                'pass: loop {
+                    for target in 0..slots(&mut program) {
+                        if attempts >= MAX_SHRINK_ATTEMPTS {
+                            break 'pass;
+                        }
+                        let mut candidate = program.clone();
+                        if !reduce(&mut candidate, target) {
+                            continue;
+                        }
+                        attempts += 1;
+                        if holds(&print_program(&candidate)) {
+                            program = candidate;
+                            steps += 1;
+                            progressed = true;
+                            continue 'pass;
+                        }
                     }
-                    let mut candidate = program.clone();
-                    if !remove_stmt(&mut candidate, target) {
-                        continue;
-                    }
-                    attempts += 1;
-                    if holds(&print_program(&candidate)) {
-                        program = candidate;
-                        steps += 1;
-                        progressed = true;
-                        continue 'stmts;
-                    }
+                    break;
                 }
-                break;
-            }
-            // Pass 2: whole-function removal.
-            'funcs: loop {
-                for idx in 0..program.functions.len() {
-                    if attempts >= MAX_SHRINK_ATTEMPTS {
-                        break 'funcs;
-                    }
-                    let mut candidate = program.clone();
-                    candidate.functions.remove(idx);
-                    attempts += 1;
-                    if holds(&print_program(&candidate)) {
-                        program = candidate;
-                        steps += 1;
-                        progressed = true;
-                        continue 'funcs;
-                    }
-                }
-                break;
-            }
-            // Pass 3: expression simplification.
-            'exprs: loop {
-                let slots = expr_slots(&mut program);
-                for target in 0..slots {
-                    if attempts >= MAX_SHRINK_ATTEMPTS {
-                        break 'exprs;
-                    }
-                    let mut candidate = program.clone();
-                    if !simplify_expr_at(&mut candidate, target) {
-                        continue;
-                    }
-                    attempts += 1;
-                    if holds(&print_program(&candidate)) {
-                        program = candidate;
-                        steps += 1;
-                        progressed = true;
-                        continue 'exprs;
-                    }
-                }
-                break;
             }
             if !progressed || attempts >= MAX_SHRINK_ATTEMPTS {
                 break;
@@ -1210,6 +1111,10 @@ mod tests {
         exec_query(id);
     }"#;
 
+    fn cache() -> AnalysisCache {
+        AnalysisCache::new()
+    }
+
     fn find(ds: &[Disagreement], kind: DisagreementKind) -> Vec<&Disagreement> {
         ds.iter().filter(|d| d.kind == kind).collect()
     }
@@ -1217,7 +1122,7 @@ mod tests {
     #[test]
     fn clean_sample_fully_agrees() {
         let oracle = DifferentialOracle::new();
-        assert!(oracle.classify_source(CLEAN, None, false).is_empty());
+        assert!(oracle.classify_source(CLEAN, None, false, &cache()).is_empty());
     }
 
     #[test]
@@ -1227,7 +1132,7 @@ mod tests {
         // disagreement is the static false positive.
         let oracle = DifferentialOracle::new();
         let src = r#"void setup() { char* password = "s3cr3tPassw0rd"; connect_db(password); }"#;
-        let ds = oracle.classify_source(src, None, false);
+        let ds = oracle.classify_source(src, None, false, &cache());
         let fps = find(&ds, DisagreementKind::StaticFalsePositive);
         assert_eq!(fps.len(), 1, "{ds:?}");
         assert_eq!(fps[0].cwe, Some(Cwe::HardcodedCredentials));
@@ -1241,7 +1146,7 @@ mod tests {
         // blind spot, and the dynamic miss is the *documented* blind spot,
         // not a defect.
         let oracle = DifferentialOracle::new();
-        let ds = oracle.classify_source(CLEAN, Some(Cwe::RaceCondition), false);
+        let ds = oracle.classify_source(CLEAN, Some(Cwe::RaceCondition), false, &cache());
         assert_eq!(ds.len(), 2, "{ds:?}");
         assert_eq!(find(&ds, DisagreementKind::StaticBlindSpot).len(), 1);
         assert_eq!(find(&ds, DisagreementKind::DynamicBlindSpot).len(), 1);
@@ -1253,7 +1158,7 @@ mod tests {
         // If ground truth plants SQL injection and the interpreter observes
         // nothing, that is *not* a documented blind spot — it is a defect.
         let oracle = DifferentialOracle::new();
-        let ds = oracle.classify_source(CLEAN, Some(Cwe::SqlInjection), false);
+        let ds = oracle.classify_source(CLEAN, Some(Cwe::SqlInjection), false, &cache());
         let defects = find(&ds, DisagreementKind::AnalyzerDefect);
         assert_eq!(defects.len(), 1, "{ds:?}");
         assert_eq!(defects[0].view, View::Dynamic);
@@ -1263,7 +1168,7 @@ mod tests {
     #[test]
     fn label_noise_is_its_own_artifact() {
         let oracle = DifferentialOracle::new();
-        let ds = oracle.classify_source(CLEAN, None, true);
+        let ds = oracle.classify_source(CLEAN, None, true, &cache());
         assert_eq!(ds.len(), 1, "{ds:?}");
         assert_eq!(ds[0].kind, DisagreementKind::LabelNoiseArtifact);
         assert_eq!(ds[0].view, View::RecordedLabel);
@@ -1272,7 +1177,7 @@ mod tests {
     #[test]
     fn parse_failure_is_a_defect_with_no_class() {
         let oracle = DifferentialOracle::new();
-        let ds = oracle.classify_source("int f( {", None, false);
+        let ds = oracle.classify_source("int f( {", None, false, &cache());
         assert_eq!(ds.len(), 1, "{ds:?}");
         assert_eq!(ds[0].kind, DisagreementKind::AnalyzerDefect);
         assert_eq!(ds[0].cwe, None);
@@ -1284,7 +1189,7 @@ mod tests {
         // disagreement at all.
         let oracle = DifferentialOracle::new();
         let src = r#"void f() { char* id = http_param("id"); exec_query(id); }"#;
-        let ds = oracle.classify_source(src, Some(Cwe::SqlInjection), false);
+        let ds = oracle.classify_source(src, Some(Cwe::SqlInjection), false, &cache());
         assert!(ds.is_empty(), "{ds:?}");
     }
 
@@ -1295,12 +1200,13 @@ mod tests {
             .vulnerable_fraction(0.4)
             .label_noise(0.1)
             .build();
-        let baseline = DifferentialOracle::with_config(OracleConfig { jobs: 1, cache: true })
-            .run(corpus.samples());
-        for (jobs, cache) in [(4, true), (1, false), (4, false)] {
-            let report =
-                DifferentialOracle::with_config(OracleConfig { jobs, cache }).run(corpus.samples());
-            assert_eq!(report, baseline, "jobs={jobs} cache={cache}");
+        let baseline = DifferentialOracle::with_config(OracleConfig { jobs: 1 })
+            .run(corpus.samples(), &cache());
+        for (jobs, cached) in [(4, true), (1, false), (4, false)] {
+            let cache = if cached { AnalysisCache::new() } else { AnalysisCache::disabled() };
+            let report = DifferentialOracle::with_config(OracleConfig { jobs })
+                .run(corpus.samples(), &cache);
+            assert_eq!(report, baseline, "jobs={jobs} cache={cached}");
         }
         assert_eq!(baseline.samples, corpus.samples().len());
         assert_eq!(baseline.taxonomy.total(), baseline.disagreements.len());
@@ -1313,7 +1219,7 @@ mod tests {
             .vulnerable_fraction(0.5)
             .label_noise(0.2)
             .build();
-        let report = DifferentialOracle::new().run(corpus.samples());
+        let report = DifferentialOracle::new().run(corpus.samples(), &cache());
         let noisy: BTreeSet<u64> = report
             .disagreements
             .iter()
@@ -1327,7 +1233,7 @@ mod tests {
 
     #[test]
     fn summary_table_names_every_kind() {
-        let report = DifferentialOracle::new().run(&[]);
+        let report = DifferentialOracle::new().run(&[], &cache());
         let table = report.summary_table();
         for kind in DisagreementKind::ALL {
             assert!(table.contains(kind.label()), "{table}");
@@ -1337,7 +1243,7 @@ mod tests {
     #[test]
     fn report_round_trips_through_json() {
         let corpus = DatasetBuilder::new(3).vulnerable_count(6).vulnerable_fraction(0.5).build();
-        let report = DifferentialOracle::new().run(corpus.samples());
+        let report = DifferentialOracle::new().run(corpus.samples(), &cache());
         let json = serde_json::to_string(&report).unwrap();
         let back: OracleReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
@@ -1346,20 +1252,20 @@ mod tests {
     #[test]
     fn shrinker_minimizes_a_false_positive_to_its_core_flow() {
         let oracle = DifferentialOracle::new();
-        let ds = oracle.classify_source(SQLI, None, false);
+        let ds = oracle.classify_source(SQLI, None, false, &cache());
         let d = find(&ds, DisagreementKind::StaticFalsePositive)
             .into_iter()
             .find(|d| d.cwe == Some(Cwe::SqlInjection))
             .expect("static suite flags the flow")
             .clone();
-        let shrunk = oracle.shrink(SQLI, &d, None, false).expect("shrinkable");
+        let shrunk = oracle.shrink(SQLI, &d, None, false, &cache()).expect("shrinkable");
         assert!(shrunk.steps > 0, "junk statements must be removed: {shrunk:?}");
         assert!(shrunk.source.len() < SQLI.len());
         assert!(shrunk.source.contains("http_param"), "source kept: {}", shrunk.source);
         assert!(shrunk.source.contains("exec_query"), "sink kept: {}", shrunk.source);
         assert!(!shrunk.source.contains("int a"), "junk dropped: {}", shrunk.source);
         // The minimized form still reproduces the exact disagreement.
-        let again = oracle.classify_source(&shrunk.source, None, false);
+        let again = oracle.classify_source(&shrunk.source, None, false, &cache());
         assert!(
             again.iter().any(|c| c.cwe == d.cwe && c.view == d.view && c.kind == d.kind),
             "{again:?}"
@@ -1369,11 +1275,11 @@ mod tests {
     #[test]
     fn shrinker_is_deterministic() {
         let oracle = DifferentialOracle::new();
-        let ds = oracle.classify_source(SQLI, None, false);
+        let ds = oracle.classify_source(SQLI, None, false, &cache());
         let d =
             ds.iter().find(|d| d.kind == DisagreementKind::StaticFalsePositive).unwrap().clone();
-        let a = oracle.shrink(SQLI, &d, None, false).unwrap();
-        let b = oracle.shrink(SQLI, &d, None, false).unwrap();
+        let a = oracle.shrink(SQLI, &d, None, false, &cache()).unwrap();
+        let b = oracle.shrink(SQLI, &d, None, false, &cache()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1383,18 +1289,21 @@ mod tests {
         // nothing in the source to preserve, and shrinking would degenerate
         // to an empty program.
         let oracle = DifferentialOracle::new();
-        let ds = oracle.classify_source(CLEAN, Some(Cwe::RaceCondition), false);
+        let ds = oracle.classify_source(CLEAN, Some(Cwe::RaceCondition), false, &cache());
         for d in &ds {
-            assert!(oracle.shrink(CLEAN, d, Some(Cwe::RaceCondition), false).is_none(), "{d:?}");
+            assert!(
+                oracle.shrink(CLEAN, d, Some(Cwe::RaceCondition), false, &cache()).is_none(),
+                "{d:?}"
+            );
         }
     }
 
     #[test]
     fn shrinker_refuses_label_noise_artifacts() {
         let oracle = DifferentialOracle::new();
-        let ds = oracle.classify_source(SQLI, None, true);
+        let ds = oracle.classify_source(SQLI, None, true, &cache());
         let noise = ds.iter().find(|d| d.kind == DisagreementKind::LabelNoiseArtifact).unwrap();
-        assert!(oracle.shrink(SQLI, noise, None, true).is_none());
+        assert!(oracle.shrink(SQLI, noise, None, true, &cache()).is_none());
     }
 
     #[test]
@@ -1451,7 +1360,7 @@ mod tests {
         let samples =
             [clone_sample(1, flagged, Some(Cwe::SqlInjection)), clone_sample(2, silent, None)];
         let oracle = DifferentialOracle::new();
-        let report = oracle.run_with_clones(&samples);
+        let report = oracle.run_with_clones(&samples, &cache());
         let clones: Vec<_> = report
             .disagreements
             .iter()
@@ -1466,7 +1375,7 @@ mod tests {
             assert!(d.detail.contains("[1]") && d.detail.contains("[2]"), "{}", d.detail);
         }
         // The plain run never produces the corpus-level kind.
-        assert_eq!(oracle.run(&samples).taxonomy.clone_inconsistency, 0);
+        assert_eq!(oracle.run(&samples, &cache()).taxonomy.clone_inconsistency, 0);
     }
 
     #[test]
@@ -1479,9 +1388,9 @@ mod tests {
             clone_sample(2, SQLI, Some(Cwe::SqlInjection)),
         ];
         let oracle = DifferentialOracle::new();
-        let with = oracle.run_with_clones(&samples);
+        let with = oracle.run_with_clones(&samples, &cache());
         assert_eq!(with.taxonomy.clone_inconsistency, 0, "{with:?}");
-        assert_eq!(with, oracle.run(&samples));
+        assert_eq!(with, oracle.run(&samples, &cache()));
     }
 
     #[test]
@@ -1493,9 +1402,9 @@ mod tests {
             clone_sample(2, silent, None),
             clone_sample(3, CLEAN, None),
         ];
-        let a = DifferentialOracle::new().run_with_clones(&samples);
-        let b = DifferentialOracle::with_config(OracleConfig { jobs: 4, cache: false })
-            .run_with_clones(&samples);
+        let a = DifferentialOracle::new().run_with_clones(&samples, &cache());
+        let b = DifferentialOracle::with_config(OracleConfig { jobs: 4 })
+            .run_with_clones(&samples, &AnalysisCache::disabled());
         assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
         let back: OracleReport = serde_json::from_str(&serde_json::to_string(&a).unwrap()).unwrap();
         assert_eq!(back, a);
@@ -1508,13 +1417,13 @@ mod tests {
         let samples =
             [clone_sample(1, flagged, Some(Cwe::SqlInjection)), clone_sample(2, silent, None)];
         let oracle = DifferentialOracle::new();
-        let report = oracle.run_with_clones(&samples);
+        let report = oracle.run_with_clones(&samples, &cache());
         let d = report
             .disagreements
             .iter()
             .find(|d| d.kind == DisagreementKind::CloneInconsistency)
             .expect("clone inconsistency present");
-        assert!(oracle.shrink(flagged, d, Some(Cwe::SqlInjection), false).is_none());
+        assert!(oracle.shrink(flagged, d, Some(Cwe::SqlInjection), false, &cache()).is_none());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use vulnman_analysis::checkers::SemanticEngine;
 use vulnman_analysis::detectors::RuleEngine;
 use vulnman_analysis::finding::Finding;
 use vulnman_faults::{FaultInjector, Site};
+use vulnman_lang::AnalysisCache;
 use vulnman_ml::pipeline::DetectionModel;
 use vulnman_obs::{Counter, Histogram, Registry};
 use vulnman_synth::cwe::Cwe;
@@ -293,8 +294,8 @@ impl vulnman_analysis::audit::MlVerdict for TrainedModelVerdict {
         self.model.name().to_string()
     }
 
-    fn flags(&self, sample: &Sample) -> bool {
-        self.model.predict(sample)
+    fn flags(&self, sample: &Sample, cache: &AnalysisCache, content_key: u64) -> bool {
+        self.model.predict_proba_cached(sample, cache, content_key) >= 0.5
     }
 }
 

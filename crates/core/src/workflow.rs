@@ -61,7 +61,7 @@ pub struct WorkflowConfig {
     /// [`vulnman_faults::Site::CloneIndex`] coordinate is faulted) fall
     /// back to direct analysis, so dedup changes work, never results.
     pub dedup: bool,
-    /// Optional per-table entry bound for the analysis cache (see
+    /// Optional unit bound for the analysis cache (see
     /// [`AnalysisCache::with_entry_limit`]): long-running embedders cap
     /// resident memory and rely on epoch eviction. Dedup propagation
     /// recomputes a representative's assessment through the cache on a

@@ -144,6 +144,15 @@ pub type CacheFaultHook = Arc<dyn Fn(CacheOp, u64) -> bool + Send + Sync>;
 /// comparable entry counts.
 pub const STAGE_TABLE_FANOUT: usize = 16;
 
+/// How many whole-unit analysis entries one cached unit is budgeted
+/// relative to its single parse entry (see
+/// [`AnalysisCache::with_entry_limit`]). A unit a server has both analyzed
+/// and cross-examined carries four: the rule suite's findings, the semantic
+/// findings, and the dynamic and taint CWE sets. With one entry per unit,
+/// a working set of cross-examined units flushed the table before it could
+/// fill; the entries are small next to the parsed AST.
+pub const ANALYSIS_TABLE_FANOUT: usize = 4;
+
 /// A thread-safe, content-addressed cache of parse and analysis results.
 ///
 /// Accounting (hits, misses, evictions, resident source bytes) is reported
@@ -217,10 +226,11 @@ impl AnalysisCache {
         }
     }
 
-    /// Bounds the cache to roughly `limit` *units*: the parse and analysis
-    /// tables are capped at `limit` entries each, the per-function stage
-    /// table at `limit ×` [`STAGE_TABLE_FANOUT`] (one unit contributes a
-    /// single parse entry but an entry per function CFG and per
+    /// Bounds the cache to roughly `limit` *units*: the parse table is
+    /// capped at `limit` entries, the whole-unit analysis table at
+    /// `limit ×` [`ANALYSIS_TABLE_FANOUT`], the per-function stage table at
+    /// `limit ×` [`STAGE_TABLE_FANOUT`] (one unit contributes a single parse
+    /// entry but several analyses, an entry per function CFG and per
     /// pass × component summary/findings, and those artifacts are small —
     /// the parsed ASTs are what dominate resident memory). When an insert
     /// would push a table past its bound, the whole table is flushed first
@@ -464,7 +474,8 @@ impl AnalysisCache {
             return value;
         }
         let mut analyses = self.analyses.lock().unwrap_or_else(|e| e.into_inner());
-        self.make_room(&mut analyses, self.entry_limit, false);
+        let bound = self.entry_limit.map(|l| l.saturating_mul(ANALYSIS_TABLE_FANOUT));
+        self.make_room(&mut analyses, bound, false);
         analyses.insert(key, Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
         value
     }
@@ -718,6 +729,19 @@ mod tests {
         // Accounting still holds: every lookup was one hit or one miss.
         let stats = cache.stage_stats(Stage::Summary);
         assert_eq!(stats.hits + stats.misses, bound + 3);
+    }
+
+    #[test]
+    fn analysis_table_holds_its_fanout_of_analyses_per_unit() {
+        let metrics = Registry::new();
+        let cache = AnalysisCache::with_metrics(&metrics).with_entry_limit(2);
+        let bound = (2 * ANALYSIS_TABLE_FANOUT) as u64;
+        for key in 0..bound {
+            cache.analysis_keyed(key, "len", 0, || key);
+        }
+        assert_eq!(metrics.counter("cache.evictions").get(), 0, "2 units' analyses fit");
+        cache.analysis_keyed(bound, "len", 0, || bound);
+        assert_eq!(metrics.counter("cache.evictions").get(), bound);
     }
 
     #[test]

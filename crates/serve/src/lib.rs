@@ -2,8 +2,9 @@
 //!
 //! `vulnman serve`: a long-running, std-only analysis service over TCP.
 //! Clients stream newline-delimited JSON requests (`analyze`, `lint`,
-//! `oracle`) down one connection — or fire a single HTTP `POST` for
-//! curl-friendliness — and a bounded worker pool answers them concurrently.
+//! `oracle`, `clones`, `graph`, `audit`) down one connection — or fire a
+//! single HTTP `POST` for curl-friendliness — and a bounded worker pool
+//! answers them concurrently over one bounded analysis cache.
 //!
 //! The industrial half of the paper's gap study is *operational*: a
 //! vulnerability-management pipeline is a service teams resubmit code to

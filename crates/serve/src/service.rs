@@ -1,6 +1,6 @@
 //! The request executor shared by every worker thread: rule engine,
-//! incremental semantic engine, and differential oracle over one shared
-//! per-stage [`AnalysisCache`], plus the deterministic fault walk at
+//! incremental semantic engine, and differential oracle over one shared,
+//! bounded per-stage [`AnalysisCache`], plus the deterministic fault walk at
 //! [`Site::ServeRequest`].
 //!
 //! Responses are intentionally free of timing, trace, or cache-state data:
@@ -30,9 +30,9 @@ fn fault_key(id: u64, kind: &str) -> u64 {
     site_key(id, Fnv64::of(kind.as_bytes()))
 }
 
-/// Unit bound on the service's [`AnalysisCache`] (parse/analysis tables
-/// hold this many entries; the per-function stage table scales by the
-/// cache's fanout factor). A long-running
+/// Unit bound on the service's [`AnalysisCache`] (the parse table holds
+/// this many entries; the whole-unit analysis and per-function stage
+/// tables scale by the cache's fanout factors). A long-running
 /// server sees an unbounded stream of distinct unit versions; retaining
 /// every historical parse and stage artifact grows the heap without limit,
 /// and past a few hundred megabytes that growth measurably taxes every
@@ -68,8 +68,8 @@ pub struct ServiceCore {
 impl ServiceCore {
     /// Builds the executor: full rule suite, semantic engine, and oracle
     /// over one metrics-wired cache (bounded to
-    /// [`SERVE_CACHE_ENTRY_LIMIT`] units), plus the fault plan
-    /// from `fault`.
+    /// [`SERVE_CACHE_ENTRY_LIMIT`] units) that every request kind shares,
+    /// plus the fault plan from `fault`.
     pub fn new(metrics: &Registry, fault: &FaultConfig) -> Self {
         register_graph_instruments(metrics);
         register_audit_instruments(metrics);
@@ -188,7 +188,9 @@ impl ServiceCore {
         }
     }
 
-    /// Differential-oracle classification of the submitted sample.
+    /// Differential-oracle classification of the submitted sample, through
+    /// the shared cache: a source `analyze` already scanned costs the
+    /// oracle only its dynamic, semantic and taint views.
     fn oracle(&self, req: &Request) -> Response {
         let cwe = match &req.cwe {
             None => None,
@@ -211,7 +213,7 @@ impl ServiceCore {
             duplicate_of: None,
             artifacts: Default::default(),
         };
-        Response::ok_disagreements(req.id, self.oracle.classify_sample(&sample))
+        Response::ok_disagreements(req.id, self.oracle.classify_sample(&sample, &self.cache))
     }
 
     /// Registers `source` in the shared clone index and returns the ids of
@@ -373,6 +375,30 @@ mod tests {
         r.cwe = Some("NotACwe".into());
         let resp = core.handle(&r, &ledger);
         assert_eq!(resp.status, "error");
+    }
+
+    #[test]
+    fn oracle_requests_are_bounded_by_the_service_cache() {
+        let metrics = Registry::new();
+        let core = ServiceCore::new(&metrics, &FaultConfig::with_rate(7, 0.0));
+        let ledger = Mutex::new(DegradationSummary::default());
+        for id in 0..=SERVE_CACHE_ENTRY_LIMIT as u64 {
+            let src = format!("int f{id}(int a) {{ return a + {id}; }}");
+            assert_eq!(core.handle(&req(id, "oracle", &src), &ledger).status, "ok");
+        }
+        assert!(metrics.counter("cache.evictions").get() > 0, "oracle entries must be evicted");
+    }
+
+    #[test]
+    fn oracle_after_analyze_reads_the_same_cache() {
+        let core = core(0.0);
+        let ledger = Mutex::new(DegradationSummary::default());
+        assert_eq!(core.handle(&req(1, "analyze", VULN), &ledger).status, "ok");
+        let before = core.cache().stats();
+        assert_eq!(core.handle(&req(2, "oracle", VULN), &ledger).status, "ok");
+        let after = core.cache().stats();
+        // The parse and the rule findings `analyze` stored are hits.
+        assert!(after.hits >= before.hits + 2, "before {before:?}, after {after:?}");
     }
 
     #[test]

@@ -489,6 +489,7 @@ fn cmd_oracle(args: &[String]) -> Result<(), String> {
         DefectBaseline, DifferentialOracle, DisagreementKind, GoldenCase, GoldenManifest,
         OracleConfig, View,
     };
+    use vulnman::lang::AnalysisCache;
 
     let seed: u64 = parse_num(args, "--seed", 42)?;
     let count: usize = parse_num(args, "--count", 100)?;
@@ -507,12 +508,16 @@ fn cmd_oracle(args: &[String]) -> Result<(), String> {
         .label_noise(noise)
         .build();
     let metrics = Registry::new();
-    let config = OracleConfig { jobs, cache: !flag_present(args, "--no-cache") };
-    let oracle = DifferentialOracle::with_metrics(config, &metrics);
-    let report = if flag_present(args, "--clones") {
-        oracle.run_with_clones(ds.samples())
+    let cache = if flag_present(args, "--no-cache") {
+        AnalysisCache::disabled_with_metrics(&metrics)
     } else {
-        oracle.run(ds.samples())
+        AnalysisCache::with_metrics(&metrics)
+    };
+    let oracle = DifferentialOracle::with_metrics(OracleConfig { jobs }, &metrics);
+    let report = if flag_present(args, "--clones") {
+        oracle.run_with_clones(ds.samples(), &cache)
+    } else {
+        oracle.run(ds.samples(), &cache)
     };
     print!("{}", report.summary_table());
     if flag_present(args, "--clones") {
@@ -559,7 +564,8 @@ fn cmd_oracle(args: &[String]) -> Result<(), String> {
             }
             let Some(sample) = by_id.get(&d.sample_id) else { continue };
             let truth = if sample.label { sample.cwe } else { None };
-            let Some(outcome) = oracle.shrink(&sample.source, d, truth, sample.is_mislabeled())
+            let Some(outcome) =
+                oracle.shrink(&sample.source, d, truth, sample.is_mislabeled(), &cache)
             else {
                 continue;
             };

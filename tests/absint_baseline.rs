@@ -20,6 +20,7 @@ use std::path::PathBuf;
 use vulnman::analysis::checkers::{AbsintBaseline, BaselineEntry, SemanticEngine};
 use vulnman::analysis::detectors::RuleEngine;
 use vulnman::analysis::oracle::{DifferentialOracle, OracleConfig};
+use vulnman::lang::AnalysisCache;
 use vulnman::prelude::*;
 use vulnman::synth::emit::EmitCtx;
 use vulnman::synth::templates::semantic::{semantic_gap_pair, GAP_CLASSES};
@@ -164,8 +165,9 @@ fn oracle_reports_identical_across_jobs_and_cache() {
         .label_noise(0.1)
         .build();
     let run = |jobs: usize, cache: bool| {
-        let oracle = DifferentialOracle::with_config(OracleConfig { jobs, cache });
-        serde_json::to_string(&oracle.run(ds.samples())).expect("report serializes")
+        let cache = if cache { AnalysisCache::new() } else { AnalysisCache::disabled() };
+        let oracle = DifferentialOracle::with_config(OracleConfig { jobs });
+        serde_json::to_string(&oracle.run(ds.samples(), &cache)).expect("report serializes")
     };
     let baseline = run(1, true);
     for (jobs, cache) in [(1, false), (4, true), (4, false)] {

@@ -20,6 +20,7 @@
 use std::sync::Mutex;
 use vulnman::analysis::oracle::{DifferentialOracle, OracleConfig};
 use vulnman::analysis::{AuditConfig, AuditEngine};
+use vulnman::lang::AnalysisCache;
 use vulnman::prelude::*;
 use vulnman::serve::{Request, ServiceCore};
 use vulnman::synth::Sample;
@@ -65,9 +66,11 @@ fn audit_reports_match_the_golden() {
 fn oracle_reports_match_the_golden() {
     let ds = smoke_corpus();
     let mut digests = Vec::new();
-    for (jobs, cache) in [(1, true), (4, false)] {
-        let oracle = DifferentialOracle::with_config(OracleConfig { jobs, cache });
-        for report in [oracle.run(ds.samples()), oracle.run_with_clones(ds.samples())] {
+    for (jobs, cache) in [(1, AnalysisCache::new()), (4, AnalysisCache::disabled())] {
+        let oracle = DifferentialOracle::with_config(OracleConfig { jobs });
+        for report in
+            [oracle.run(ds.samples(), &cache), oracle.run_with_clones(ds.samples(), &cache)]
+        {
             digests.push(fnv1a(serde_json::to_string(&report).expect("serializes").as_bytes()));
         }
     }

@@ -6,6 +6,7 @@
 //! land in exactly one taxonomy bucket.
 
 use vulnman::analysis::oracle::{DifferentialOracle, DisagreementKind, OracleConfig, View};
+use vulnman::lang::AnalysisCache;
 use vulnman::prelude::*;
 
 /// The smoke-corpus parameters CI and the golden corpus are pinned to:
@@ -19,12 +20,13 @@ fn smoke_corpus() -> Dataset {
 fn reports_are_byte_identical_across_jobs_and_cache_settings() {
     let ds = smoke_corpus();
     assert_eq!(ds.len(), 500, "smoke corpus drifted; update the pinned parameters");
-    let reference =
-        DifferentialOracle::with_config(OracleConfig { jobs: 1, cache: true }).run(ds.samples());
+    let reference = DifferentialOracle::with_config(OracleConfig { jobs: 1 })
+        .run(ds.samples(), &AnalysisCache::new());
     let reference_json = serde_json::to_string(&reference).expect("report serializes");
     for (jobs, cache) in [(2, true), (4, true), (4, false), (7, true)] {
+        let run_cache = if cache { AnalysisCache::new() } else { AnalysisCache::disabled() };
         let report =
-            DifferentialOracle::with_config(OracleConfig { jobs, cache }).run(ds.samples());
+            DifferentialOracle::with_config(OracleConfig { jobs }).run(ds.samples(), &run_cache);
         let json = serde_json::to_string(&report).expect("report serializes");
         assert_eq!(
             json, reference_json,
@@ -36,7 +38,7 @@ fn reports_are_byte_identical_across_jobs_and_cache_settings() {
 #[test]
 fn every_disagreement_is_classified_and_counted_exactly_once() {
     let ds = smoke_corpus();
-    let report = DifferentialOracle::new().run(ds.samples());
+    let report = DifferentialOracle::new().run(ds.samples(), &AnalysisCache::new());
     assert_eq!(
         report.taxonomy.total(),
         report.disagreements.len(),
@@ -59,7 +61,7 @@ fn every_disagreement_is_classified_and_counted_exactly_once() {
 #[test]
 fn label_noise_artifacts_match_the_datasets_own_provenance() {
     let ds = smoke_corpus();
-    let report = DifferentialOracle::new().run(ds.samples());
+    let report = DifferentialOracle::new().run(ds.samples(), &AnalysisCache::new());
     let planted: Vec<u64> = ds.mislabeled_ids();
     let recovered: Vec<u64> = report
         .disagreements
@@ -83,7 +85,7 @@ fn oracle_metrics_schema_is_stable_and_populated() {
     let ds = smoke_corpus();
     let metrics = Registry::new();
     let oracle = DifferentialOracle::with_metrics(OracleConfig::default(), &metrics);
-    let report = oracle.run(ds.samples());
+    let report = oracle.run(ds.samples(), &AnalysisCache::new());
     let snapshot = metrics.snapshot();
     let json = serde_json::to_string(&snapshot).expect("snapshot serializes");
     // Schema stability: every oracle.* instrument exists even when its

@@ -9,6 +9,7 @@
 //! changes that silently alter a triaged disagreement fail CI.
 
 use vulnman::analysis::oracle::{DefectBaseline, DifferentialOracle, GoldenManifest};
+use vulnman::lang::AnalysisCache;
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_oracle")
@@ -26,10 +27,11 @@ fn every_golden_case_still_reproduces_its_disagreement() {
         "the golden corpus must contain at least one shrunk reproducer"
     );
     let oracle = DifferentialOracle::new();
+    let cache = AnalysisCache::new();
     for case in &manifest.cases {
         let source = std::fs::read_to_string(dir.join(&case.file))
             .unwrap_or_else(|e| panic!("{}: reproducer missing: {e}", case.file));
-        let disagreements = oracle.classify_source(&source, case.truth, case.mislabeled);
+        let disagreements = oracle.classify_source(&source, case.truth, case.mislabeled, &cache);
         assert!(
             disagreements
                 .iter()
