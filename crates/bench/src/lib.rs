@@ -1,7 +1,8 @@
 //! # vulnman-bench
 //!
 //! Experiment harness reproducing every figure and quantitative claim of
-//! the paper, plus criterion benches for the performance dimensions.
+//! the paper, plus the bench harness ([`harness`], [`suites`]) behind the
+//! `bench` binary and the committed `BENCH_*.json` trajectories.
 //!
 //! Each experiment `eNN` in [`experiments`] has a `run(quick)` entry point:
 //! `quick = true` shrinks corpora for CI; `quick = false` is the
@@ -12,6 +13,8 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod harness;
+pub mod suites;
 
 /// Prints the standard experiment banner.
 pub fn banner(id: &str, title: &str, claim: &str) {
