@@ -240,20 +240,23 @@ impl SemanticEngine {
     ) -> Result<Vec<Finding>, vulnman_lang::ParseError> {
         let key = vulnman_lang::AnalysisCache::content_key(source);
         let program = cache.parse_keyed(key, source)?;
-        Ok((*self.findings_cached_parsed(key, &program, cache)).clone())
+        Ok((*self.findings_cached_parsed(key, &program, cache, &Registry::noop())).clone())
     }
 
     /// The cache entry behind [`SemanticEngine::scan_source_cached`] for an
     /// already-parsed unit, shared rather than copied (the semantic half of
     /// [`RuleEngine::findings_cached_parsed`](crate::RuleEngine::findings_cached_parsed)).
-    pub(crate) fn findings_cached_parsed(
+    /// A miss scans through [`SemanticEngine::scan_with_metrics`], so the
+    /// `absint.*` instruments of `metrics` see cold solver work only.
+    pub fn findings_cached_parsed(
         &self,
         content_key: u64,
         program: &Program,
         cache: &vulnman_lang::AnalysisCache,
+        metrics: &Registry,
     ) -> Arc<Vec<Finding>> {
         cache.analysis_keyed(content_key, "absint-findings", self.fingerprint(), || {
-            self.scan(program)
+            self.scan_with_metrics(program, metrics)
         })
     }
 
@@ -276,28 +279,21 @@ impl SemanticEngine {
         IncrementalSemanticScan { findings: run.findings, stats: run.stats, trace: run.trace }
     }
 
-    /// Parses (through the [`Stage::Lex`](vulnman_lang::Stage) and
-    /// [`Stage::Parse`](vulnman_lang::Stage) tables) and scans `source`
-    /// incrementally. Results are identical to
+    /// Parses (through the [`Stage::Parse`](vulnman_lang::Stage) table) and
+    /// scans `source` incrementally. Results are identical to
     /// [`SemanticEngine::scan_source`].
     ///
     /// # Errors
     ///
     /// Returns the parse error if `source` is not valid mini-C (cached, so
-    /// malformed resubmissions fail at the lex/parse stage without
-    /// re-running anything downstream).
+    /// malformed resubmissions fail at the parse stage without re-running
+    /// anything downstream).
     pub fn scan_source_incremental(
         &self,
         source: &str,
         cache: &vulnman_lang::AnalysisCache,
     ) -> Result<IncrementalSemanticScan, vulnman_lang::ParseError> {
         let key = vulnman_lang::AnalysisCache::content_key(source);
-        let lexed = cache.stage(vulnman_lang::Stage::Lex, key, || {
-            vulnman_lang::lexer::lex(source).map(|out| out.tokens.len())
-        });
-        if let Err(e) = &*lexed {
-            return Err(e.clone());
-        }
         let program = cache.parse_stage(key, source)?;
         // The source is in hand, so fingerprint functions from their raw
         // source slices — far cheaper than rendering each AST.

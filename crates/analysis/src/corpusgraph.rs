@@ -21,7 +21,7 @@
 //! are merged in chunk order, so float accumulation order never depends on
 //! the worker count.
 
-use crate::reachability::Surface;
+use crate::reachability::{fold_surfaces, Surface};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -338,39 +338,29 @@ impl CorpusGraph {
             surface.push(surf);
         }
 
-        // Reachability closures (bitset rows), summarized bottom-up over
-        // the SCC condensation exactly like absint return summaries: a
-        // component's closure is the union of its members and all callee
-        // closures, and every member of a cycle shares it.
+        // Surfaces and reachability closures (bitset rows), summarized
+        // bottom-up over the SCC condensation exactly like absint return
+        // summaries: a component's closure is the union of its members and
+        // all callee closures, and every member of a cycle shares it.
         let comps = strongly_connected(&callees);
+        fold_surfaces(&comps, &callees, &mut surface);
         let words = n.div_ceil(64).max(1);
-        let mut comp_of = vec![0usize; n];
-        for (c, comp) in comps.iter().enumerate() {
-            for &m in comp {
-                comp_of[m] = c;
-            }
-        }
         let mut closure = vec![0u64; n * words];
         let mut bits = vec![0u64; words];
-        for (c, comp) in comps.iter().enumerate() {
+        for comp in &comps {
             bits.fill(0);
-            let mut surf = Surface::Local;
             for &m in comp {
                 bits[m / 64] |= 1 << (m % 64);
-                surf = surf.min(surface[m]);
+                // A callee in this component has no row yet (all zeros).
                 for &callee in &callees[m] {
-                    if comp_of[callee] != c {
-                        let row = &closure[callee * words..(callee + 1) * words];
-                        for (w, &cw) in bits.iter_mut().zip(row) {
-                            *w |= cw;
-                        }
-                        surf = surf.min(surface[callee]);
+                    let row = &closure[callee * words..(callee + 1) * words];
+                    for (w, &cw) in bits.iter_mut().zip(row) {
+                        *w |= cw;
                     }
                 }
             }
             for &m in comp {
                 closure[m * words..(m + 1) * words].copy_from_slice(&bits);
-                surface[m] = surf;
             }
         }
         let rows = || closure.chunks_exact(words);

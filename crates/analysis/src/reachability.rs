@@ -1,12 +1,19 @@
-//! Call-graph reachability and attack-surface classification.
+//! Attack-surface classification over the call graph.
 //!
 //! Figure 1 of the paper gates *manual security review* on threat modeling:
 //! "surfaces with zero-click or one-click surfaces trigger an additional
 //! phase of manual security review". This module derives that classification
-//! from which input sources a function's call subtree touches.
+//! from which input sources a function's call subtree touches: each
+//! function's own surface comes from the external calls it makes, and
+//! [`fold_surfaces`] carries the most exposed one up the call graph, one
+//! bottom-up pass over its strongly connected components. [`CallGraph`]
+//! runs that fold over the program's one call graph,
+//! [`vulnman_lang::absint::CallGraph`]; the corpus graph runs it over
+//! unit-qualified function nodes.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::BTreeMap;
+use vulnman_lang::absint;
 use vulnman_lang::Program;
 
 /// How much attacker interaction is needed to reach a code path.
@@ -26,115 +33,87 @@ const ZERO_CLICK_SOURCES: [&str; 4] = ["http_param", "recv", "get_request_field"
 /// Sources classified as one-click (local interaction).
 const ONE_CLICK_SOURCES: [&str; 3] = ["read_input", "getenv", "read_file"];
 
-/// Static call graph over a program's functions.
+/// Per-function attack surfaces of one program.
 ///
-/// Adjacency is stored in ordered maps/sets so that every traversal —
-/// `reachable_from`, `external_calls_in_subtree`, and anything serialized
-/// from them — iterates in a fixed order regardless of insertion order or
-/// hasher seed. This module was the last `HashMap` holdout from the PR 1
-/// determinism audit; the corpus graph built on top of it inherits the
-/// ordering guarantee.
+/// A function's surface is the most exposed input source anywhere in its
+/// call subtree. Calls resolve as in [`absint::CallGraph`]: to the first
+/// definition of a name, so a later duplicate definition is unreachable.
 #[derive(Debug, Clone, Default)]
 pub struct CallGraph {
-    /// Adjacency: caller -> set of callees (only in-program functions).
-    edges: BTreeMap<String, BTreeSet<String>>,
-    /// All external (library) callees per function.
-    externals: BTreeMap<String, BTreeSet<String>>,
-    functions: Vec<String>,
+    surfaces: BTreeMap<String, Surface>,
 }
 
 impl CallGraph {
-    /// Builds the call graph of `program`.
+    /// Classifies every function of `program`.
     ///
     /// # Examples
     ///
     /// ```
     /// # fn main() -> Result<(), vulnman_lang::ParseError> {
-    /// use vulnman_analysis::reachability::CallGraph;
-    /// let p = vulnman_lang::parse("void a() { b(); }\nvoid b() { lib(); }")?;
+    /// use vulnman_analysis::reachability::{CallGraph, Surface};
+    /// let p = vulnman_lang::parse("void a() { b(); }\nvoid b() { recv(); }\nvoid c() { }")?;
     /// let g = CallGraph::build(&p);
-    /// assert!(g.calls("a", "b"));
-    /// assert!(!g.calls("b", "a"));
+    /// assert_eq!(g.surface("a"), Surface::ZeroClick);
+    /// assert_eq!(g.surface("c"), Surface::Local);
     /// # Ok(())
     /// # }
     /// ```
     pub fn build(program: &Program) -> CallGraph {
-        let defined: HashSet<&str> = program.functions.iter().map(|f| f.name.as_str()).collect();
-        let mut g = CallGraph::default();
-        for f in &program.functions {
-            g.functions.push(f.name.to_string());
-            let entry = g.edges.entry(f.name.to_string()).or_default();
-            let ext = g.externals.entry(f.name.to_string()).or_default();
-            for callee in f.callees() {
-                if defined.contains(callee.as_str()) {
-                    entry.insert(callee.to_string());
-                } else {
-                    ext.insert(callee.to_string());
-                }
-            }
+        let graph = absint::CallGraph::build(program);
+        let mut surface: Vec<Surface> = program
+            .functions
+            .iter()
+            .map(|f| {
+                let external_sources = f
+                    .callees()
+                    .into_iter()
+                    .filter(|c| graph.resolve(c).is_none())
+                    .filter_map(|c| Surface::of_source(&c));
+                external_sources.min().unwrap_or(Surface::Local)
+            })
+            .collect();
+        fold_surfaces(&graph.sccs(), graph.callees(), &mut surface);
+        let mut surfaces = BTreeMap::new();
+        for (i, s) in surface.into_iter().enumerate() {
+            surfaces.entry(graph.name(i).to_string()).or_insert(s);
         }
-        g
-    }
-
-    /// Returns `true` if `caller` directly calls `callee`.
-    pub fn calls(&self, caller: &str, callee: &str) -> bool {
-        self.edges.get(caller).is_some_and(|s| s.contains(callee))
-    }
-
-    /// Functions never called by another in-program function (entry points),
-    /// in sorted order.
-    pub fn roots(&self) -> Vec<String> {
-        let called: BTreeSet<&String> = self.edges.values().flatten().collect();
-        let mut roots: Vec<String> =
-            self.functions.iter().filter(|f| !called.contains(f)).cloned().collect();
-        roots.sort();
-        roots
-    }
-
-    /// All in-program functions transitively reachable from `start`
-    /// (including `start`), in sorted order.
-    pub fn reachable_from(&self, start: &str) -> BTreeSet<String> {
-        let mut seen = BTreeSet::new();
-        let mut queue = VecDeque::new();
-        if self.edges.contains_key(start) {
-            seen.insert(start.to_string());
-            queue.push_back(start.to_string());
-        }
-        while let Some(f) = queue.pop_front() {
-            if let Some(next) = self.edges.get(&f) {
-                for n in next {
-                    if seen.insert(n.clone()) {
-                        queue.push_back(n.clone());
-                    }
-                }
-            }
-        }
-        seen
-    }
-
-    /// External (library) functions called anywhere in `start`'s call
-    /// subtree, in sorted order.
-    pub fn external_calls_in_subtree(&self, start: &str) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for f in self.reachable_from(start) {
-            if let Some(ext) = self.externals.get(&f) {
-                out.extend(ext.iter().cloned());
-            }
-        }
-        out
+        CallGraph { surfaces }
     }
 
     /// Classifies the attack surface of `function` by the most exposed input
-    /// source its call subtree touches.
+    /// source its call subtree touches ([`Surface::Local`] for a name the
+    /// program does not define).
     pub fn surface(&self, function: &str) -> Surface {
-        let ext = self.external_calls_in_subtree(function);
-        ext.iter().filter_map(|s| Surface::of_source(s)).min().unwrap_or(Surface::Local)
+        self.surfaces.get(function).copied().unwrap_or(Surface::Local)
     }
 
     /// Surface classification for every function, keyed in name order so
     /// iterating callers (report renderers) stay deterministic.
     pub fn surfaces(&self) -> BTreeMap<String, Surface> {
-        self.functions.iter().map(|f| (f.clone(), self.surface(f))).collect()
+        self.surfaces.clone()
+    }
+}
+
+/// Carries surfaces up a call graph: on entry `surface[i]` is node `i`'s
+/// own surface (its most exposed external call), on return the most
+/// exposed surface in its call subtree. `sccs` must be the strongly
+/// connected components of `callees` in bottom-up order, as
+/// [`absint::callgraph::strongly_connected`] returns them, so every callee
+/// component is final when its callers fold; the members of a cycle share
+/// one surface.
+pub fn fold_surfaces(sccs: &[Vec<usize>], callees: &[Vec<usize>], surface: &mut [Surface]) {
+    for comp in sccs {
+        // A callee inside the component still holds its own surface, which
+        // the component's minimum includes anyway.
+        let folded = comp
+            .iter()
+            .flat_map(|&m| std::iter::once(m).chain(callees[m].iter().copied()))
+            .map(|m| surface[m])
+            .min()
+            .unwrap_or(Surface::Local);
+        for &m in comp {
+            surface[m] = folded;
+        }
     }
 }
 
@@ -171,38 +150,10 @@ impl Surface {
 mod tests {
     use super::*;
     use vulnman_lang::parse;
+    use vulnman_lang::taint::{TaintAnalysis, TaintConfig};
 
     fn graph(src: &str) -> CallGraph {
         CallGraph::build(&parse(src).unwrap())
-    }
-
-    #[test]
-    fn roots_are_uncalled_functions() {
-        let g = graph("void a() { b(); }\nvoid b() { }\nvoid main_loop() { a(); }");
-        assert_eq!(g.roots(), vec!["main_loop"]);
-    }
-
-    #[test]
-    fn roots_come_back_sorted_regardless_of_definition_order() {
-        let g = graph("void zeta() { }\nvoid alpha() { }\nvoid mid() { }");
-        assert_eq!(g.roots(), vec!["alpha", "mid", "zeta"]);
-    }
-
-    #[test]
-    fn traversals_iterate_in_sorted_order() {
-        let g = graph("void z() { b(); a(); }\nvoid b() { z_lib(); }\nvoid a() { a_lib(); }");
-        let reach: Vec<String> = g.reachable_from("z").into_iter().collect();
-        assert_eq!(reach, vec!["a", "b", "z"]);
-        let ext: Vec<String> = g.external_calls_in_subtree("z").into_iter().collect();
-        assert_eq!(ext, vec!["a_lib", "z_lib"]);
-    }
-
-    #[test]
-    fn transitive_reachability() {
-        let g = graph("void a() { b(); }\nvoid b() { c(); }\nvoid c() { }\nvoid d() { }");
-        let r = g.reachable_from("a");
-        assert!(r.contains("c"));
-        assert!(!r.contains("d"));
     }
 
     #[test]
@@ -214,12 +165,56 @@ mod tests {
         assert_eq!(g.surface("helper"), Surface::ZeroClick);
         assert_eq!(g.surface("tool"), Surface::OneClick);
         assert_eq!(g.surface("pure"), Surface::Local);
+        assert_eq!(g.surface("undefined"), Surface::Local);
+    }
+
+    #[test]
+    fn surfaces_come_back_in_name_order() {
+        let g = graph("void zeta() { recv(); }\nvoid alpha() { }\nvoid mid() { zeta(); }");
+        let got: Vec<(String, Surface)> = g.surfaces().into_iter().collect();
+        assert_eq!(
+            got,
+            vec![
+                ("alpha".to_string(), Surface::Local),
+                ("mid".to_string(), Surface::ZeroClick),
+                ("zeta".to_string(), Surface::ZeroClick),
+            ]
+        );
     }
 
     #[test]
     fn zero_click_dominates_one_click() {
         let g = graph("void f() { char* a = getenv(\"X\"); char* b = recv(); use(a, b); }");
         assert_eq!(g.surface("f"), Surface::ZeroClick);
+    }
+
+    #[test]
+    fn cycle_members_share_their_subtree_surface() {
+        let g = graph("void a() { b(); }\nvoid b() { a(); read_input(); }\nvoid c() { a(); }");
+        assert_eq!(g.surface("a"), Surface::OneClick);
+        assert_eq!(g.surface("b"), Surface::OneClick);
+        assert_eq!(g.surface("c"), Surface::OneClick);
+    }
+
+    #[test]
+    fn duplicate_definitions_resolve_to_the_first() {
+        // The first `f` forwards its parameter into a sink and reads no
+        // input; the second reads a zero-click source and sinks nothing.
+        let p = parse(
+            "void f(char* p) { system(p); }\n\
+             void g() { f(read_input()); }\n\
+             void f(char* p) { char* x = recv(); use(x); }",
+        )
+        .unwrap();
+        let cg = absint::CallGraph::build(&p);
+        assert_eq!(cg.resolve("f"), Some(0));
+        assert_eq!(cg.callees()[1], vec![0]);
+        let taint = TaintAnalysis::run(&p, &TaintConfig::default_config());
+        assert!(!taint.summaries["f"].param_to_sink.is_empty(), "first `f` is a derived sink");
+        assert!(taint.function_has_finding("g"));
+        let g = CallGraph::build(&p);
+        assert_eq!(g.surface("f"), Surface::Local);
+        assert_eq!(g.surface("g"), Surface::OneClick);
     }
 
     #[test]
@@ -233,13 +228,5 @@ mod tests {
     fn multipliers_order() {
         assert!(Surface::ZeroClick.severity_multiplier() > Surface::OneClick.severity_multiplier());
         assert!(Surface::OneClick.severity_multiplier() > Surface::Local.severity_multiplier());
-    }
-
-    #[test]
-    fn recursive_graph_terminates() {
-        let g = graph("void a() { b(); }\nvoid b() { a(); lib(); }");
-        let r = g.reachable_from("a");
-        assert_eq!(r.len(), 2);
-        assert!(g.external_calls_in_subtree("a").contains("lib"));
     }
 }

@@ -10,6 +10,7 @@ use crate::dynamic::DynamicSanitizer;
 use std::collections::BTreeSet;
 use vulnman_lang::ast::Program;
 use vulnman_lang::AnalysisCache;
+use vulnman_obs::Registry;
 use vulnman_synth::cwe::Cwe;
 
 /// Name the default suite's dataflow detector stamps on its findings.
@@ -98,7 +99,7 @@ impl UnitViewsBuilder {
         views.dynamic = (*dynamic).clone();
         views.semantic = self
             .semantics
-            .findings_cached_parsed(content_key, program, cache)
+            .findings_cached_parsed(content_key, program, cache, &Registry::noop())
             .iter()
             .map(|f| f.cwe)
             .collect();

@@ -181,7 +181,7 @@ impl RuleBasedDetector {
 
 /// Adapter: the abstract-interpretation checker suite as a [`Detector`].
 ///
-/// Cache-aware (the `"absint-findings"` kind, shared with the differential
+/// Cache-aware (the engine's findings entry, shared with the differential
 /// oracle's absint view) and fault-aware: when the engine attaches an
 /// injector, every invocation consults the
 /// [`checker_call`](vulnman_faults::Site::CheckerCall) site keyed by sample
@@ -226,10 +226,9 @@ impl Detector for SemanticDetector {
         self.to_assessment(findings)
     }
 
-    /// Same cache key as `SemanticEngine::scan_source_cached`, but cold
-    /// scans flow through `scan_with_metrics` so the `absint.*`
-    /// instruments see real solver work. Warm hits skip the fixpoint and
-    /// leave the counters untouched, which is exactly what they measure.
+    /// The engine's cached findings entry; cold scans feed the `absint.*`
+    /// instruments, warm hits skip the fixpoint and leave them untouched,
+    /// which is exactly what they measure.
     fn assess_cached_keyed(
         &self,
         sample: &Sample,
@@ -241,9 +240,7 @@ impl Detector for SemanticDetector {
             Err(_) => return self.to_assessment(Vec::new()),
         };
         let findings =
-            cache.analysis_keyed(content_key, "absint-findings", self.engine.fingerprint(), || {
-                self.engine.scan_with_metrics(&program, &self.metrics)
-            });
+            self.engine.findings_cached_parsed(content_key, &program, cache, &self.metrics);
         self.to_assessment((*findings).clone())
     }
 

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use vulnman_analysis::autofix::AutoFixer;
 use vulnman_analysis::detectors::RuleEngine;
 use vulnman_analysis::finding::{Evidence, EvidenceFact, Finding};
-use vulnman_analysis::reachability::{CallGraph, Surface};
+use vulnman_analysis::reachability::Surface;
 use vulnman_faults::{site_key, FaultConfig, FaultInjector, FaultKind, Site};
 use vulnman_lang::clone::{CloneConfig, CloneIndex, TokenAlignment};
 use vulnman_lang::lexer::lex_ref;
@@ -1066,7 +1066,10 @@ impl WorkflowEngine {
     }
 
     /// Threat-model stage: surface of the sample's unit (most exposed
-    /// function), memoized per unique source content.
+    /// function), memoized per unique source content. Every external call
+    /// lies in some function's call subtree, so the most exposed function
+    /// is as exposed as the most exposed input source the unit calls
+    /// without defining it; no call graph is needed.
     fn classify_surface(
         &self,
         sample: &Sample,
@@ -1075,14 +1078,15 @@ impl WorkflowEngine {
     ) -> Surface {
         *cache.analysis_keyed(content_key, "surface", 0, || {
             match cache.parse_keyed(content_key, &sample.source) {
-                Ok(program) => {
-                    let graph = CallGraph::build(&program);
-                    graph
-                        .surfaces()
-                        .into_values()
-                        .min() // ZeroClick < OneClick < Local
-                        .unwrap_or(Surface::Local)
-                }
+                Ok(program) => program
+                    .functions
+                    .iter()
+                    .flat_map(|f| f.callees())
+                    .filter_map(|c| {
+                        Surface::of_source(&c).filter(|_| program.function(&c).is_none())
+                    })
+                    .min() // ZeroClick < OneClick < Local
+                    .unwrap_or(Surface::Local),
                 Err(_) => Surface::Local,
             }
         })

@@ -1,42 +1,55 @@
-//! Program call graph and its strongly connected components. The absint
-//! driver ([`super::substrate`]) walks the components bottom-up; the corpus
+//! The one per-program call graph and its strongly connected components.
+//! The absint driver ([`super::substrate`]) walks the components bottom-up,
+//! the taint engine ([`crate::taint`]) walks the post-order, and the attack
+//! surfaces of `vulnman-analysis` fold over the components. The corpus
 //! graph (`vulnman-analysis`) reuses [`strongly_connected`] over
 //! unit-qualified function nodes.
+//!
+//! A call resolves to the first definition of its name, as every other
+//! lookup by name does ([`Program::function`], the absint summaries, the
+//! corpus graph).
 
-use crate::ast::Program;
+use crate::ast::{ExprKind, Program};
 use crate::intern::Symbol;
-use std::collections::{BTreeMap, BTreeSet};
-/// A directed call graph over the functions defined in a [`Program`].
-/// Edges to undefined (external) callees are not represented; externals are
-/// handled by the domains' top fallback.
+use std::collections::BTreeMap;
+
+/// A directed call graph over the functions defined in a [`Program`]. Node
+/// `i` is `program.functions[i]`. Edges to undefined (external) callees are
+/// not represented; externals are handled by each consumer's fallback.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
     names: Vec<Symbol>,
+    /// Name → first defining node.
     index: BTreeMap<Symbol, usize>,
     callees: Vec<Vec<usize>>,
-    callers: Vec<Vec<usize>>,
 }
 
 impl CallGraph {
     /// Builds the call graph of all defined functions.
     pub fn build(program: &Program) -> CallGraph {
         let names: Vec<Symbol> = program.functions.iter().map(|f| f.name.clone()).collect();
-        let index: BTreeMap<Symbol, usize> =
-            names.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
-        let mut callees: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-        let mut callers: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-        for (i, f) in program.functions.iter().enumerate() {
-            let mut seen = BTreeSet::new();
-            for callee in f.callees() {
-                if let Some(&j) = index.get(callee.as_str()) {
-                    if seen.insert(j) {
-                        callees[i].push(j);
-                        callers[j].push(i);
-                    }
-                }
-            }
+        let mut index: BTreeMap<Symbol, usize> = BTreeMap::new();
+        for (i, n) in names.iter().enumerate() {
+            index.entry(n.clone()).or_insert(i);
         }
-        CallGraph { names, index, callees, callers }
+        let callees = program
+            .functions
+            .iter()
+            .map(|f| {
+                let mut out: Vec<usize> = Vec::new();
+                f.walk_exprs(&mut |e| {
+                    if let ExprKind::Call(name, _) = &e.kind {
+                        if let Some(&j) = index.get(name.as_str()) {
+                            if !out.contains(&j) {
+                                out.push(j);
+                            }
+                        }
+                    }
+                });
+                out
+            })
+            .collect();
+        CallGraph { names, index, callees }
     }
 
     /// Number of defined functions.
@@ -49,88 +62,67 @@ impl CallGraph {
         self.names.is_empty()
     }
 
-    /// Defined callees of `name`, in first-call order.
-    pub fn callees_of(&self, name: &str) -> Vec<&str> {
-        match self.index.get(name) {
-            Some(&i) => self.callees[i].iter().map(|&j| self.names[j].as_str()).collect(),
-            None => Vec::new(),
-        }
+    /// The node a call to `name` resolves to: its first definition, or
+    /// `None` for an external.
+    pub fn resolve(&self, name: &str) -> Option<usize> {
+        self.index.get(name).copied()
     }
 
-    /// Defined callers of `name`.
-    pub fn callers_of(&self, name: &str) -> Vec<&str> {
-        match self.index.get(name) {
-            Some(&i) => self.callers[i].iter().map(|&j| self.names[j].as_str()).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Function names in bottom-up order: every callee appears before each
-    /// of its callers wherever the graph is acyclic; cycles are broken at
-    /// the deterministic DFS back-edge (members keep their post-order).
-    pub fn bottom_up(&self) -> Vec<&str> {
-        self.post_order_ids().into_iter().map(|i| self.names[i].as_str()).collect()
-    }
-
-    /// Node ids in the [`CallGraph::bottom_up`] order.
-    pub(crate) fn post_order_ids(&self) -> Vec<usize> {
-        let mut state = vec![0u8; self.names.len()]; // 0 new, 1 visiting, 2 done
-        let mut order = Vec::with_capacity(self.names.len());
-        for start in 0..self.names.len() {
-            self.post_order(start, &mut state, &mut order);
-        }
-        order
-    }
-
-    /// The name of node `i` (node ids are indices into
-    /// [`Program::functions`]).
-    pub(crate) fn name(&self, i: usize) -> &Symbol {
+    /// The name of node `i`.
+    pub fn name(&self, i: usize) -> &Symbol {
         &self.names[i]
     }
 
-    /// Defined callees of node `i`, in first-call order. A call resolves to
-    /// the last definition of its name.
-    pub(crate) fn callee_ids(&self, i: usize) -> &[usize] {
-        &self.callees[i]
+    /// Adjacency lists: the defined callees of each node, in first-call
+    /// order.
+    pub fn callees(&self) -> &[Vec<usize>] {
+        &self.callees
     }
 
-    fn post_order(&self, node: usize, state: &mut [u8], order: &mut Vec<usize>) {
-        if state[node] != 0 {
-            return;
-        }
-        state[node] = 1;
-        for &c in &self.callees[node] {
-            if state[c] == 0 {
-                self.post_order(c, state, order);
+    /// Nodes in bottom-up order — every callee before each of its callers
+    /// wherever the graph is acyclic; cycles are broken at the DFS back
+    /// edge — and whether the walk met a back edge, i.e. whether the
+    /// program has a call cycle (self-recursion included). Roots are tried
+    /// in program order and callees in first-call order. Iterative, so deep
+    /// call chains cannot blow the stack.
+    pub fn post_order(&self) -> (Vec<usize>, bool) {
+        let n = self.names.len();
+        let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
+        let mut order = Vec::with_capacity(n);
+        let mut cyclic = false;
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for root in 0..n {
+            if state[root] != 0 {
+                continue;
+            }
+            state[root] = 1;
+            stack.push((root, 0));
+            while let Some(frame) = stack.last_mut() {
+                let node = frame.0;
+                if let Some(&next) = self.callees[node].get(frame.1) {
+                    frame.1 += 1;
+                    match state[next] {
+                        0 => {
+                            state[next] = 1;
+                            stack.push((next, 0));
+                        }
+                        1 => cyclic = true,
+                        _ => {}
+                    }
+                } else {
+                    state[node] = 2;
+                    order.push(node);
+                    stack.pop();
+                }
             }
         }
-        state[node] = 2;
-        order.push(node);
+        (order, cyclic)
     }
 
     /// Strongly connected components of the call graph; see
     /// [`strongly_connected`].
     pub fn sccs(&self) -> Vec<Vec<usize>> {
         strongly_connected(&self.callees)
-    }
-
-    /// Whether `name` participates in a call cycle (including self-recursion).
-    pub fn in_cycle(&self, name: &str) -> bool {
-        let Some(&start) = self.index.get(name) else {
-            return false;
-        };
-        // DFS from the node's callees back to itself.
-        let mut stack: Vec<usize> = self.callees[start].clone();
-        let mut seen = BTreeSet::new();
-        while let Some(n) = stack.pop() {
-            if n == start {
-                return true;
-            }
-            if seen.insert(n) {
-                stack.extend(self.callees[n].iter().copied());
-            }
-        }
-        false
     }
 }
 
@@ -210,7 +202,7 @@ mod tests {
     use crate::parse;
 
     #[test]
-    fn bottom_up_orders_callees_first() {
+    fn post_order_puts_callees_first() {
         let p = parse(
             "int leaf() { return 1; }\n\
              int mid() { return leaf() + 1; }\n\
@@ -218,19 +210,21 @@ mod tests {
         )
         .unwrap();
         let cg = CallGraph::build(&p);
-        let order = cg.bottom_up();
-        let pos = |n: &str| order.iter().position(|&x| x == n).unwrap();
-        assert!(pos("leaf") < pos("mid"));
-        assert!(pos("mid") < pos("top_fn"));
-        assert_eq!(cg.callees_of("top_fn"), vec!["mid", "leaf"]);
-        assert_eq!(cg.callers_of("leaf"), vec!["mid", "top_fn"]);
-        assert!(!cg.in_cycle("leaf"));
+        let (order, cyclic) = cg.post_order();
+        assert_eq!(order, vec![0, 1, 2]);
+        assert!(!cyclic);
+        assert_eq!(cg.callees()[2], vec![1, 0], "first-call order");
+        assert_eq!(cg.resolve("lib"), None);
     }
 
     #[test]
     fn recursion_is_detected() {
-        let p = parse("int r(int n) { if (n) { return r(n - 1); } return 0; }").unwrap();
-        assert!(CallGraph::build(&p).in_cycle("r"));
+        for src in [
+            "int r(int n) { if (n) { return r(n - 1); } return 0; }",
+            "int a(int n) { return b(n); }\nint b(int n) { if (n) { return a(n - 1); } return 0; }",
+        ] {
+            assert!(CallGraph::build(&parse(src).unwrap()).post_order().1, "{src}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   sanitizer masks (kind-mismatched sanitization proofs);
 //! * [`solver`] — the reverse-post-order worklist fixpoint engine with a
 //!   configurable widening threshold;
-//! * [`callgraph`] — program call graph and its strongly connected
+//! * [`callgraph`] — the one per-program call graph and its strongly connected
 //!   components;
 //! * [`substrate`] — the per-program [`Substrate`] (call graph, components,
 //!   and per-function CFG, RPO ranks, reachable mask and slot table, built

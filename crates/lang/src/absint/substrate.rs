@@ -34,7 +34,7 @@
 //!   solved only on a miss (see [`crate::incremental`] for the keys).
 //!
 //! Either way the payloads come back in the exact post-order of
-//! [`CallGraph::bottom_up`], which is what keeps the concatenated findings
+//! [`CallGraph::post_order`], which is what keeps the concatenated findings
 //! (and the stable sort on top of them) identical across modes.
 
 use super::callgraph::CallGraph;
@@ -46,7 +46,7 @@ use crate::cfg::{BlockId, Cfg, CfgInst, SpannedInst};
 use crate::incremental::{
     component_keys, fingerprint_function, fingerprint_function_source, IncrementalTrace,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 /// Everything the domain passes need about one function besides its AST.
@@ -121,7 +121,7 @@ pub struct PassRun<V, T> {
     /// components contribute their recorded statistics).
     pub stats: SolverStats,
     /// One checker payload per call-graph node, in
-    /// [`CallGraph::bottom_up`] order.
+    /// [`CallGraph::post_order`] order.
     pub payloads: Vec<T>,
     /// Which functions were re-solved vs. served from the stage cache
     /// (empty for a substrate without a cache).
@@ -167,7 +167,7 @@ pub struct Substrate<'p> {
     program: &'p Program,
     graph: CallGraph,
     /// The function analysed for each call-graph node: the first definition
-    /// of the node's name, as [`Program::function`] resolves it.
+    /// of the node's name, which is where [`CallGraph::resolve`] sends calls.
     body: Vec<usize>,
     /// Bottom-up post-order of the nodes.
     order: Vec<usize>,
@@ -182,7 +182,7 @@ impl<'p> Substrate<'p> {
     /// The substrate of `program`, for batch runs.
     pub fn new(program: &'p Program) -> Substrate<'p> {
         let graph = CallGraph::build(program);
-        let order = graph.post_order_ids();
+        let (order, _) = graph.post_order();
         let mut pos = vec![0usize; order.len()];
         for (i, &m) in order.iter().enumerate() {
             pos[m] = i;
@@ -191,11 +191,9 @@ impl<'p> Substrate<'p> {
         for comp in &mut sccs {
             comp.sort_unstable_by_key(|&m| pos[m]);
         }
-        let mut first_def: BTreeMap<&str, usize> = BTreeMap::new();
-        for (i, f) in program.functions.iter().enumerate() {
-            first_def.entry(f.name.as_str()).or_insert(i);
-        }
-        let body = (0..graph.len()).map(|m| first_def[graph.name(m).as_str()]).collect();
+        let body = (0..graph.len())
+            .map(|m| graph.resolve(graph.name(m)).expect("every node resolves"))
+            .collect();
         let shapes = program.functions.iter().map(|_| OnceLock::new()).collect();
         Substrate { program, graph, body, order, sccs, shapes, cache: None }
     }
@@ -284,7 +282,7 @@ impl<'p> Substrate<'p> {
                     component_keys(pass_tag, members.iter().map(|&m| sc.fps[self.body[m]]), {
                         let externals: BTreeSet<&str> = members
                             .iter()
-                            .flat_map(|&m| self.graph.callee_ids(m))
+                            .flat_map(|&m| &self.graph.callees()[m])
                             .filter(|callee| !members.contains(callee))
                             .map(|&callee| self.graph.name(callee).as_str())
                             .collect();
@@ -413,7 +411,7 @@ impl<'p> Substrate<'p> {
         for (ci, comp) in self.sccs.iter().enumerate() {
             let lv = comp
                 .iter()
-                .flat_map(|&m| self.graph.callee_ids(m))
+                .flat_map(|&m| &self.graph.callees()[m])
                 .filter(|&&callee| comp_of[callee] != ci)
                 .map(|&callee| level[comp_of[callee]] + 1)
                 .max()
@@ -505,7 +503,8 @@ mod tests {
         let sub = Substrate::new(&p);
         let run = interval_pass(&sub, 1);
         let names: Vec<&str> = run.payloads.iter().map(|t| t.split(' ').next().unwrap()).collect();
-        assert_eq!(names, sub.graph.bottom_up());
+        let order: Vec<&str> = sub.order.iter().map(|&m| sub.graph.name(m).as_str()).collect();
+        assert_eq!(names, order);
     }
 
     #[test]

@@ -57,19 +57,17 @@ impl CacheStats {
 type AnalysisKey = (u64, &'static str, u64);
 
 /// One stage of the incremental per-function pipeline
-/// (lex → parse → CFG → absint summary → detector findings).
+/// (parse → CFG → absint summary → detector findings).
 ///
 /// Each stage gets its own key space and its own hit/miss counters
 /// (`incr.<stage>.hits` / `incr.<stage>.misses`), so the incremental driver
 /// can prove per-stage minimality: an unchanged input hash must hit, a
-/// changed one must miss, and hits + misses must equal lookups. Lex and
-/// parse results are keyed per sample (whole-unit content key); CFG results
+/// changed one must miss, and hits + misses must equal lookups. Parse
+/// results are keyed per sample (whole-unit content key); CFG results
 /// per function; summaries and findings per call-graph component (see
 /// `crate::incremental`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Stage {
-    /// Token-level validation of one source unit.
-    Lex,
     /// Parsing one source unit into a [`Program`].
     Parse,
     /// Control-flow-graph construction for one function.
@@ -83,13 +81,11 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 5] =
-        [Stage::Lex, Stage::Parse, Stage::Cfg, Stage::Summary, Stage::Findings];
+    pub const ALL: [Stage; 4] = [Stage::Parse, Stage::Cfg, Stage::Summary, Stage::Findings];
 
     /// Stable lowercase name (used for metric keys).
     pub fn as_str(self) -> &'static str {
         match self {
-            Stage::Lex => "lex",
             Stage::Parse => "parse",
             Stage::Cfg => "cfg",
             Stage::Summary => "summary",
@@ -100,11 +96,10 @@ impl Stage {
     /// Index into the per-stage counter arrays.
     fn idx(self) -> usize {
         match self {
-            Stage::Lex => 0,
-            Stage::Parse => 1,
-            Stage::Cfg => 2,
-            Stage::Summary => 3,
-            Stage::Findings => 4,
+            Stage::Parse => 0,
+            Stage::Cfg => 1,
+            Stage::Summary => 2,
+            Stage::Findings => 3,
         }
     }
 }
@@ -170,8 +165,8 @@ pub struct AnalysisCache {
     misses: Counter,
     evictions: Counter,
     bytes: Gauge,
-    stage_hits: [Counter; 5],
-    stage_misses: [Counter; 5],
+    stage_hits: [Counter; 4],
+    stage_misses: [Counter; 4],
     fault_hook: Option<CacheFaultHook>,
 }
 

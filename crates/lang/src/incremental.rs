@@ -26,9 +26,9 @@
 //!   keys are unchanged and their fixpoints are skipped — early cutoff,
 //!   exactly like a build system keyed on content rather than timestamps.
 //!
-//! Lex and parse stage accounting for whole units lives on
-//! [`AnalysisCache::parse_stage`] and [`Stage::Lex`]; this module handles
-//! everything from the CFG down.
+//! Parse stage accounting for whole units lives on
+//! [`AnalysisCache::parse_stage`]; this module handles everything from the
+//! CFG down.
 //!
 //! ## Equivalence argument
 //!
@@ -49,7 +49,6 @@
 //! [`Stage::Cfg`]: crate::cache::Stage::Cfg
 //! [`Stage::Summary`]: crate::cache::Stage::Summary
 //! [`Stage::Findings`]: crate::cache::Stage::Findings
-//! [`Stage::Lex`]: crate::cache::Stage::Lex
 
 use crate::ast::Function;
 use crate::intern::Fnv64;

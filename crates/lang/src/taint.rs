@@ -21,6 +21,7 @@
 //! so the dense form computes identical results. Findings are only
 //! materialized on the final pass; fixpoint rounds compute summaries alone.
 
+use crate::absint::CallGraph;
 use crate::ast::{Expr, ExprKind, Function, LValue, Program};
 use crate::cfg::{Cfg, CfgInst};
 use crate::intern::FnvBuildHasher;
@@ -282,7 +283,11 @@ impl TaintAnalysis {
         let mut summaries: SummaryMap =
             program.functions.iter().map(|f| (f.name.to_string(), FnSummary::default())).collect();
         let units: Vec<FnUnit<'_>> = program.functions.iter().map(FnUnit::build).collect();
-        let (order, cyclic) = bottom_up_order(&units);
+        let graph = CallGraph::build(program);
+        let (order, cyclic) = graph.post_order();
+        // A name defined twice keeps its first definition's summary, the
+        // node every call to it resolves to.
+        let resolves_here = |i: usize| graph.resolve(graph.name(i)) == Some(i);
 
         let mut findings = Vec::new();
         if !cyclic {
@@ -297,7 +302,9 @@ impl TaintAnalysis {
             for &i in &order {
                 let unit = &units[i];
                 let (summary, mut fnd) = analyze_function(unit, config, &summaries, true);
-                *summaries.get_mut(unit.func.name.as_str()).expect("summary slot") = summary;
+                if resolves_here(i) {
+                    *summaries.get_mut(unit.func.name.as_str()).expect("summary slot") = summary;
+                }
                 findings.append(&mut fnd);
             }
         } else {
@@ -309,7 +316,7 @@ impl TaintAnalysis {
             let max_rounds = program.functions.len().max(1) + 2;
             for _ in 0..max_rounds {
                 let mut changed = false;
-                for &i in &order {
+                for &i in order.iter().filter(|&&i| resolves_here(i)) {
                     let unit = &units[i];
                     let (summary, _) = analyze_function(unit, config, &summaries, false);
                     let slot = summaries.get_mut(unit.func.name.as_str()).expect("summary slot");
@@ -359,61 +366,6 @@ impl TaintAnalysis {
     pub fn function_has_finding(&self, function: &str) -> bool {
         self.findings.iter().any(|f| f.function == function)
     }
-}
-
-/// Computes a callee-first (post-order) traversal of the program's call
-/// graph and whether any call cycle (recursion) exists. The order is
-/// deterministic: roots are tried in program order and callee edges in
-/// first-occurrence order.
-fn bottom_up_order(units: &[FnUnit<'_>]) -> (Vec<usize>, bool) {
-    let n = units.len();
-    let mut index: HashMap<&str, usize, FnvBuildHasher> = HashMap::default();
-    for (i, u) in units.iter().enumerate() {
-        index.entry(u.func.name.as_str()).or_insert(i);
-    }
-    let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, u) in units.iter().enumerate() {
-        u.func.walk_exprs(&mut |e| {
-            if let ExprKind::Call(name, _) = &e.kind {
-                if let Some(&j) = index.get(name.as_str()) {
-                    if !callees[i].contains(&j) {
-                        callees[i].push(j);
-                    }
-                }
-            }
-        });
-    }
-    let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
-    let mut order = Vec::with_capacity(n);
-    let mut cyclic = false;
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if state[root] != 0 {
-            continue;
-        }
-        state[root] = 1;
-        stack.push((root, 0));
-        while let Some(frame) = stack.last_mut() {
-            let node = frame.0;
-            if frame.1 < callees[node].len() {
-                let next = callees[node][frame.1];
-                frame.1 += 1;
-                match state[next] {
-                    0 => {
-                        state[next] = 1;
-                        stack.push((next, 0));
-                    }
-                    1 => cyclic = true, // back edge: direct or mutual recursion
-                    _ => {}
-                }
-            } else {
-                state[node] = 2;
-                order.push(node);
-                stack.pop();
-            }
-        }
-    }
-    (order, cyclic)
 }
 
 /// Analyzes a single function; returns its summary and (when

@@ -363,6 +363,24 @@ mod tests {
     }
 
     #[test]
+    fn unlexable_sources_fail_with_the_lexer_error_cold_and_warm() {
+        let core = core(0.0);
+        let ledger = Mutex::new(DegradationSummary::default());
+        for (src, want) in [
+            ("int f() { return 1 @ 2; }", "parse error at 1:20: unexpected character `@`"),
+            ("int f() { char* s = \"abc; }", "parse error at 1:21: unterminated string literal"),
+            ("int f() { /* open", "parse error at 1:11: unterminated block comment"),
+        ] {
+            // `lint` first, so its cold miss is the one that lexes.
+            for kind in ["lint", "analyze", "lint"] {
+                let resp = core.handle(&req(6, kind, src), &ledger);
+                assert_eq!(resp.status, "error");
+                assert_eq!(resp.error.as_deref(), Some(format!("parse error: {want}").as_str()));
+            }
+        }
+    }
+
+    #[test]
     fn oracle_classifies_and_rejects_unknown_cwe() {
         let core = core(0.0);
         let ledger = Mutex::new(DegradationSummary::default());
