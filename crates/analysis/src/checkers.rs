@@ -21,19 +21,17 @@
 use crate::detectors::StaticDetector;
 use crate::finding::{Confidence, Evidence, EvidenceFact, Finding};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
-use vulnman_lang::absint::domain::inst_reads;
-use vulnman_lang::absint::ownership::FREE_FNS;
+use vulnman_lang::absint::lower::{LoweredCfg, Storage, Target};
 use vulnman_lang::absint::provenance::{KIND_COMMAND, KIND_FORMAT};
 use vulnman_lang::absint::{
-    Domain, Env, FnShape, Init, InitDomain, IntervalDomain, Nullness, NullnessDomain, Ownership,
-    OwnershipDomain, ProvenanceDomain, Solved, SolverConfig, SolverStats, Substrate, Summaries,
-    WidthDomain,
+    CalleeKind, Domain, Env, FnShape, Init, InitDomain, Inst, IntervalDomain, Node, NodeId,
+    Nullness, NullnessDomain, Op, Ownership, OwnershipDomain, ProvenanceDomain, Slot, Solved,
+    SolverConfig, SolverStats, Substrate, Summaries, WidthDomain,
 };
-use vulnman_lang::ast::{BinOp, Expr, ExprKind, LValue, Program, Type, UnOp};
-use vulnman_lang::cfg::{Cfg, CfgInst};
+use vulnman_lang::ast::Program;
 use vulnman_lang::incremental::IncrementalTrace;
 use vulnman_obs::Registry;
 use vulnman_synth::cwe::Cwe;
@@ -393,135 +391,30 @@ pub fn register_absint_instruments(metrics: &Registry) {
 }
 
 // ---------------------------------------------------------------------------
-// Instruction traversal helpers
+// Evidence helpers
 // ---------------------------------------------------------------------------
 
-/// Every expression syntactically contained in an instruction (lvalue
-/// sub-expressions included).
-fn inst_exprs(inst: &CfgInst) -> Vec<&Expr> {
-    match inst {
-        CfgInst::Decl { init, .. } => init.iter().collect(),
-        CfgInst::Assign { target, value } => {
-            let mut out = vec![value];
-            match target {
-                LValue::Var(_) => {}
-                LValue::Deref(e) => out.push(e),
-                LValue::Index(base, index) => {
-                    out.push(base);
-                    out.push(index);
-                }
-            }
-            out
-        }
-        CfgInst::Expr(e) | CfgInst::Branch(e) => vec![e],
-        CfgInst::Return(e) => e.iter().collect(),
-    }
-}
-
-/// Depth-first walk over an expression tree.
-fn walk<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-    f(e);
-    match &e.kind {
-        ExprKind::Unary(_, inner) => walk(inner, f),
-        ExprKind::Binary(_, l, r) => {
-            walk(l, f);
-            walk(r, f);
-        }
-        ExprKind::Call(_, args) => {
-            for a in args {
-                walk(a, f);
-            }
-        }
-        ExprKind::Index(base, index) => {
-            walk(base, f);
-            walk(index, f);
-        }
-        ExprKind::Int(_) | ExprKind::Char(_) | ExprKind::Str(_) | ExprKind::Var(_) => {}
-    }
-}
-
-/// One `base[index]` access with direction.
-struct IndexAccess<'a> {
-    base: &'a str,
-    index: &'a Expr,
-    is_write: bool,
-}
-
-/// All array/pointer index accesses in an instruction whose base is a plain
-/// variable.
-fn index_accesses(inst: &CfgInst) -> Vec<IndexAccess<'_>> {
-    let mut out = Vec::new();
-    if let CfgInst::Assign { target: LValue::Index(base, index), .. } = inst {
-        if let ExprKind::Var(name) = &base.kind {
-            out.push(IndexAccess { base: name, index, is_write: true });
-        }
-    }
-    for e in inst_exprs(inst) {
-        walk(e, &mut |e| {
-            if let ExprKind::Index(base, index) = &e.kind {
-                if let ExprKind::Var(name) = &base.kind {
-                    out.push(IndexAccess { base: name, index, is_write: false });
-                }
-            }
-        });
-    }
-    out
-}
-
-/// All divisor sub-expressions (`/` and `%` right operands) in an
-/// instruction.
-fn divisors(inst: &CfgInst) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    for e in inst_exprs(inst) {
-        walk(e, &mut |e| {
-            if let ExprKind::Binary(BinOp::Div | BinOp::Rem, _, r) = &e.kind {
-                out.push(&**r);
-            }
-        });
-    }
-    out
-}
-
-/// Variables dereferenced by an instruction (`*p`, `p[i]`, and stores
-/// through either form).
-fn deref_targets(inst: &CfgInst) -> BTreeSet<&str> {
-    let mut out = BTreeSet::new();
-    if let CfgInst::Assign { target: LValue::Deref(e) | LValue::Index(e, _), .. } = inst {
-        if let ExprKind::Var(name) = &e.kind {
-            out.insert(name.as_str());
-        }
-    }
-    for e in inst_exprs(inst) {
-        walk(e, &mut |e| match &e.kind {
-            ExprKind::Unary(UnOp::Deref, inner) => {
-                if let ExprKind::Var(name) = &inner.kind {
-                    out.insert(name.as_str());
-                }
-            }
-            ExprKind::Index(base, _) => {
-                if let ExprKind::Var(name) = &base.kind {
-                    out.insert(name.as_str());
-                }
-            }
-            _ => {}
-        });
-    }
-    out
-}
-
-/// Evidence facts for every variable read by `exprs`, rendered from the
-/// pre-state of the report point.
-fn facts_for<V: vulnman_lang::absint::AbstractValue + std::fmt::Display>(
-    pre: &Env<V>,
-    exprs: &[&Expr],
+/// Evidence facts for every variable under `nodes` (`&` operands
+/// included), in name order, rendered from the pre-state of the report
+/// point.
+fn facts_for<D: Domain>(
+    s: &Solved<'_, D>,
+    pre: &Env<D::Value>,
+    nodes: &[NodeId],
 ) -> Vec<EvidenceFact> {
-    let mut vars: BTreeSet<&str> = BTreeSet::new();
-    for e in exprs {
-        vars.extend(e.read_vars());
+    let mut slots = Vec::new();
+    for &n in nodes {
+        s.body().vars_under(n, &mut slots);
     }
-    vars.into_iter()
-        .map(|v| EvidenceFact { var: v.to_string(), value: pre.get(v).to_string() })
-        .collect()
+    // Slot order is name order.
+    slots.sort_unstable();
+    slots.dedup();
+    slots.into_iter().map(|v| fact(s.shape, v, &pre.at(v))).collect()
+}
+
+/// The evidence fact `slot = value`.
+fn fact(shape: &FnShape, slot: Slot, value: &impl std::fmt::Display) -> EvidenceFact {
+    EvidenceFact { var: shape.slot_name(slot).to_string(), value: value.to_string() }
 }
 
 // ---------------------------------------------------------------------------
@@ -529,58 +422,53 @@ fn facts_for<V: vulnman_lang::absint::AbstractValue + std::fmt::Display>(
 // ---------------------------------------------------------------------------
 
 fn check_intervals(s: &Solved<'_, IntervalDomain>, out: &mut Vec<Finding>) {
-    let (func, cfg, domain) = (s.func, s.cfg(), s.domain);
-    // Declared array lengths in this function. The language has
-    // function-level scope, so one map per function suffices.
-    let mut arrays: BTreeMap<&str, i128> = BTreeMap::new();
-    for block in &cfg.blocks {
-        for inst in &block.insts {
-            if let CfgInst::Decl { name, ty, .. } = &inst.inst {
-                if let Some(n) = ty.array_len() {
-                    arrays.insert(name, n as i128);
-                }
-            }
+    let (func, body, domain) = (s.func, s.body(), s.domain);
+    // Declared array lengths per slot. The language has function-level
+    // scope, so one table per function suffices; a later declaration wins.
+    let mut arrays: Vec<Option<i128>> = vec![None; s.shape.slot_count()];
+    for inst in s.cfg().blocks.iter().flat_map(|b| &b.insts) {
+        if let Op::Decl { slot, storage: Storage::Array(n), .. } = inst.inst.op {
+            arrays[slot as usize] = Some(n as i128);
         }
     }
 
     s.for_each_reachable(|pre, inst| {
-        for access in index_accesses(&inst.inst) {
-            let Some(&len) = arrays.get(access.base) else { continue };
-            let iv = domain.eval(pre, access.index);
+        let op = &inst.inst;
+        for access in body.accesses(op) {
+            let Some(len) = arrays[access.base as usize] else { continue };
+            let iv = s.eval(pre, access.index);
             // Must-style gate: report only when *every* possible index
             // is outside `[0, len)` — a proof, not a possibility.
             if iv.is_bottom() || (iv.lo() < len && iv.hi() >= 0) {
                 continue;
             }
+            let base = s.shape.slot_name(access.base);
             let (cwe, verb) = if access.is_write {
                 (Cwe::OutOfBoundsWrite, "write to")
             } else {
                 (Cwe::OutOfBoundsRead, "read of")
             };
-            let claim = format!(
-                "index into `{}` is {iv}, entirely outside the valid range [0, {len})",
-                access.base
-            );
+            let claim =
+                format!("index into `{base}` is {iv}, entirely outside the valid range [0, {len})");
             out.push(Finding {
                 cwe,
                 function: func.name.to_string(),
                 span: inst.span,
                 detector: "absint-interval".into(),
                 message: format!(
-                    "{verb} `{}[...]` with an index proven out of bounds ({iv} vs length \
-                     {len})",
-                    access.base
+                    "{verb} `{base}[...]` with an index proven out of bounds ({iv} vs length \
+                     {len})"
                 ),
                 confidence: Confidence::High,
                 evidence: Some(Evidence {
                     domain: domain.name().into(),
-                    facts: facts_for(pre, &[access.index]),
+                    facts: facts_for(s, pre, &[access.index]),
                     claim,
                 }),
             });
         }
-        for divisor in divisors(&inst.inst) {
-            let dv = domain.eval(pre, divisor);
+        for &divisor in body.divisors(op) {
+            let dv = s.eval(pre, divisor);
             if !dv.is_point(0) {
                 continue;
             }
@@ -593,16 +481,15 @@ fn check_intervals(s: &Solved<'_, IntervalDomain>, out: &mut Vec<Finding>) {
                 confidence: Confidence::High,
                 evidence: Some(Evidence {
                     domain: domain.name().into(),
-                    facts: facts_for(pre, &[divisor]),
+                    facts: facts_for(s, pre, &[divisor]),
                     claim: "the divisor evaluates to [0, 0] on every path reaching this \
                             division"
                         .into(),
                 }),
             });
         }
-        if let CfgInst::Decl { init: Some(value), .. } | CfgInst::Assign { value, .. } = &inst.inst
-        {
-            let v = domain.eval(pre, value);
+        if let Op::Decl { init: Some(value), .. } | Op::Assign { value, .. } = op.op {
+            let v = s.eval(pre, value);
             if v.fits_i64() {
                 return;
             }
@@ -617,7 +504,7 @@ fn check_intervals(s: &Solved<'_, IntervalDomain>, out: &mut Vec<Finding>) {
                 confidence: Confidence::High,
                 evidence: Some(Evidence {
                     domain: domain.name().into(),
-                    facts: facts_for(pre, &[value]),
+                    facts: facts_for(s, pre, &[value]),
                     claim: format!("the assigned expression evaluates to {v}"),
                 }),
             });
@@ -630,40 +517,45 @@ fn check_intervals(s: &Solved<'_, IntervalDomain>, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 fn check_nullness(s: &Solved<'_, NullnessDomain>, out: &mut Vec<Finding>) {
-    let (func, domain) = (s.func, s.domain);
+    let (func, body, domain) = (s.func, s.body(), s.domain);
     // One finding per variable per function: later dereferences of the same
     // null pointer add no information.
-    let mut reported: BTreeSet<String> = BTreeSet::new();
-    s.for_each_reachable(|pre, inst| {
-        for name in deref_targets(&inst.inst) {
-            let v = pre.get(name);
-            if !v.is_derefable_bug() || reported.contains(name) {
-                continue;
-            }
-            reported.insert(name.to_string());
-            let (confidence, how) = match v {
-                Nullness::Null => (Confidence::High, "is the literal null on every path"),
-                _ => (
-                    Confidence::Medium,
-                    "may be the literal null: a null-valued path \
+    let mut reported = vec![false; s.shape.slot_count()];
+    s.for_each_reachable_where(
+        |op| !body.derefs(op).is_empty(),
+        |pre, inst| {
+            let op = &inst.inst;
+            for &slot in body.derefs(op) {
+                let v = pre.at(slot);
+                if !v.is_derefable_bug() || reported[slot as usize] {
+                    continue;
+                }
+                reported[slot as usize] = true;
+                let name = s.shape.slot_name(slot);
+                let (confidence, how) = match v {
+                    Nullness::Null => (Confidence::High, "is the literal null on every path"),
+                    _ => (
+                        Confidence::Medium,
+                        "may be the literal null: a null-valued path \
                        merges in unguarded",
-                ),
-            };
-            out.push(Finding {
-                cwe: Cwe::NullDereference,
-                function: func.name.to_string(),
-                span: inst.span,
-                detector: "absint-nullness".into(),
-                message: format!("dereference of `{name}`, which {how}"),
-                confidence,
-                evidence: Some(Evidence {
-                    domain: domain.name().into(),
-                    facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
-                    claim: format!("`{name}` is {v} at the dereference"),
-                }),
-            });
-        }
-    });
+                    ),
+                };
+                out.push(Finding {
+                    cwe: Cwe::NullDereference,
+                    function: func.name.to_string(),
+                    span: inst.span,
+                    detector: "absint-nullness".into(),
+                    message: format!("dereference of `{name}`, which {how}"),
+                    confidence,
+                    evidence: Some(Evidence {
+                        domain: domain.name().into(),
+                        facts: vec![fact(s.shape, slot, &v)],
+                        claim: format!("`{name}` is {v} at the dereference"),
+                    }),
+                });
+            }
+        },
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -671,15 +563,17 @@ fn check_nullness(s: &Solved<'_, NullnessDomain>, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 fn check_init(s: &Solved<'_, InitDomain>, out: &mut Vec<Finding>) {
-    let (func, domain) = (s.func, s.domain);
-    let mut reported: BTreeSet<String> = BTreeSet::new();
+    let (func, body, domain) = (s.func, s.body(), s.domain);
+    let mut reported = vec![false; s.shape.slot_count()];
     s.for_each_reachable(|pre, inst| {
-        for name in inst_reads(&inst.inst) {
-            let v = pre.get(name);
-            if !v.is_read_bug() || reported.contains(name) {
+        let op = &inst.inst;
+        for &slot in body.reads(op) {
+            let v = pre.at(slot);
+            if !v.is_read_bug() || reported[slot as usize] {
                 continue;
             }
-            reported.insert(name.to_string());
+            reported[slot as usize] = true;
+            let name = s.shape.slot_name(slot);
             let (confidence, how) = match v {
                 Init::No => (Confidence::High, "is never initialized before this read"),
                 _ => (
@@ -697,7 +591,7 @@ fn check_init(s: &Solved<'_, InitDomain>, out: &mut Vec<Finding>) {
                 confidence,
                 evidence: Some(Evidence {
                     domain: domain.name().into(),
-                    facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
+                    facts: vec![fact(s.shape, slot, &v)],
                     claim: format!("`{name}` is {v} at the read"),
                 }),
             });
@@ -709,33 +603,29 @@ fn check_init(s: &Solved<'_, InitDomain>, out: &mut Vec<Finding>) {
 // Ownership checker: use-after-free (CWE-416), double-free (CWE-415)
 // ---------------------------------------------------------------------------
 
-/// Variables released by a [`FREE_FNS`] call inside this instruction (the
-/// call's first argument, when it is a plain variable).
-fn freed_vars(inst: &CfgInst) -> BTreeSet<&str> {
-    let mut out = BTreeSet::new();
-    for e in inst_exprs(inst) {
-        walk(e, &mut |e| {
-            if let ExprKind::Call(name, args) = &e.kind {
-                if FREE_FNS.contains(&name.as_str()) {
-                    if let Some(Expr { kind: ExprKind::Var(v), .. }) = args.first() {
-                        out.insert(v.as_str());
-                    }
+fn check_ownership(s: &Solved<'_, OwnershipDomain>, out: &mut Vec<Finding>) {
+    let (func, body, domain) = (s.func, s.body(), s.domain);
+    // One finding per (variable, class) per function.
+    let mut double_freed = vec![false; s.shape.slot_count()];
+    let mut used_after_free = vec![false; s.shape.slot_count()];
+    // Variables released by a `FREE_FNS` call inside the instruction (the
+    // call's first argument, when it is a plain variable), in name order.
+    let mut freed_here: Vec<Slot> = Vec::new();
+    s.for_each_reachable(|pre, inst| {
+        let op = &inst.inst;
+        freed_here.clear();
+        for &call in body.calls(op) {
+            if let Some((callee, Some(arg))) = body.call(call) {
+                if let (CalleeKind::Free, Node::Var(v)) = (callee.kind, body.node(arg)) {
+                    freed_here.push(v);
                 }
             }
-        });
-    }
-    out
-}
-
-fn check_ownership(s: &Solved<'_, OwnershipDomain>, out: &mut Vec<Finding>) {
-    let (func, domain) = (s.func, s.domain);
-    // One finding per (variable, class) per function.
-    let mut reported: BTreeSet<(String, u32)> = BTreeSet::new();
-    s.for_each_reachable(|pre, inst| {
-        let freed_here = freed_vars(&inst.inst);
+        }
+        freed_here.sort_unstable();
+        freed_here.dedup();
         // A release of a handle that is already dead is a double free.
-        for name in &freed_here {
-            let v = pre.get(name);
+        for &slot in &freed_here {
+            let v = pre.at(slot);
             let (confidence, how) = if v.free_is_proven_bug() {
                 let how = match v {
                     Ownership::Moved => "whose ownership was already handed off",
@@ -747,9 +637,10 @@ fn check_ownership(s: &Solved<'_, OwnershipDomain>, out: &mut Vec<Finding>) {
             } else {
                 continue;
             };
-            if !reported.insert((name.to_string(), Cwe::DoubleFree.id())) {
+            if std::mem::replace(&mut double_freed[slot as usize], true) {
                 continue;
             }
+            let name = s.shape.slot_name(slot);
             out.push(Finding {
                 cwe: Cwe::DoubleFree,
                 function: func.name.to_string(),
@@ -759,18 +650,18 @@ fn check_ownership(s: &Solved<'_, OwnershipDomain>, out: &mut Vec<Finding>) {
                 confidence,
                 evidence: Some(Evidence {
                     domain: domain.name().into(),
-                    facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
+                    facts: vec![fact(s.shape, slot, &v)],
                     claim: format!("`{name}` is {v} when released again"),
                 }),
             });
         }
         // Any other read of a dead handle is a use after free. The
         // release itself was reported above as the double free.
-        for name in inst_reads(&inst.inst) {
-            if freed_here.contains(name) {
+        for &slot in body.reads(op) {
+            if freed_here.contains(&slot) {
                 continue;
             }
-            let v = pre.get(name);
+            let v = pre.at(slot);
             let (confidence, how) = if v.use_is_proven_bug() {
                 (Confidence::High, "released on every path reaching this use")
             } else if v.use_is_possible_bug() {
@@ -778,9 +669,10 @@ fn check_ownership(s: &Solved<'_, OwnershipDomain>, out: &mut Vec<Finding>) {
             } else {
                 continue;
             };
-            if !reported.insert((name.to_string(), Cwe::UseAfterFree.id())) {
+            if std::mem::replace(&mut used_after_free[slot as usize], true) {
                 continue;
             }
+            let name = s.shape.slot_name(slot);
             out.push(Finding {
                 cwe: Cwe::UseAfterFree,
                 function: func.name.to_string(),
@@ -790,7 +682,7 @@ fn check_ownership(s: &Solved<'_, OwnershipDomain>, out: &mut Vec<Finding>) {
                 confidence,
                 evidence: Some(Evidence {
                     domain: domain.name().into(),
-                    facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
+                    facts: vec![fact(s.shape, slot, &v)],
                     claim: format!("`{name}` is {v} at the use"),
                 }),
             });
@@ -813,38 +705,37 @@ const TOCTOU_PATH_CAP: u32 = 64;
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum ToctouEvent<'a> {
     /// `file_exists(v)` — opens a stale window.
-    Check(&'a str),
+    Check(Slot),
     /// `open_file(v)`-style use, with the callee name and its span.
-    Use(&'a str, &'a str, vulnman_lang::Span),
+    Use(Slot, &'a str, vulnman_lang::Span),
     /// `v` is re-assigned or re-declared — the window closes.
-    Kill(&'a str),
+    Kill(Slot),
 }
 
 /// Collects check/use/kill events per basic block, in instruction order.
-fn toctou_events(cfg: &Cfg) -> Vec<Vec<ToctouEvent<'_>>> {
-    cfg.blocks
+fn toctou_events(shape: &FnShape) -> Vec<Vec<ToctouEvent<'_>>> {
+    let body = &shape.lowered;
+    shape
+        .cfg
+        .blocks
         .iter()
         .map(|block| {
             let mut events = Vec::new();
             for inst in &block.insts {
-                for e in inst_exprs(&inst.inst) {
-                    walk(e, &mut |e| {
-                        if let ExprKind::Call(name, args) = &e.kind {
-                            let Some(Expr { kind: ExprKind::Var(v), .. }) = args.first() else {
-                                return;
-                            };
-                            if TOCTOU_CHECK_FNS.contains(&name.as_str()) {
-                                events.push(ToctouEvent::Check(v));
-                            } else if TOCTOU_USE_FNS.contains(&name.as_str()) {
-                                events.push(ToctouEvent::Use(v, name, inst.span));
-                            }
-                        }
-                    });
+                let op = &inst.inst;
+                for &call in body.calls(op) {
+                    let Some((callee, Some(arg))) = body.call(call) else { continue };
+                    let Node::Var(v) = body.node(arg) else { continue };
+                    let name = callee.name.as_str();
+                    if TOCTOU_CHECK_FNS.contains(&name) {
+                        events.push(ToctouEvent::Check(v));
+                    } else if TOCTOU_USE_FNS.contains(&name) {
+                        events.push(ToctouEvent::Use(v, name, inst.span));
+                    }
                 }
-                match &inst.inst {
-                    CfgInst::Decl { name, .. } => events.push(ToctouEvent::Kill(name)),
-                    CfgInst::Assign { target: LValue::Var(name), .. } => {
-                        events.push(ToctouEvent::Kill(name))
+                match op.op {
+                    Op::Decl { slot, .. } | Op::Assign { target: Target::Var(slot), .. } => {
+                        events.push(ToctouEvent::Kill(slot))
                     }
                     _ => {}
                 }
@@ -859,9 +750,9 @@ fn toctou_events(cfg: &Cfg) -> Vec<Vec<ToctouEvent<'_>>> {
 /// use (recorded in `uses`) or dies at a kill.
 #[allow(clippy::too_many_arguments)]
 fn toctou_dfs<'a>(
-    cfg: &Cfg,
+    cfg: &LoweredCfg,
     events: &[Vec<ToctouEvent<'a>>],
-    var: &str,
+    var: Slot,
     b: usize,
     start: usize,
     visited: &mut Vec<bool>,
@@ -899,15 +790,15 @@ fn toctou_dfs<'a>(
 /// the syntactic race rule misses are still found.
 fn check_toctou(function: &str, shape: &FnShape, out: &mut Vec<Finding>) {
     let (cfg, reachable) = (&shape.cfg, &shape.reachable);
-    let events = toctou_events(cfg);
-    let mut reported: BTreeSet<String> = BTreeSet::new();
+    let events = toctou_events(shape);
+    let mut reported = vec![false; shape.slot_count()];
     for (b, block_events) in events.iter().enumerate() {
         if !reachable[b] {
             continue;
         }
         for (i, ev) in block_events.iter().enumerate() {
-            let ToctouEvent::Check(var) = ev else { continue };
-            if reported.contains(*var) {
+            let ToctouEvent::Check(var) = *ev else { continue };
+            if reported[var as usize] {
                 continue;
             }
             let mut visited = vec![false; cfg.blocks.len()];
@@ -918,7 +809,8 @@ fn check_toctou(function: &str, shape: &FnShape, out: &mut Vec<Finding>) {
             if paths == 0 {
                 continue;
             }
-            reported.insert(var.to_string());
+            reported[var as usize] = true;
+            let var = shape.slot_name(var);
             // Anchor the finding at the earliest reachable use.
             uses.sort_by_key(|(span, _)| span.start);
             let (span, callee) = uses[0];
@@ -958,57 +850,60 @@ fn check_toctou(function: &str, shape: &FnShape, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 fn check_width(s: &Solved<'_, WidthDomain>, out: &mut Vec<Finding>) {
-    let (func, cfg, domain) = (s.func, s.cfg(), s.domain);
+    let (func, domain) = (s.func, s.domain);
     // Scalar `char` declarations in this function (function-level scope, so
     // one set suffices); stores into them are the narrowing points.
-    let mut chars: BTreeSet<&str> = BTreeSet::new();
-    for block in &cfg.blocks {
-        for inst in &block.insts {
-            if let CfgInst::Decl { name, ty: Type::Char, .. } = &inst.inst {
-                chars.insert(name);
-            }
+    let mut chars = vec![false; s.shape.slot_count()];
+    for inst in s.cfg().blocks.iter().flat_map(|b| &b.insts) {
+        if let Op::Decl { slot, storage: Storage::Char, .. } = inst.inst.op {
+            chars[slot as usize] = true;
         }
     }
-    if chars.is_empty() {
+    if !chars.contains(&true) {
         return;
     }
 
-    let mut reported: BTreeSet<String> = BTreeSet::new();
-    s.for_each_reachable(|pre, inst| {
-        let (dest, value) = match &inst.inst {
-            CfgInst::Decl { name, ty: Type::Char, init: Some(value) } => (name, value),
-            CfgInst::Assign { target: LValue::Var(name), value }
-                if chars.contains(name.as_str()) =>
-            {
-                (name, value)
-            }
-            _ => return,
-        };
-        let v = domain.eval(pre, value);
-        // Must-style gate: only a range entirely outside the 8-bit
-        // window proves the store truncates; may-truncation stays quiet.
-        if !v.provably_exceeds_bits(8) || reported.contains(dest.as_str()) {
-            return;
+    let mut reported = vec![false; s.shape.slot_count()];
+    // The narrowing stores: initialized `char` declarations, and plain
+    // assignments to a `char`.
+    let store = |inst: &Inst| match inst.op {
+        Op::Decl { slot, storage: Storage::Char, init: Some(value) } => Some((slot, value)),
+        Op::Assign { target: Target::Var(slot), value } if chars[slot as usize] => {
+            Some((slot, value))
         }
-        reported.insert(dest.to_string());
-        out.push(Finding {
-            cwe: Cwe::IntegerTruncation,
-            function: func.name.to_string(),
-            span: inst.span,
-            detector: "absint-width".into(),
-            message: format!(
-                "store into 8-bit `{dest}` of a value proven outside the char range ({v})"
-            ),
-            confidence: Confidence::High,
-            evidence: Some(Evidence {
-                domain: domain.name().into(),
-                facts: facts_for(pre, &[value]),
-                claim: format!(
-                    "the stored expression evaluates to {v}, entirely outside [-128, 127]"
+        _ => None,
+    };
+    s.for_each_reachable_where(
+        |op| store(op).is_some(),
+        |pre, inst| {
+            let Some((dest, value)) = store(&inst.inst) else { return };
+            let v = s.eval(pre, value);
+            // Must-style gate: only a range entirely outside the 8-bit
+            // window proves the store truncates; may-truncation stays quiet.
+            if !v.provably_exceeds_bits(8) || reported[dest as usize] {
+                return;
+            }
+            reported[dest as usize] = true;
+            let dest = s.shape.slot_name(dest);
+            out.push(Finding {
+                cwe: Cwe::IntegerTruncation,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-width".into(),
+                message: format!(
+                    "store into 8-bit `{dest}` of a value proven outside the char range ({v})"
                 ),
-            }),
-        });
-    });
+                confidence: Confidence::High,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: facts_for(s, pre, &[value]),
+                    claim: format!(
+                        "the stored expression evaluates to {v}, entirely outside [-128, 127]"
+                    ),
+                }),
+            });
+        },
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1026,28 +921,37 @@ const PROVENANCE_SINKS: [(&str, u8, Cwe, &str); 4] = [
 ];
 
 fn check_sinks(s: &Solved<'_, ProvenanceDomain>, out: &mut Vec<Finding>) {
-    let (func, domain) = (s.func, s.domain);
+    let (func, body, domain) = (s.func, s.body(), s.domain);
+    // The sink entry of each callee-table entry, looked up once.
+    let sinks: Vec<_> = body
+        .callees
+        .iter()
+        .map(|c| PROVENANCE_SINKS.iter().find(|(sink, ..)| *sink == c.name.as_str()))
+        .collect();
+    if sinks.iter().all(Option::is_none) {
+        return;
+    }
     let mut reported: BTreeSet<(u32, u32)> = BTreeSet::new();
-    s.for_each_reachable(|pre, inst| {
-        for e in inst_exprs(&inst.inst) {
-            walk(e, &mut |e| {
-                let ExprKind::Call(name, args) = &e.kind else { return };
-                let Some((_, kind_bit, cwe, kind_name)) =
-                    PROVENANCE_SINKS.iter().find(|(sink, ..)| sink == name)
-                else {
-                    return;
-                };
-                let Some(arg) = args.first() else { return };
-                let v = domain.eval(pre, arg);
+    let is_sink =
+        |call: NodeId| matches!(body.node(call), Node::Call(c, _) if sinks[c as usize].is_some());
+    s.for_each_reachable_where(
+        |op| body.calls(op).iter().any(|&c| is_sink(c)),
+        |pre, inst| {
+            let op = &inst.inst;
+            for &call in body.calls(op) {
+                let Node::Call(c, args) = body.node(call) else { continue };
+                let Some((name, kind_bit, cwe, kind_name)) = sinks[c as usize] else { continue };
+                let Some(&arg) = body.args(args).first() else { continue };
+                let v = s.eval(pre, arg);
                 let (confidence, how) = if v.sink_is_proven_bug(*kind_bit) {
                     (Confidence::High, "on every path")
                 } else if v.sink_is_possible_bug(*kind_bit) {
                     (Confidence::Medium, "on at least one path")
                 } else {
-                    return;
+                    continue;
                 };
                 if !reported.insert((inst.span.start as u32, cwe.id())) {
-                    return;
+                    continue;
                 }
                 out.push(Finding {
                     cwe: *cwe,
@@ -1056,21 +960,21 @@ fn check_sinks(s: &Solved<'_, ProvenanceDomain>, out: &mut Vec<Finding>) {
                     detector: "absint-provenance".into(),
                     message: format!(
                         "attacker-controlled data reaches the {kind_name} position of \
-                         `{name}` {how}, never sanitized for `{kind_name}`"
+                     `{name}` {how}, never sanitized for `{kind_name}`"
                     ),
                     confidence,
                     evidence: Some(Evidence {
                         domain: domain.name().into(),
-                        facts: facts_for(pre, &[arg]),
+                        facts: facts_for(s, pre, &[arg]),
                         claim: format!(
                             "the argument is {v} at the `{name}` sink — its sanitizer mask \
-                             never covered `{kind_name}`"
+                         never covered `{kind_name}`"
                         ),
                     }),
                 });
-            });
-        }
-    });
+            }
+        },
+    );
 }
 
 #[cfg(test)]

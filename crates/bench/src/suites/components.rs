@@ -11,6 +11,12 @@
 //! - `corpus_generation/<tier>`, `taint_analysis/interprocedural`,
 //!   `anonymizer/<strength>`.
 //! - `absint_solver_scaling/f<functions>_d<depth>`, `absint_cache/{cold,warm}`.
+//! - `absint_domain/<domain>`: one domain pass (solves and return
+//!   summaries, no checker) over a fixed-seed pool of 256 samples shaped
+//!   like perfbench's `batch_cold` (every CWE class, shuffled), with the
+//!   per-program substrates and function shapes already built.
+//! - `absint_analyze/batch_pool`: `SemanticEngine::analyze` (substrate,
+//!   shapes, all six passes and their checkers) over the same pool.
 //! - `faulted_workflow/rate/<percent>`: jobs 4 with seeded transient
 //!   faults; rate 0 is the cost of carrying an injector.
 //!
@@ -20,6 +26,7 @@ use crate::harness::{measure, Config, Measured, Suite};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 use vulnman_analysis::checkers::SemanticEngine;
 use vulnman_analysis::detectors::RuleEngine;
@@ -27,6 +34,11 @@ use vulnman_core::anonymize::{Anonymizer, Strength};
 use vulnman_core::detector::{DetectorRegistry, RuleBasedDetector};
 use vulnman_core::workflow::{WorkflowConfig, WorkflowEngine};
 use vulnman_faults::{FaultConfig, FaultMix};
+use vulnman_lang::absint::{
+    Domain, InitDomain, IntervalDomain, NullnessDomain, OwnershipDomain, ProvenanceDomain,
+    SolverConfig, Substrate, Summaries, WidthDomain,
+};
+use vulnman_lang::ast::Program;
 use vulnman_lang::taint::{TaintAnalysis, TaintConfig};
 use vulnman_lang::{parse, AnalysisCache};
 use vulnman_ml::pipeline::model_zoo;
@@ -36,6 +48,7 @@ use vulnman_synth::emit::EmitCtx;
 use vulnman_synth::style::StyleProfile;
 use vulnman_synth::templates;
 use vulnman_synth::tier::Tier;
+use vulnman_synth::CweDistribution;
 
 /// The `components` suite.
 pub const SUITE: Suite = Suite { name: "components", benchmark: "components", gates: &[], run };
@@ -223,6 +236,49 @@ fn absint(b: &mut Bench) {
     b.run("absint_cache/warm", 1, || scan(&cache));
 }
 
+/// The `absint_domain/*` and `absint_analyze/*` pool: 256 samples (128
+/// vulnerable at the generator's 1:1 balance) over every CWE class,
+/// shuffled, as perfbench's `batch_cold` builds its pool, parsed once.
+fn batch_pool() -> Vec<Program> {
+    let pool = DatasetBuilder::new(7)
+        .vulnerable_count(128)
+        .cwe_distribution(CweDistribution::uniform())
+        .build()
+        .shuffled(7);
+    pool.samples().iter().map(|s| parse(&s.source).expect("generated samples parse")).collect()
+}
+
+/// Each domain pass on its own, then the whole semantic engine, over
+/// [`batch_pool`].
+fn absint_pool(b: &mut Bench) {
+    let programs = batch_pool();
+    let n = programs.len() as u64;
+    let substrates: Vec<Substrate<'_>> = programs.iter().map(Substrate::new).collect();
+    fn pass<D, M>(b: &mut Bench, name: &str, subs: &[Substrate<'_>], n: u64, make: M)
+    where
+        D: Domain,
+        D::Value: Send + Sync + 'static,
+        M: Fn(Arc<Summaries<D::Value>>) -> D + Sync,
+    {
+        b.run(format!("absint_domain/{name}"), n, || {
+            subs.iter()
+                .map(|s| s.run(SolverConfig::default(), 1, 0, &make, |_| ()).stats.iterations)
+                .sum::<u64>()
+        });
+    }
+    pass(b, "interval", &substrates, n, IntervalDomain::with_summaries);
+    pass(b, "nullness", &substrates, n, NullnessDomain::with_summaries);
+    pass(b, "init", &substrates, n, |_| InitDomain);
+    pass(b, "ownership", &substrates, n, OwnershipDomain::with_summaries);
+    pass(b, "width", &substrates, n, WidthDomain::with_summaries);
+    pass(b, "provenance", &substrates, n, ProvenanceDomain::with_summaries);
+
+    let engine = SemanticEngine::new();
+    b.run("absint_analyze/batch_pool", n, || {
+        programs.iter().map(|p| engine.analyze(p).findings.len()).sum::<usize>()
+    });
+}
+
 fn run(quick: bool) -> Result<Measured, String> {
     let window = Duration::from_millis(if quick { 30 } else { 300 });
     let mut b = Bench { window, configs: BTreeMap::new() };
@@ -230,5 +286,6 @@ fn run(quick: bool) -> Result<Measured, String> {
     workflow(&mut b);
     generation_taint_anonymizer(&mut b);
     absint(&mut b);
+    absint_pool(&mut b);
     Ok(Measured { corpus: 0, configs: b.configs })
 }

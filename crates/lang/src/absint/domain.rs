@@ -1,7 +1,7 @@
 //! Lattice and transfer-function contracts shared by every abstract domain.
 
-use crate::ast::{Expr, ExprKind, Function, LValue, StmtKind, UnOp};
-use crate::cfg::CfgInst;
+use super::lower::{Callee, Inst, Lowered, NodeId, Slot};
+use crate::ast::Expr;
 use crate::intern::Symbol;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -17,11 +17,12 @@ pub trait AbstractValue: Clone + PartialEq + fmt::Debug + fmt::Display {
     /// implicitly hold this value, so `top` must never be report-worthy.
     fn top() -> Self;
 
-    /// Least upper bound of `self` and `other`.
+    /// Least upper bound of `self` and `other` (so `a.join(a) == a`).
     fn join(&self, other: &Self) -> Self;
 
-    /// Widening `self ∇ other` where `self` is the previous iterate. The
-    /// default is `join`, which is only correct for finite-height lattices.
+    /// Widening `self ∇ other` where `self` is the previous iterate; like
+    /// `join`, idempotent (`a.widen(a) == a`). The default is `join`, which
+    /// is only correct for finite-height lattices.
     fn widen(&self, other: &Self) -> Self {
         self.join(other)
     }
@@ -43,32 +44,8 @@ pub(crate) struct Slots {
 }
 
 impl Slots {
-    /// The slot table of `func`. The CFG only re-arranges AST statements
-    /// (it never invents variables), so walking the AST covers every name
-    /// a block replay will look up.
-    pub(crate) fn of_function(func: &Function) -> Slots {
-        let mut names: Vec<Symbol> = func.params.iter().map(|p| p.name.clone()).collect();
-        func.walk_stmts(&mut |s| match &s.kind {
-            StmtKind::Decl { name, .. } => names.push(name.clone()),
-            StmtKind::Assign { target, .. } => match target {
-                LValue::Var(name) => names.push(name.clone()),
-                LValue::Deref(e) | LValue::Index(e, _) => {
-                    if let ExprKind::Var(name) = &e.kind {
-                        names.push(name.clone());
-                    }
-                }
-            },
-            _ => {}
-        });
-        func.walk_exprs(&mut |e| {
-            if let ExprKind::Var(name) = &e.kind {
-                names.push(name.clone());
-            }
-        });
-        Slots::from_names(names)
-    }
-
-    fn from_names(mut names: Vec<Symbol>) -> Slots {
+    /// The table of `names`, sorted and deduplicated.
+    pub(crate) fn from_names(mut names: Vec<Symbol>) -> Slots {
         names.sort_unstable_by(|a, b| a.as_str().cmp(b.as_str()));
         names.dedup_by(|a, b| a.as_str() == b.as_str());
         Slots { names: names.into_boxed_slice() }
@@ -85,6 +62,11 @@ impl Slots {
         self.names.len()
     }
 
+    /// The name in `slot`.
+    pub(crate) fn name(&self, slot: Slot) -> &str {
+        &self.names[slot as usize]
+    }
+
     /// The slot of `name`, if the table has one.
     pub(crate) fn slot(&self, name: &str) -> Option<usize> {
         self.names.binary_search_by(|n| n.as_str().cmp(name)).ok()
@@ -99,7 +81,13 @@ impl Slots {
 ///
 /// A slot holding [`AbstractValue::top`] is *untracked*: [`Env::facts`]
 /// skips it, and equality compares tracked facts only, so top and absence
-/// are the same state. Setting a name the table lacks extends the table
+/// are the same state.
+///
+/// Transfer functions read and write by slot ([`Env::at`]); the solver
+/// merges states with [`Env::join_into`] and [`Env::widen_into`], which
+/// update in place and report whether anything changed. The name-keyed
+/// accessors ([`Env::get`], [`Env::set`], [`Env::havoc`]) serve evidence
+/// rendering and tests. Setting a name the table lacks extends the table
 /// (a copy, off the solver's path: the solver builds every env over the
 /// function's complete table).
 #[derive(Debug)]
@@ -182,37 +170,128 @@ impl<V: AbstractValue> Env<V> {
             .map(|(n, v)| (n.as_str(), v))
     }
 
-    /// Least upper bound of two states. Variables tracked on only one side
+    /// The value in `slot` (top for a slot past the table).
+    #[inline]
+    pub fn at(&self, slot: Slot) -> V {
+        match self.vals.get(slot as usize) {
+            Some(v) => v.clone(),
+            None => V::top(),
+        }
+    }
+
+    /// Binds `slot` to `v` (binding top untracks it).
+    #[inline]
+    pub(crate) fn set_at(&mut self, slot: Slot, v: V) {
+        if let Some(old) = self.vals.get_mut(slot as usize) {
+            *old = v;
+        }
+    }
+
+    /// Drops all information about `slot` (≡ top).
+    #[inline]
+    pub(crate) fn havoc_at(&mut self, slot: Slot) {
+        self.set_at(slot, V::top());
+    }
+
+    /// Joins `other` into `self` in place and returns whether `self`
+    /// changed — the same state and flag as `self.join(other)` followed by
+    /// `!=`, with no new environment. Variables tracked on only one side
     /// join with implicit top and therefore drop out.
-    pub fn join(&self, other: &Self) -> Self {
-        self.combine(other, V::join)
+    pub fn join_into(&mut self, other: &Self) -> bool {
+        self.combine_into(other, V::join)
     }
 
-    /// Widening: like [`Env::join`] but uses the value-level widening for
-    /// variables tracked on both sides (`self` is the previous iterate).
-    pub fn widen(&self, other: &Self) -> Self {
-        self.combine(other, V::widen)
+    /// Widens `self` (the previous iterate) by `other` in place, like
+    /// [`Env::join_into`] but with the value-level widening for variables
+    /// tracked on both sides.
+    pub fn widen_into(&mut self, other: &Self) -> bool {
+        self.combine_into(other, V::widen)
     }
 
-    /// Slot-wise `op` over variables tracked on both sides; the result
-    /// lives on `self`'s table (a name missing from `self` cannot be
-    /// tracked on both sides).
-    fn combine(&self, other: &Self, op: impl Fn(&V, &V) -> V) -> Self {
+    /// Slot-wise `op` over variables tracked on both sides, kept on
+    /// `self`'s table (a name missing from `self` cannot be tracked on both
+    /// sides). An unreachable side contributes nothing.
+    fn combine_into(&mut self, other: &Self, op: impl Fn(&V, &V) -> V) -> bool {
+        if Arc::ptr_eq(&self.slots, &other.slots) {
+            return combine_parts(&mut self.vals, &mut self.reachable, other, op);
+        }
         if !self.reachable {
-            return other.clone();
+            let changed = *self != *other;
+            if changed {
+                self.clone_from(other);
+            }
+            return changed;
         }
         if !other.reachable {
-            return self.clone();
+            return false;
         }
         let top = V::top();
-        let pair = |a: &V, b: &V| if *a == top || *b == top { top.clone() } else { op(a, b) };
-        let vals = if Arc::ptr_eq(&self.slots, &other.slots) {
-            self.vals.iter().zip(&other.vals).map(|(a, b)| pair(a, b)).collect()
-        } else {
-            self.slots.names.iter().zip(&self.vals).map(|(n, a)| pair(a, &other.get(n))).collect()
-        };
-        Env { slots: self.slots.clone(), vals, reachable: true }
+        let mut changed = false;
+        for (n, a) in self.slots.names.iter().zip(&mut self.vals) {
+            changed |= combine_slot(a, &other.get(n), &top, &op);
+        }
+        changed
     }
+
+    /// The slot values, in slot order.
+    pub(crate) fn vals(&self) -> &[V] {
+        &self.vals
+    }
+
+    /// Overwrites `self` with the state `vals` over `slots`, reachable or
+    /// not, reusing `self`'s buffer.
+    pub(crate) fn load(&mut self, slots: &Arc<Slots>, vals: &[V], reachable: bool) {
+        if !Arc::ptr_eq(&self.slots, slots) {
+            self.slots = slots.clone();
+        }
+        self.vals.clear();
+        self.vals.extend_from_slice(vals);
+        self.reachable = reachable;
+    }
+}
+
+/// [`Env::join_into`] (or, with `V::widen`, [`Env::widen_into`]) for a
+/// state held as its parts, `vals` over `other`'s table plus its
+/// reachability: the same state and change flag.
+pub(crate) fn combine_parts<V: AbstractValue>(
+    vals: &mut [V],
+    reachable: &mut bool,
+    other: &Env<V>,
+    op: impl Fn(&V, &V) -> V,
+) -> bool {
+    if !*reachable {
+        let changed = other.reachable || *vals != *other.vals;
+        if changed {
+            vals.clone_from_slice(&other.vals);
+            *reachable = other.reachable;
+        }
+        return changed;
+    }
+    if !other.reachable {
+        return false;
+    }
+    let top = V::top();
+    let mut changed = false;
+    for (a, b) in vals.iter_mut().zip(&other.vals) {
+        changed |= combine_slot(a, b, &top, &op);
+    }
+    changed
+}
+
+/// `a := a op b` for one slot, where top on either side stays top (an
+/// untracked variable joins to untracked); returns whether `a` changed.
+/// Equal sides leave `a` as it is, since `join` and `widen` are idempotent.
+#[inline]
+fn combine_slot<V: AbstractValue>(a: &mut V, b: &V, top: &V, op: &impl Fn(&V, &V) -> V) -> bool {
+    if a == b {
+        return false;
+    }
+    let next = if a == top || b == top { top.clone() } else { op(a, b) };
+    let changed = next != *a;
+    if changed {
+        *a = next;
+    }
+    changed
 }
 
 impl<V: Clone> Clone for Env<V> {
@@ -221,7 +300,9 @@ impl<V: Clone> Clone for Env<V> {
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.slots.clone_from(&source.slots);
+        if !Arc::ptr_eq(&self.slots, &source.slots) {
+            self.slots = source.slots.clone();
+        }
         self.vals.clone_from(&source.vals);
         self.reachable = source.reachable;
     }
@@ -254,12 +335,35 @@ impl<V: AbstractValue> fmt::Display for Env<V> {
     }
 }
 
+/// A lowered function as one solve sees it: the body, and the value each
+/// entry of its callee table resolved to ([`Domain::resolve`]), indexed
+/// like `body.callees`. The driver builds one per function solve, so a
+/// call site reads its callee's value by index.
+#[derive(Debug, Clone, Copy)]
+pub struct Frame<'a, V> {
+    /// The lowered function.
+    pub body: &'a Lowered,
+    /// One resolved value per callee-table entry.
+    pub calls: &'a [V],
+}
+
+impl<V: Clone> Frame<'_, V> {
+    /// The resolved value of callee-table entry `c`.
+    #[inline]
+    pub fn call(&self, c: u32) -> V {
+        self.calls[c as usize].clone()
+    }
+}
+
 /// An abstract domain: a value lattice plus the transfer functions that
-/// interpret CFG instructions and branch outcomes over it.
+/// interpret the lowered instructions ([`Inst`]) and branch outcomes over
+/// it.
 ///
-/// Domains carry their own interprocedural summary table (function name →
-/// abstract return value) so call expressions can be evaluated without the
-/// solver knowing anything about the call graph.
+/// Transfer functions read and write environments by slot and reach a
+/// callee's summary through the [`Frame`]: no name is looked up while the
+/// solver runs. Domains keep their interprocedural summary table (function
+/// name → abstract return value) only for [`Domain::resolve`], which the
+/// driver calls once per callee-table entry per function solve.
 pub trait Domain {
     /// The value lattice.
     type Value: AbstractValue;
@@ -267,103 +371,56 @@ pub trait Domain {
     /// Stable domain name, used in metrics keys and evidence traces.
     fn name(&self) -> &'static str;
 
+    /// What a call to `callee` evaluates to, whatever its arguments: its
+    /// summary if it has one, else the domain's value for the callee's
+    /// kind. Domains whose calls depend on the arguments (sanitizers,
+    /// `concat`) handle those kinds in [`Domain::eval_node`].
+    fn resolve(&self, callee: &Callee) -> Self::Value;
+
     /// Seeds the function's entry state, which starts reachable and all
     /// top (e.g. marks parameters initialized).
-    fn seed_entry(&self, _func: &Function, _env: &mut Env<Self::Value>) {}
+    fn seed_entry(&self, _body: &Lowered, _env: &mut Env<Self::Value>) {}
 
     /// Applies one instruction to the state.
-    fn transfer(&self, env: &mut Env<Self::Value>, inst: &CfgInst);
+    fn transfer(&self, frame: &Frame<'_, Self::Value>, env: &mut Env<Self::Value>, inst: &Inst);
 
-    /// Evaluates an expression in a state (used for return summaries and by
-    /// checkers). Domains without a natural expression semantics return top.
-    fn eval(&self, _env: &Env<Self::Value>, _e: &Expr) -> Self::Value {
+    /// Evaluates node `n` in a state (used for return summaries and by
+    /// checkers). Domains without a natural expression semantics return
+    /// top.
+    fn eval_node(
+        &self,
+        _frame: &Frame<'_, Self::Value>,
+        _env: &Env<Self::Value>,
+        _n: NodeId,
+    ) -> Self::Value {
         Self::Value::top()
     }
 
+    /// Whether [`Domain::refine`] can change a state. The solver copies a
+    /// block's exit state per branch edge only for domains that refine.
+    const REFINES: bool = false;
+
     /// Refines the state along a branch edge: `taken` is `true` on the first
-    /// successor of a [`CfgInst::Branch`] block, `false` on the fallthrough.
-    fn refine(&self, _env: &mut Env<Self::Value>, _cond: &Expr, _taken: bool) {}
-}
+    /// successor of a [`Op::Branch`](super::lower::Op::Branch) block,
+    /// `false` on the fallthrough.
+    fn refine(
+        &self,
+        _frame: &Frame<'_, Self::Value>,
+        _env: &mut Env<Self::Value>,
+        _cond: NodeId,
+        _taken: bool,
+    ) {
+    }
 
-/// Variable names read by an instruction, excluding variables that only
-/// appear under `&` (address-of is not a read of the value — it typically
-/// hands the location to a callee as an out-parameter).
-pub fn inst_reads(inst: &CfgInst) -> Vec<&str> {
-    let mut out = Vec::new();
-    match inst {
-        CfgInst::Decl { init, .. } => {
-            if let Some(e) = init {
-                collect_value_reads(e, &mut out);
-            }
-        }
-        CfgInst::Assign { target, value } => {
-            match target {
-                LValue::Var(_) => {}
-                LValue::Deref(e) => collect_value_reads(e, &mut out),
-                LValue::Index(b, i) => {
-                    collect_value_reads(b, &mut out);
-                    collect_value_reads(i, &mut out);
-                }
-            }
-            collect_value_reads(value, &mut out);
-        }
-        CfgInst::Expr(e) | CfgInst::Branch(e) => collect_value_reads(e, &mut out),
-        CfgInst::Return(e) => {
-            if let Some(e) = e {
-                collect_value_reads(e, &mut out);
-            }
-        }
+    /// Evaluates a source expression in a state, resolving its variables
+    /// by name against the state's slot table (names it lacks are top) and
+    /// its callees through [`Domain::resolve`]. For tests and evidence; the
+    /// solver and checkers evaluate lowered nodes.
+    fn eval(&self, env: &Env<Self::Value>, e: &Expr) -> Self::Value {
+        let (body, node) = Lowered::expr(e, &env.slots);
+        let calls: Vec<Self::Value> = body.callees.iter().map(|c| self.resolve(c)).collect();
+        self.eval_node(&Frame { body: &body, calls: &calls }, env, node)
     }
-    out
-}
-
-fn collect_value_reads<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
-    match &e.kind {
-        ExprKind::Var(name) => out.push(name),
-        ExprKind::Unary(UnOp::AddrOf, inner) => {
-            // `&x` is not a value read of `x`; still descend into nested
-            // non-variable operands like `&a[i]`.
-            if !matches!(inner.kind, ExprKind::Var(_)) {
-                collect_value_reads(inner, out);
-            }
-        }
-        ExprKind::Unary(_, inner) => collect_value_reads(inner, out),
-        ExprKind::Binary(_, l, r) => {
-            collect_value_reads(l, out);
-            collect_value_reads(r, out);
-        }
-        ExprKind::Call(_, args) => args.iter().for_each(|a| collect_value_reads(a, out)),
-        ExprKind::Index(b, i) => {
-            collect_value_reads(b, out);
-            collect_value_reads(i, out);
-        }
-        ExprKind::Int(_) | ExprKind::Char(_) | ExprKind::Str(_) => {}
-    }
-}
-
-/// Variable names that appear under a unary `&` anywhere in the instruction;
-/// a callee receiving `&x` may initialise or overwrite `x`, so domains havoc
-/// (or promote) these after the instruction executes.
-pub fn inst_addr_taken(inst: &CfgInst) -> Vec<&str> {
-    fn visit<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
-        e.walk(&mut |sub| {
-            if let ExprKind::Unary(UnOp::AddrOf, inner) = &sub.kind {
-                if let ExprKind::Var(name) = &inner.kind {
-                    out.push(name.as_str());
-                }
-            }
-        });
-    }
-    let mut out = Vec::new();
-    match inst {
-        CfgInst::Decl { init: Some(e), .. }
-        | CfgInst::Expr(e)
-        | CfgInst::Branch(e)
-        | CfgInst::Return(Some(e)) => visit(e, &mut out),
-        CfgInst::Assign { value, .. } => visit(value, &mut out),
-        _ => {}
-    }
-    out
 }
 
 #[cfg(test)]
@@ -371,6 +428,8 @@ mod tests {
     use super::*;
     use crate::absint::interval::Interval;
     use crate::absint::nullness::Nullness;
+    use crate::absint::provenance::{Provenance, KIND_ALL};
+    use crate::absint::width::Width;
     use proptest::prelude::*;
 
     /// Reference model: the name-keyed map environment, where top is
@@ -447,6 +506,29 @@ mod tests {
         }
     }
 
+    impl Draw for Width {
+        fn draw(seed: u64) -> Self {
+            // Bounds near the storage-type ladder, so widening snaps.
+            let a = [-200i128, -1, 0, 3, 127, 128, 40_000][(seed >> 8) as usize % 7];
+            let b = a + [0i128, 1, 200, 70_000][(seed >> 16) as usize % 4];
+            match seed % 5 {
+                0 => Width::TOP,
+                1 => Width::BOTTOM,
+                2 => Width::range(a, i128::MAX),
+                3 => Width::range(i128::MIN, b),
+                _ => Width::range(a, b),
+            }
+        }
+    }
+
+    impl Draw for Provenance {
+        fn draw(seed: u64) -> Self {
+            use Provenance::*;
+            let mask = (seed >> 8) as u8 & KIND_ALL;
+            [Bottom, Clean, Ext(mask), MaybeExt(mask), Unknown][(seed % 5) as usize]
+        }
+    }
+
     /// Names inside the slot table, plus two it lacks (`buf`, `zz`), which
     /// exercise table growth and joins across different tables.
     const NAMES: [&str; 6] = ["a", "b", "i", "n", "buf", "zz"];
@@ -473,16 +555,25 @@ mod tests {
                     pool[i].0.havoc(name);
                     pool[i].1.vars.remove(name);
                 }
-                3 => {
-                    let env = pool[i].0.join(&pool[j].0);
-                    let model = pool[i].1.combine(&pool[j].1, V::join);
+                3 | 4 => {
+                    // The in-place op must leave the model's combination
+                    // and report exactly whether the state changed.
+                    let mut env = pool[i].0.clone();
+                    let (changed, model) = if op % 5 == 3 {
+                        (env.join_into(&pool[j].0), pool[i].1.combine(&pool[j].1, V::join))
+                    } else {
+                        (env.widen_into(&pool[j].0), pool[i].1.combine(&pool[j].1, V::widen))
+                    };
+                    prop_assert_eq!(
+                        changed,
+                        model != pool[i].1,
+                        "{} into {}",
+                        pool[j].0,
+                        pool[i].0
+                    );
                     pool.push((env, model));
                 }
-                _ => {
-                    let env = pool[i].0.widen(&pool[j].0);
-                    let model = pool[i].1.combine(&pool[j].1, V::widen);
-                    pool.push((env, model));
-                }
+                _ => unreachable!(),
             }
             if pool.len() > 8 {
                 pool.remove(4);
@@ -520,20 +611,32 @@ mod tests {
         fn nullness_env_agrees_with_the_map_model(ops in prop::collection::vec(any::<u64>(), 1..60)) {
             check_against_model::<Nullness>(&ops)?;
         }
+
+        #[test]
+        fn width_env_agrees_with_the_map_model(ops in prop::collection::vec(any::<u64>(), 1..60)) {
+            check_against_model::<Width>(&ops)?;
+        }
+
+        #[test]
+        fn provenance_env_agrees_with_the_map_model(ops in prop::collection::vec(any::<u64>(), 1..60)) {
+            check_against_model::<Provenance>(&ops)?;
+        }
     }
 
     #[test]
     fn slots_are_sorted_and_cover_every_name_the_transfers_touch() {
         let p = crate::parse(
-            "int f(int n) { int *p = 0; int z; z = n; *p = 1; char b[4]; b[0] = 'x'; \
-             use(&q); return n; }",
+            "int f(int n, int unused) { int *p = 0; int z; z = n; *p = 1; char b[4]; \
+             b[0] = 'x'; use(&q); return n; }",
         )
         .unwrap();
-        let slots = Slots::of_function(&p.functions[0]);
-        let names: Vec<&str> = slots.names.iter().map(Symbol::as_str).collect();
-        assert_eq!(names, ["b", "n", "p", "q", "z"]);
-        assert_eq!(slots.slot("p"), Some(2));
-        assert_eq!(slots.slot("missing"), None);
+        let shape = crate::absint::FnShape::build(&p.functions[0]);
+        let names: Vec<&str> = shape.slots.names.iter().map(Symbol::as_str).collect();
+        assert_eq!(names, ["b", "n", "p", "q", "unused", "z"]);
+        assert_eq!(shape.slots.slot("p"), Some(2));
+        assert_eq!(shape.slots.slot("missing"), None);
+        // Lowered slots index the sorted table.
+        assert_eq!(shape.lowered.params(), [1, 4]);
     }
 
     #[test]
@@ -546,8 +649,10 @@ mod tests {
         assert_eq!(env.facts().count(), 0);
         let bottom = Env::bottom_in(&slots);
         assert_ne!(bottom, env);
-        assert_eq!(bottom.join(&env), env);
-        assert_eq!(env.join(&bottom), env);
+        let mut joined = bottom.clone();
+        assert!(joined.join_into(&env), "bottom grows to the reachable side");
+        assert_eq!(joined, env);
+        assert!(!env.clone().join_into(&bottom), "bottom contributes nothing");
         assert_eq!(bottom.to_string(), "⊥");
     }
 }

@@ -9,9 +9,8 @@
 //! arrays count as initialized storage (reading a fresh array is C idiom the
 //! corpus uses for buffers, not the bug class this domain chases).
 
-use super::domain::{AbstractValue, Domain, Env};
-use crate::ast::{Function, Type};
-use crate::cfg::CfgInst;
+use super::domain::{AbstractValue, Domain, Env, Frame};
+use super::lower::{Callee, Inst, Lowered, Op, Storage, Target};
 use std::fmt;
 
 /// Abstract initialization state of a variable.
@@ -80,34 +79,34 @@ impl Domain for InitDomain {
         "init"
     }
 
-    fn seed_entry(&self, func: &Function, env: &mut Env<Init>) {
-        for p in &func.params {
-            env.set(&p.name, Init::Yes);
+    fn resolve(&self, _callee: &Callee) -> Init {
+        Init::Unknown
+    }
+
+    fn seed_entry(&self, body: &Lowered, env: &mut Env<Init>) {
+        for &p in body.params() {
+            env.set_at(p, Init::Yes);
         }
     }
 
-    fn transfer(&self, env: &mut Env<Init>, inst: &CfgInst) {
-        match inst {
-            CfgInst::Decl { name, ty, init } => {
-                let v = match (ty, init) {
+    fn transfer(&self, frame: &Frame<'_, Init>, env: &mut Env<Init>, inst: &Inst) {
+        match inst.op {
+            Op::Decl { slot, storage, init } => {
+                let v = match (storage, init) {
                     (_, Some(_)) => Init::Yes,
                     // Declared-then-filled arrays are normal buffer idiom.
-                    (Type::Array(_, _), None) => Init::Yes,
+                    (Storage::Array(_), None) => Init::Yes,
                     (_, None) => Init::No,
                 };
-                env.set(name, v);
+                env.set_at(slot, v);
             }
-            CfgInst::Assign { target, .. } => {
-                if let crate::ast::LValue::Var(name) = target {
-                    env.set(name, Init::Yes);
-                }
-            }
-            CfgInst::Expr(_) | CfgInst::Branch(_) | CfgInst::Return(_) => {}
+            Op::Assign { target: Target::Var(slot), .. } => env.set_at(slot, Init::Yes),
+            _ => {}
         }
         // `use(&x)` hands the location out as an out-parameter; assume the
         // callee initialized it (the conservative, false-positive-free read).
-        for name in super::domain::inst_addr_taken(inst) {
-            env.set(name, Init::Yes);
+        for &s in frame.body.addr_taken(inst) {
+            env.set_at(s, Init::Yes);
         }
     }
 }

@@ -6,9 +6,9 @@
 //! overflow checks on the happy path (any sum or product of two in-range
 //! `i64`s fits in `i128`; the rare `i128` overflow saturates to ±∞).
 
-use super::domain::{AbstractValue, Domain, Env, Summaries};
-use crate::ast::{BinOp, Expr, ExprKind, Type, UnOp};
-use crate::cfg::CfgInst;
+use super::domain::{AbstractValue, Domain, Env, Frame, Summaries};
+use super::lower::{Callee, Inst, Node, NodeId, Op, Storage, Target};
+use crate::ast::{BinOp, UnOp};
 use std::fmt;
 use std::sync::Arc;
 
@@ -242,7 +242,160 @@ fn bmul(a: i128, b: i128) -> i128 {
     a.checked_mul(b).unwrap_or(if negative { NINF } else { PINF })
 }
 
-/// Interval transfer functions over the mini-C instruction set, with an
+/// A lattice of integer ranges: [`Interval`] itself and
+/// [`Width`](super::width::Width), which differs only in its widening.
+/// Both domains interpret instructions, expressions and branch conditions
+/// identically, through the functions below.
+pub(crate) trait Ranged: AbstractValue + Copy {
+    /// The range.
+    fn iv(self) -> Interval;
+    /// The value of a range.
+    fn of(iv: Interval) -> Self;
+}
+
+impl Ranged for Interval {
+    fn iv(self) -> Interval {
+        self
+    }
+
+    fn of(iv: Interval) -> Self {
+        iv
+    }
+}
+
+/// The range of node `n` in `env`.
+pub(crate) fn eval_range<V: Ranged>(frame: &Frame<'_, V>, env: &Env<V>, n: NodeId) -> V {
+    let iv = match frame.body.node(n) {
+        Node::Int(v) | Node::Char(v) => Interval::point(v),
+        Node::Var(s) => return env.at(s),
+        Node::Call(c, _) => return frame.call(c),
+        Node::Unary(UnOp::Neg, e) => eval_range(frame, env, e).iv().neg(),
+        Node::Unary(UnOp::Not, _) => Interval::range(0, 1),
+        Node::Binary(op, l, r) => {
+            let a = eval_range(frame, env, l).iv();
+            let b = eval_range(frame, env, r).iv();
+            match op {
+                BinOp::Add => a.add(&b),
+                BinOp::Sub => a.sub(&b),
+                BinOp::Mul => a.mul(&b),
+                BinOp::Div => a.div(&b),
+                BinOp::Rem => a.rem(&b),
+                op if op.is_comparison() => Interval::range(0, 1),
+                _ => Interval::TOP,
+            }
+        }
+        Node::Str | Node::Unary(UnOp::Deref | UnOp::AddrOf, _) | Node::Index(..) => Interval::TOP,
+    };
+    V::of(iv)
+}
+
+/// Range transfer: a declaration or plain assignment binds the evaluated
+/// range (arrays are storage, not scalar values, so they bind top), and
+/// locations handed out under `&` are havocked. Indirect stores kill
+/// nothing (no alias tracking); checkers only rely on must-facts derived
+/// from literal constants.
+pub(crate) fn transfer_range<V: Ranged>(frame: &Frame<'_, V>, env: &mut Env<V>, inst: &Inst) {
+    match inst.op {
+        Op::Decl { slot, storage, init } => {
+            let v = match (storage, init) {
+                (Storage::Array(_), _) | (_, None) => V::top(),
+                (_, Some(e)) => eval_range(frame, env, e),
+            };
+            env.set_at(slot, v);
+        }
+        Op::Assign { target: Target::Var(slot), value } => {
+            let v = eval_range(frame, env, value);
+            env.set_at(slot, v);
+        }
+        _ => {}
+    }
+    for &s in frame.body.addr_taken(inst) {
+        env.havoc_at(s);
+    }
+}
+
+/// Refines ranges along a branch edge: `x` not taken means `x == 0`, and a
+/// comparison of a variable with any expression constrains the variable.
+pub(crate) fn refine_range<V: Ranged>(
+    frame: &Frame<'_, V>,
+    env: &mut Env<V>,
+    cond: NodeId,
+    taken: bool,
+) {
+    let body = frame.body;
+    match body.node(cond) {
+        Node::Unary(UnOp::Not, inner) => refine_range(frame, env, inner, !taken),
+        Node::Var(s) if !taken => {
+            let refined = env.at(s).iv().meet(&Interval::point(0));
+            env.set_at(s, V::of(refined));
+        }
+        Node::Binary(op, l, r) if op.is_comparison() => {
+            let (op, var, other) = match (body.node(l), body.node(r)) {
+                (Node::Var(v), _) => (op, v, r),
+                (_, Node::Var(v)) => (flip_cmp(op), v, l),
+                _ => return,
+            };
+            let op = if taken {
+                op
+            } else {
+                match negate_cmp(op) {
+                    Some(n) => n,
+                    None => return,
+                }
+            };
+            let rhs = eval_range(frame, env, other).iv();
+            let refined = constrain(env.at(var).iv(), op, &rhs);
+            env.set_at(var, V::of(refined));
+        }
+        _ => {}
+    }
+}
+
+/// Applies the comparison `var_value (op) rhs` as a constraint on
+/// `var_value`, returning the refined interval.
+fn constrain(var_value: Interval, op: BinOp, rhs: &Interval) -> Interval {
+    if rhs.is_bottom() {
+        return var_value;
+    }
+    match op {
+        BinOp::Lt => var_value.meet(&Interval::range(NINF, badd(rhs.hi, -1))),
+        BinOp::Le => var_value.meet(&Interval::range(NINF, rhs.hi)),
+        BinOp::Gt => var_value.meet(&Interval::range(badd(rhs.lo, 1), PINF)),
+        BinOp::Ge => var_value.meet(&Interval::range(rhs.lo, PINF)),
+        BinOp::Eq => var_value.meet(rhs),
+        BinOp::Ne => match rhs.as_finite_point() {
+            // Only trims when the excluded point is an endpoint.
+            Some(k) if var_value.lo == k as i128 => Interval::range(var_value.lo + 1, var_value.hi),
+            Some(k) if var_value.hi == k as i128 => Interval::range(var_value.lo, var_value.hi - 1),
+            _ => var_value,
+        },
+        _ => var_value,
+    }
+}
+
+fn negate_cmp(op: BinOp) -> Option<BinOp> {
+    Some(match op {
+        BinOp::Lt => BinOp::Ge,
+        BinOp::Le => BinOp::Gt,
+        BinOp::Gt => BinOp::Le,
+        BinOp::Ge => BinOp::Lt,
+        BinOp::Eq => BinOp::Ne,
+        BinOp::Ne => BinOp::Eq,
+        _ => return None,
+    })
+}
+
+fn flip_cmp(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Lt => BinOp::Gt,
+        BinOp::Le => BinOp::Ge,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::Ge => BinOp::Le,
+        other => other,
+    }
+}
+
+/// Interval transfer functions over the lowered instruction set, with an
 /// interprocedural summary table mapping function names to their abstract
 /// return values (absent entries — externals — evaluate to top).
 #[derive(Debug, Clone, Default)]
@@ -256,155 +409,36 @@ impl IntervalDomain {
     pub fn with_summaries(summaries: Arc<Summaries<Interval>>) -> Self {
         IntervalDomain { summaries }
     }
-
-    fn eval_expr(&self, env: &Env<Interval>, e: &Expr) -> Interval {
-        match &e.kind {
-            ExprKind::Int(v) => Interval::point(*v),
-            ExprKind::Char(c) => Interval::point(*c as i64),
-            ExprKind::Str(_) => Interval::TOP,
-            ExprKind::Var(name) => env.get(name),
-            ExprKind::Unary(op, inner) => {
-                let v = self.eval_expr(env, inner);
-                match op {
-                    UnOp::Neg => v.neg(),
-                    UnOp::Not => Interval::range(0, 1),
-                    UnOp::Deref | UnOp::AddrOf => Interval::TOP,
-                }
-            }
-            ExprKind::Binary(op, l, r) => {
-                let a = self.eval_expr(env, l);
-                let b = self.eval_expr(env, r);
-                match op {
-                    BinOp::Add => a.add(&b),
-                    BinOp::Sub => a.sub(&b),
-                    BinOp::Mul => a.mul(&b),
-                    BinOp::Div => a.div(&b),
-                    BinOp::Rem => a.rem(&b),
-                    op if op.is_comparison() => Interval::range(0, 1),
-                    _ => Interval::TOP,
-                }
-            }
-            ExprKind::Call(name, _) => {
-                self.summaries.get(name.as_str()).copied().unwrap_or(Interval::TOP)
-            }
-            ExprKind::Index(_, _) => Interval::TOP,
-        }
-    }
-
-    /// Applies the comparison `var_value (op) rhs` as a constraint on
-    /// `var_value`, returning the refined interval.
-    fn constrain(var_value: Interval, op: BinOp, rhs: &Interval) -> Interval {
-        if rhs.is_bottom() {
-            return var_value;
-        }
-        match op {
-            BinOp::Lt => var_value.meet(&Interval::range(NINF, badd(rhs.hi, -1))),
-            BinOp::Le => var_value.meet(&Interval::range(NINF, rhs.hi)),
-            BinOp::Gt => var_value.meet(&Interval::range(badd(rhs.lo, 1), PINF)),
-            BinOp::Ge => var_value.meet(&Interval::range(rhs.lo, PINF)),
-            BinOp::Eq => var_value.meet(rhs),
-            BinOp::Ne => match rhs.as_finite_point() {
-                // Only trims when the excluded point is an endpoint.
-                Some(k) if var_value.lo == k as i128 => {
-                    Interval::range(var_value.lo + 1, var_value.hi)
-                }
-                Some(k) if var_value.hi == k as i128 => {
-                    Interval::range(var_value.lo, var_value.hi - 1)
-                }
-                _ => var_value,
-            },
-            _ => var_value,
-        }
-    }
-
-    fn negate_cmp(op: BinOp) -> Option<BinOp> {
-        Some(match op {
-            BinOp::Lt => BinOp::Ge,
-            BinOp::Le => BinOp::Gt,
-            BinOp::Gt => BinOp::Le,
-            BinOp::Ge => BinOp::Lt,
-            BinOp::Eq => BinOp::Ne,
-            BinOp::Ne => BinOp::Eq,
-            _ => return None,
-        })
-    }
-
-    fn flip_cmp(op: BinOp) -> BinOp {
-        match op {
-            BinOp::Lt => BinOp::Gt,
-            BinOp::Le => BinOp::Ge,
-            BinOp::Gt => BinOp::Lt,
-            BinOp::Ge => BinOp::Le,
-            other => other,
-        }
-    }
 }
 
 impl Domain for IntervalDomain {
     type Value = Interval;
+    const REFINES: bool = true;
 
     fn name(&self) -> &'static str {
         "interval"
     }
 
-    fn transfer(&self, env: &mut Env<Interval>, inst: &CfgInst) {
-        match inst {
-            CfgInst::Decl { name, ty, init } => {
-                let v = match (ty, init) {
-                    // Arrays are storage, not scalar values.
-                    (Type::Array(_, _), _) => Interval::TOP,
-                    (_, Some(e)) => self.eval_expr(env, e),
-                    (_, None) => Interval::TOP,
-                };
-                env.set(name, v);
-            }
-            CfgInst::Assign { target, value } => {
-                if let crate::ast::LValue::Var(name) = target {
-                    let v = self.eval_expr(env, value);
-                    env.set(name, v);
-                }
-                // Indirect stores kill nothing (no alias tracking); checkers
-                // only rely on must-facts derived from literal constants.
-            }
-            CfgInst::Expr(_) | CfgInst::Branch(_) | CfgInst::Return(_) => {}
-        }
-        for name in super::domain::inst_addr_taken(inst) {
-            env.havoc(name);
-        }
+    fn resolve(&self, callee: &Callee) -> Interval {
+        self.summaries.get(callee.name.as_str()).copied().unwrap_or(Interval::TOP)
     }
 
-    fn eval(&self, env: &Env<Interval>, e: &Expr) -> Interval {
-        self.eval_expr(env, e)
+    fn transfer(&self, frame: &Frame<'_, Interval>, env: &mut Env<Interval>, inst: &Inst) {
+        transfer_range(frame, env, inst);
     }
 
-    fn refine(&self, env: &mut Env<Interval>, cond: &Expr, taken: bool) {
-        match &cond.kind {
-            ExprKind::Unary(UnOp::Not, inner) => self.refine(env, inner, !taken),
-            ExprKind::Var(name) if !taken => {
-                // `if (x)` not taken ⇒ x == 0.
-                let refined = env.get(name).meet(&Interval::point(0));
-                env.set(name, refined);
-            }
-            ExprKind::Binary(op, l, r) if op.is_comparison() => {
-                let (op, var, other) = match (&l.kind, &r.kind) {
-                    (ExprKind::Var(v), _) => (*op, v, r),
-                    (_, ExprKind::Var(v)) => (Self::flip_cmp(*op), v, l),
-                    _ => return,
-                };
-                let op = if taken {
-                    op
-                } else {
-                    match Self::negate_cmp(op) {
-                        Some(n) => n,
-                        None => return,
-                    }
-                };
-                let rhs = self.eval_expr(env, other);
-                let refined = Self::constrain(env.get(var), op, &rhs);
-                env.set(var, refined);
-            }
-            _ => {}
-        }
+    fn eval_node(&self, frame: &Frame<'_, Interval>, env: &Env<Interval>, n: NodeId) -> Interval {
+        eval_range(frame, env, n)
+    }
+
+    fn refine(
+        &self,
+        frame: &Frame<'_, Interval>,
+        env: &mut Env<Interval>,
+        cond: NodeId,
+        taken: bool,
+    ) {
+        refine_range(frame, env, cond, taken);
     }
 }
 
@@ -448,6 +482,27 @@ mod tests {
         assert!(!sq.is_bottom());
         assert!(sq.lo() > i64::MAX as i128, "certain overflow must be provable");
         assert!(!sq.fits_i64());
+    }
+
+    #[test]
+    fn source_expressions_evaluate_by_name() {
+        // `Domain::eval` resolves variables against the state's table and
+        // calls against the summaries, as evidence rendering needs.
+        let p = crate::parse("int f() { return x * 2 + scale() + y; }").unwrap();
+        let crate::ast::StmtKind::Return(Some(e)) = &p.functions[0].body[0].kind else {
+            panic!("a return statement")
+        };
+        let domain = IntervalDomain::with_summaries(Arc::new(Summaries::from([(
+            crate::intern::Symbol::new("scale"),
+            Interval::point(3),
+        )])));
+        let mut env = Env::reachable_top();
+        env.set("x", Interval::point(4));
+        env.set("y", Interval::point(1));
+        assert!(domain.eval(&env, e).is_point(12));
+        let mut env = Env::reachable_top();
+        env.set("x", Interval::point(4));
+        assert_eq!(domain.eval(&env, e), Interval::TOP, "a name the state lacks reads as top");
     }
 
     #[test]

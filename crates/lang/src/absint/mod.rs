@@ -1,11 +1,21 @@
 //! Abstract interpretation: a generic monotone-framework fixpoint solver
 //! over the [`crate::cfg`] layer with pluggable abstract domains.
 //!
+//! Each function is lowered once, when its [`FnShape`] is built: the CFG
+//! builder emits [`lower::Inst`]s whose variables are slots, whose
+//! expressions live in one per-function arena, and whose calls index a
+//! function-local callee table classified once. Every domain's transfer,
+//! refinement and evaluation interpret that form; no name is looked up
+//! while the solver runs. The solver joins into block-entry states in
+//! place ([`Env::join_into`]), and the change flag the join returns is the
+//! fixpoint test.
+//!
 //! The module is organised as a classic monotone framework:
 //!
+//! * [`lower`] — the lowered instruction form and its callee table;
 //! * [`domain`] — the [`AbstractValue`] lattice contract, the
-//!   slot-indexed per-variable [`Env`] state, and the [`Domain`]
-//!   transfer-function trait;
+//!   slot-indexed per-variable [`Env`] state with its in-place joins, the
+//!   per-solve [`Frame`] and the [`Domain`] transfer-function trait;
 //! * [`interval`] — value ranges with widening to ±∞ (out-of-bounds and
 //!   division-by-zero reasoning);
 //! * [`nullness`] — literal-null provenance tracking for pointers;
@@ -21,8 +31,9 @@
 //! * [`callgraph`] — the one per-program call graph and its strongly connected
 //!   components;
 //! * [`substrate`] — the per-program [`Substrate`] (call graph, components,
-//!   and per-function CFG, RPO ranks, reachable mask and slot table, built
-//!   once) and [`Substrate::run`], the one driver: it solves a domain pass
+//!   and per-function lowered CFG, RPO ranks, reachable mask and slot
+//!   table, built once) and [`Substrate::run`], the one driver: it solves a
+//!   domain pass
 //!   bottom-up with context-insensitive interprocedural summaries (one
 //!   abstract return value per function) so facts flow across function
 //!   boundaries, optionally SCC-parallel or through the incremental stage
@@ -61,6 +72,7 @@ pub mod callgraph;
 pub mod domain;
 pub mod init;
 pub mod interval;
+pub mod lower;
 pub mod nullness;
 pub mod ownership;
 pub mod provenance;
@@ -69,9 +81,10 @@ pub mod substrate;
 pub mod width;
 
 pub use callgraph::CallGraph;
-pub use domain::{AbstractValue, Domain, Env, Summaries};
+pub use domain::{AbstractValue, Domain, Env, Frame, Summaries};
 pub use init::{Init, InitDomain};
 pub use interval::{Interval, IntervalDomain};
+pub use lower::{Callee, CalleeKind, Inst, Lowered, Node, NodeId, Op, Slot};
 pub use nullness::{Nullness, NullnessDomain};
 pub use ownership::{Ownership, OwnershipDomain};
 pub use provenance::{Provenance, ProvenanceDomain};

@@ -8,9 +8,9 @@
 //! branch at …") instead of flagging every unannotated pointer. `Unknown`
 //! (no information, e.g. a bare parameter) is never report-worthy.
 
-use super::domain::{AbstractValue, Domain, Env, Summaries};
-use crate::ast::{BinOp, Expr, ExprKind, Type, UnOp};
-use crate::cfg::CfgInst;
+use super::domain::{AbstractValue, Domain, Env, Frame, Summaries};
+use super::lower::{Callee, Inst, Node, NodeId, Op, Storage, Target};
+use crate::ast::{BinOp, UnOp};
 use std::fmt;
 use std::sync::Arc;
 
@@ -92,90 +92,93 @@ impl NullnessDomain {
     pub fn with_summaries(summaries: Arc<Summaries<Nullness>>) -> Self {
         NullnessDomain { summaries }
     }
+}
 
-    fn eval_expr(&self, env: &Env<Nullness>, e: &Expr) -> Nullness {
-        match &e.kind {
-            ExprKind::Int(0) => Nullness::Null,
-            ExprKind::Int(_) | ExprKind::Char(_) | ExprKind::Str(_) => Nullness::NonNull,
-            ExprKind::Var(name) => env.get(name),
-            ExprKind::Unary(UnOp::AddrOf, _) => Nullness::NonNull,
-            ExprKind::Unary(_, _) => Nullness::Unknown,
+impl Domain for NullnessDomain {
+    type Value = Nullness;
+    const REFINES: bool = true;
+
+    fn name(&self) -> &'static str {
+        "nullness"
+    }
+
+    fn resolve(&self, callee: &Callee) -> Nullness {
+        self.summaries.get(callee.name.as_str()).copied().unwrap_or(Nullness::NonNull)
+    }
+
+    fn transfer(&self, frame: &Frame<'_, Nullness>, env: &mut Env<Nullness>, inst: &Inst) {
+        match inst.op {
+            Op::Decl { slot, storage, init } => {
+                let v = match (storage, init) {
+                    // Array storage exists, so the "pointer" is non-null.
+                    (Storage::Array(_), _) => Nullness::NonNull,
+                    (_, Some(e)) => self.eval_node(frame, env, e),
+                    (_, None) => Nullness::Unknown,
+                };
+                env.set_at(slot, v);
+            }
+            Op::Assign { target: Target::Var(slot), value } => {
+                let v = self.eval_node(frame, env, value);
+                env.set_at(slot, v);
+            }
+            _ => {}
+        }
+        for &s in frame.body.addr_taken(inst) {
+            env.havoc_at(s);
+        }
+    }
+
+    fn eval_node(&self, frame: &Frame<'_, Nullness>, env: &Env<Nullness>, n: NodeId) -> Nullness {
+        match frame.body.node(n) {
+            Node::Int(0) => Nullness::Null,
+            Node::Int(_) | Node::Char(_) | Node::Str => Nullness::NonNull,
+            Node::Var(s) => env.at(s),
+            Node::Unary(UnOp::AddrOf, _) => Nullness::NonNull,
+            Node::Unary(..) => Nullness::Unknown,
             // Pointer arithmetic preserves the base pointer's nullness
             // provenance closely enough for our must-style checks.
-            ExprKind::Binary(BinOp::Add | BinOp::Sub, l, r) => {
-                let a = self.eval_expr(env, l);
-                let b = self.eval_expr(env, r);
+            Node::Binary(BinOp::Add | BinOp::Sub, l, r) => {
+                let a = self.eval_node(frame, env, l);
+                let b = self.eval_node(frame, env, r);
                 if a == Nullness::NonNull || b == Nullness::NonNull {
                     Nullness::NonNull
                 } else {
                     Nullness::Unknown
                 }
             }
-            ExprKind::Binary(_, _, _) => Nullness::Unknown,
-            ExprKind::Call(name, _) => {
-                self.summaries.get(name.as_str()).copied().unwrap_or(Nullness::NonNull)
-            }
-            ExprKind::Index(_, _) => Nullness::Unknown,
-        }
-    }
-}
-
-impl Domain for NullnessDomain {
-    type Value = Nullness;
-
-    fn name(&self) -> &'static str {
-        "nullness"
-    }
-
-    fn transfer(&self, env: &mut Env<Nullness>, inst: &CfgInst) {
-        match inst {
-            CfgInst::Decl { name, ty, init } => {
-                let v = match (ty, init) {
-                    // Array storage exists, so the "pointer" is non-null.
-                    (Type::Array(_, _), _) => Nullness::NonNull,
-                    (_, Some(e)) => self.eval_expr(env, e),
-                    (_, None) => Nullness::Unknown,
-                };
-                env.set(name, v);
-            }
-            CfgInst::Assign { target, value } => {
-                if let crate::ast::LValue::Var(name) = target {
-                    let v = self.eval_expr(env, value);
-                    env.set(name, v);
-                }
-            }
-            CfgInst::Expr(_) | CfgInst::Branch(_) | CfgInst::Return(_) => {}
-        }
-        for name in super::domain::inst_addr_taken(inst) {
-            env.havoc(name);
+            Node::Binary(..) | Node::Index(..) => Nullness::Unknown,
+            Node::Call(c, _) => frame.call(c),
         }
     }
 
-    fn eval(&self, env: &Env<Nullness>, e: &Expr) -> Nullness {
-        self.eval_expr(env, e)
-    }
-
-    fn refine(&self, env: &mut Env<Nullness>, cond: &Expr, taken: bool) {
+    fn refine(
+        &self,
+        frame: &Frame<'_, Nullness>,
+        env: &mut Env<Nullness>,
+        cond: NodeId,
+        taken: bool,
+    ) {
         // Recognised guards: `p`, `!p`, `p == 0`, `p != 0`, `p == NULL`-style
         // comparisons against the literal zero.
-        match &cond.kind {
-            ExprKind::Unary(UnOp::Not, inner) => self.refine(env, inner, !taken),
-            ExprKind::Var(name) => {
+        let body = frame.body;
+        match body.node(cond) {
+            Node::Unary(UnOp::Not, inner) => self.refine(frame, env, inner, !taken),
+            Node::Var(s) => {
                 // `if (p)` — taken means non-null; the zero value for an int
                 // variable is harmless to record the same way.
-                env.set(name, if taken { Nullness::NonNull } else { Nullness::Null });
+                env.set_at(s, if taken { Nullness::NonNull } else { Nullness::Null });
             }
-            ExprKind::Binary(op @ (BinOp::Eq | BinOp::Ne), l, r) => {
-                let (var, other) = match (&l.kind, &r.kind) {
-                    (ExprKind::Var(v), _) => (v, r),
-                    (_, ExprKind::Var(v)) => (v, l),
+            Node::Binary(op @ (BinOp::Eq | BinOp::Ne), l, r) => {
+                let (var, other) = match (body.node(l), body.node(r)) {
+                    (Node::Var(v), _) => (v, r),
+                    (_, Node::Var(v)) => (v, l),
                     _ => return,
                 };
-                if !matches!(other.kind, ExprKind::Int(0)) {
+                if body.node(other) != Node::Int(0) {
                     return;
                 }
-                let equals_null = (*op == BinOp::Eq) == taken;
-                env.set(var, if equals_null { Nullness::Null } else { Nullness::NonNull });
+                let equals_null = (op == BinOp::Eq) == taken;
+                env.set_at(var, if equals_null { Nullness::Null } else { Nullness::NonNull });
             }
             _ => {}
         }

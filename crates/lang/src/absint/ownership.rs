@@ -14,9 +14,8 @@
 //! high-confidence CWE-416, a use of a `MaybeFreed` handle a medium one;
 //! a *free* of a `Freed` handle is a high-confidence CWE-415.
 
-use super::domain::{AbstractValue, Domain, Env, Summaries};
-use crate::ast::{Expr, ExprKind};
-use crate::cfg::CfgInst;
+use super::domain::{AbstractValue, Domain, Env, Frame, Summaries};
+use super::lower::{Callee, CalleeKind, Inst, Node, NodeId, Op, Target};
 use std::fmt;
 use std::sync::Arc;
 
@@ -127,39 +126,6 @@ impl OwnershipDomain {
     pub fn with_summaries(summaries: Arc<Summaries<Ownership>>) -> Self {
         OwnershipDomain { summaries }
     }
-
-    fn eval_expr(&self, env: &Env<Ownership>, e: &Expr) -> Ownership {
-        match &e.kind {
-            ExprKind::Var(name) => env.get(name),
-            ExprKind::Call(name, _) => {
-                if ALLOC_FNS.contains(&name.as_str()) {
-                    Ownership::Owned
-                } else {
-                    self.summaries.get(name.as_str()).copied().unwrap_or(Ownership::Unknown)
-                }
-            }
-            _ => Ownership::Unknown,
-        }
-    }
-
-    /// Applies the side effects of every `free`/`handoff` call appearing in
-    /// `e` to the state (the released variable's new state).
-    fn apply_release_effects(env: &mut Env<Ownership>, e: &Expr) {
-        e.walk(&mut |sub| {
-            if let ExprKind::Call(name, args) = &sub.kind {
-                let after = if FREE_FNS.contains(&name.as_str()) {
-                    Ownership::Freed
-                } else if HANDOFF_FNS.contains(&name.as_str()) {
-                    Ownership::Moved
-                } else {
-                    return;
-                };
-                if let Some(Expr { kind: ExprKind::Var(v), .. }) = args.first() {
-                    env.set(v, after);
-                }
-            }
-        });
-    }
 }
 
 impl Domain for OwnershipDomain {
@@ -169,40 +135,59 @@ impl Domain for OwnershipDomain {
         "ownership"
     }
 
-    fn transfer(&self, env: &mut Env<Ownership>, inst: &CfgInst) {
-        // Release effects first, then bindings: `p = alloc_buffer(n)` after
-        // a free re-establishes ownership of the (re-bound) handle.
-        match inst {
-            CfgInst::Decl { init: Some(e), .. }
-            | CfgInst::Expr(e)
-            | CfgInst::Branch(e)
-            | CfgInst::Return(Some(e)) => Self::apply_release_effects(env, e),
-            CfgInst::Assign { value, .. } => Self::apply_release_effects(env, value),
-            _ => {}
-        }
-        match inst {
-            CfgInst::Decl { name, init, .. } => {
-                let v = match init {
-                    Some(e) => self.eval_expr(env, e),
-                    None => Ownership::Unknown,
-                };
-                env.set(name, v);
-            }
-            CfgInst::Assign { target, value } => {
-                if let crate::ast::LValue::Var(name) = target {
-                    let v = self.eval_expr(env, value);
-                    env.set(name, v);
-                }
-            }
-            CfgInst::Expr(_) | CfgInst::Branch(_) | CfgInst::Return(_) => {}
-        }
-        for name in super::domain::inst_addr_taken(inst) {
-            env.havoc(name);
+    fn resolve(&self, callee: &Callee) -> Ownership {
+        match callee.kind {
+            CalleeKind::Alloc => Ownership::Owned,
+            _ => self.summaries.get(callee.name.as_str()).copied().unwrap_or(Ownership::Unknown),
         }
     }
 
-    fn eval(&self, env: &Env<Ownership>, e: &Expr) -> Ownership {
-        self.eval_expr(env, e)
+    fn transfer(&self, frame: &Frame<'_, Ownership>, env: &mut Env<Ownership>, inst: &Inst) {
+        // Release effects first, then bindings: `p = alloc_buffer(n)` after
+        // a free re-establishes ownership of the (re-bound) handle. A
+        // release sets its first argument, when that is a plain variable.
+        let body = frame.body;
+        for &call in body.value_calls(inst) {
+            let Some((callee, Some(arg))) = body.call(call) else { continue };
+            let after = match callee.kind {
+                CalleeKind::Free => Ownership::Freed,
+                CalleeKind::Handoff => Ownership::Moved,
+                _ => continue,
+            };
+            if let Node::Var(s) = body.node(arg) {
+                env.set_at(s, after);
+            }
+        }
+        match inst.op {
+            Op::Decl { slot, init, .. } => {
+                let v = match init {
+                    Some(e) => self.eval_node(frame, env, e),
+                    None => Ownership::Unknown,
+                };
+                env.set_at(slot, v);
+            }
+            Op::Assign { target: Target::Var(slot), value } => {
+                let v = self.eval_node(frame, env, value);
+                env.set_at(slot, v);
+            }
+            _ => {}
+        }
+        for &s in body.addr_taken(inst) {
+            env.havoc_at(s);
+        }
+    }
+
+    fn eval_node(
+        &self,
+        frame: &Frame<'_, Ownership>,
+        env: &Env<Ownership>,
+        n: NodeId,
+    ) -> Ownership {
+        match frame.body.node(n) {
+            Node::Var(s) => env.at(s),
+            Node::Call(c, _) => frame.call(c),
+            _ => Ownership::Unknown,
+        }
     }
 }
 

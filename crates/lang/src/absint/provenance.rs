@@ -16,9 +16,9 @@
 //! team's renamed sanitizer wrapper) — is never report-worthy, keeping the
 //! checker must-style.
 
-use super::domain::{AbstractValue, Domain, Env, Summaries};
-use crate::ast::{Expr, ExprKind, Type, UnOp};
-use crate::cfg::CfgInst;
+use super::domain::{AbstractValue, Domain, Env, Frame, Summaries};
+use super::lower::{Callee, CalleeKind, Inst, Node, NodeId, Op, Storage, Target};
+use crate::ast::UnOp;
 use std::fmt;
 use std::sync::Arc;
 
@@ -186,42 +186,6 @@ impl ProvenanceDomain {
             _ => MaybeExt(a.mask() & b.mask()),
         }
     }
-
-    fn eval_expr(&self, env: &Env<Provenance>, e: &Expr) -> Provenance {
-        match &e.kind {
-            ExprKind::Int(_) | ExprKind::Char(_) | ExprKind::Str(_) => Provenance::Clean,
-            ExprKind::Var(name) => env.get(name),
-            ExprKind::Unary(UnOp::Not | UnOp::Neg, inner) => self.eval_expr(env, inner),
-            ExprKind::Unary(_, _) => Provenance::Unknown,
-            ExprKind::Binary(_, l, r) => {
-                Self::combine(self.eval_expr(env, l), self.eval_expr(env, r))
-            }
-            ExprKind::Call(name, args) => {
-                if SOURCE_FNS.contains(&name.as_str()) {
-                    return Provenance::Ext(0);
-                }
-                if let Some(granted) = sanitizer_mask(name) {
-                    // A sanitizer adds its kinds to the operand's safe mask.
-                    return match args.first().map(|a| self.eval_expr(env, a)) {
-                        Some(Provenance::Ext(m)) => Provenance::Ext(m | granted),
-                        Some(Provenance::MaybeExt(m)) => Provenance::MaybeExt(m | granted),
-                        Some(other) => other,
-                        None => Provenance::Unknown,
-                    };
-                }
-                if name == "concat" {
-                    // The canonical string combiner forwards its operands'
-                    // provenance, like a binary operator.
-                    return args
-                        .iter()
-                        .map(|a| self.eval_expr(env, a))
-                        .fold(Provenance::Clean, Self::combine);
-                }
-                self.summaries.get(name.as_str()).copied().unwrap_or(Provenance::Unknown)
-            }
-            ExprKind::Index(_, _) => Provenance::Unknown,
-        }
-    }
 }
 
 impl Domain for ProvenanceDomain {
@@ -231,31 +195,70 @@ impl Domain for ProvenanceDomain {
         "provenance"
     }
 
-    fn transfer(&self, env: &mut Env<Provenance>, inst: &CfgInst) {
-        match inst {
-            CfgInst::Decl { name, ty, init } => {
-                let v = match (ty, init) {
-                    (Type::Array(_, _), _) => Provenance::Unknown,
-                    (_, Some(e)) => self.eval_expr(env, e),
-                    (_, None) => Provenance::Unknown,
-                };
-                env.set(name, v);
-            }
-            CfgInst::Assign { target, value } => {
-                if let crate::ast::LValue::Var(name) = target {
-                    let v = self.eval_expr(env, value);
-                    env.set(name, v);
-                }
-            }
-            CfgInst::Expr(_) | CfgInst::Branch(_) | CfgInst::Return(_) => {}
-        }
-        for name in super::domain::inst_addr_taken(inst) {
-            env.havoc(name);
+    fn resolve(&self, callee: &Callee) -> Provenance {
+        match callee.kind {
+            CalleeKind::Source => Provenance::Ext(0),
+            // Argument-dependent: evaluated at the call site.
+            CalleeKind::Sanitizer(_) | CalleeKind::Concat => Provenance::Unknown,
+            _ => self.summaries.get(callee.name.as_str()).copied().unwrap_or(Provenance::Unknown),
         }
     }
 
-    fn eval(&self, env: &Env<Provenance>, e: &Expr) -> Provenance {
-        self.eval_expr(env, e)
+    fn transfer(&self, frame: &Frame<'_, Provenance>, env: &mut Env<Provenance>, inst: &Inst) {
+        match inst.op {
+            Op::Decl { slot, storage, init } => {
+                let v = match (storage, init) {
+                    (Storage::Array(_), _) | (_, None) => Provenance::Unknown,
+                    (_, Some(e)) => self.eval_node(frame, env, e),
+                };
+                env.set_at(slot, v);
+            }
+            Op::Assign { target: Target::Var(slot), value } => {
+                let v = self.eval_node(frame, env, value);
+                env.set_at(slot, v);
+            }
+            _ => {}
+        }
+        for &s in frame.body.addr_taken(inst) {
+            env.havoc_at(s);
+        }
+    }
+
+    fn eval_node(
+        &self,
+        frame: &Frame<'_, Provenance>,
+        env: &Env<Provenance>,
+        n: NodeId,
+    ) -> Provenance {
+        let body = frame.body;
+        match body.node(n) {
+            Node::Int(_) | Node::Char(_) | Node::Str => Provenance::Clean,
+            Node::Var(s) => env.at(s),
+            Node::Unary(UnOp::Not | UnOp::Neg, e) => self.eval_node(frame, env, e),
+            Node::Unary(..) | Node::Index(..) => Provenance::Unknown,
+            Node::Binary(_, l, r) => {
+                Self::combine(self.eval_node(frame, env, l), self.eval_node(frame, env, r))
+            }
+            Node::Call(c, args) => match body.callees[c as usize].kind {
+                // A sanitizer adds its kinds to the operand's safe mask.
+                CalleeKind::Sanitizer(granted) => {
+                    match body.args(args).first().map(|&a| self.eval_node(frame, env, a)) {
+                        Some(Provenance::Ext(m)) => Provenance::Ext(m | granted),
+                        Some(Provenance::MaybeExt(m)) => Provenance::MaybeExt(m | granted),
+                        Some(other) => other,
+                        None => Provenance::Unknown,
+                    }
+                }
+                // The canonical string combiner forwards its operands'
+                // provenance, like a binary operator.
+                CalleeKind::Concat => body
+                    .args(args)
+                    .iter()
+                    .map(|&a| self.eval_node(frame, env, a))
+                    .fold(Provenance::Clean, Self::combine),
+                _ => frame.call(c),
+            },
+        }
     }
 }
 

@@ -39,43 +39,63 @@
 
 use super::callgraph::CallGraph;
 use super::domain::{Domain, Env, Slots, Summaries};
+use super::lower::{Inst, Lowered, LoweredCfg, NodeId, Op, Slot};
 use super::solver::{DomainAnalysis, Solver, SolverConfig, SolverStats};
 use crate::ast::{Function, Program};
 use crate::cache::{AnalysisCache, Stage};
-use crate::cfg::{BlockId, Cfg, CfgInst, SpannedInst};
+use crate::cfg::{BlockId, SpannedInst};
 use crate::incremental::{
     component_keys, fingerprint_function, fingerprint_function_source, IncrementalTrace,
 };
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
-/// Everything the domain passes need about one function besides its AST.
+/// Everything the domain passes need about one function besides its AST:
+/// its CFG and that CFG's lowered form, built once. Nothing in a shape
+/// depends on the rest of the program (see [`super::lower`]), which is what
+/// lets the incremental substrate share shapes across programs by function
+/// fingerprint.
 #[derive(Debug)]
 pub struct FnShape {
-    /// The control-flow graph.
-    pub cfg: Cfg,
+    /// The control-flow graph, its instructions lowered.
+    pub cfg: LoweredCfg,
     /// Reverse post-order of the CFG's blocks.
     pub(crate) rpo: Vec<BlockId>,
     /// Each block's rank in `rpo` (`usize::MAX` if the entry cannot reach
     /// it).
     pub(crate) rank: Vec<usize>,
-    /// [`Cfg::reachable`].
+    /// [`Cfg::reachable`](crate::cfg::Cfg::reachable).
     pub reachable: Vec<bool>,
     /// The function's variable-slot table.
     pub(crate) slots: Arc<Slots>,
+    /// The expression arena, pools and callee table the lowered
+    /// instructions index.
+    pub lowered: Lowered,
 }
 
 impl FnShape {
     /// Builds the shape of `func`.
     pub(crate) fn build(func: &Function) -> FnShape {
-        let cfg = Cfg::build(func);
+        let (cfg, lowered, slots) = Lowered::build(func);
         let rpo = cfg.reverse_post_order();
         let mut rank = vec![usize::MAX; cfg.blocks.len()];
         for (i, &b) in rpo.iter().enumerate() {
             rank[b] = i;
         }
-        let reachable = cfg.reachable();
-        FnShape { cfg, rpo, rank, reachable, slots: Arc::new(Slots::of_function(func)) }
+        // The builder prunes every edge out of an unreachable block, so the
+        // blocks the entry reaches are exactly the ranked ones.
+        let reachable = rank.iter().map(|&r| r != usize::MAX).collect();
+        FnShape { cfg, rpo, rank, reachable, slots: Arc::new(slots), lowered }
+    }
+
+    /// Number of variable slots.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The variable in `slot`.
+    pub fn slot_name(&self, slot: Slot) -> &str {
+        self.slots.name(slot)
     }
 }
 
@@ -83,7 +103,7 @@ impl FnShape {
 pub struct Solved<'a, D: Domain> {
     /// The function.
     pub func: &'a Function,
-    /// Its shape (CFG and reachable mask).
+    /// Its shape (CFG, lowered form and reachable mask).
     pub shape: &'a FnShape,
     /// The domain it was solved under (summaries included).
     pub domain: &'a D,
@@ -93,16 +113,38 @@ pub struct Solved<'a, D: Domain> {
 
 impl<D: Domain> Solved<'_, D> {
     /// The function's CFG.
-    pub fn cfg(&self) -> &Cfg {
+    pub fn cfg(&self) -> &LoweredCfg {
         &self.shape.cfg
+    }
+
+    /// The function's lowered form.
+    pub fn body(&self) -> &Lowered {
+        &self.shape.lowered
+    }
+
+    /// Evaluates node `n` of the lowered form in `env`.
+    pub fn eval(&self, env: &Env<D::Value>, n: NodeId) -> D::Value {
+        self.domain.eval_node(&self.analysis.frame(self.shape), env, n)
     }
 
     /// Walks every reachable block in block order and calls `visit` with
     /// each instruction whose pre-state is reachable, borrowing that state.
-    pub fn for_each_reachable(&self, mut visit: impl FnMut(&Env<D::Value>, &SpannedInst)) {
+    pub fn for_each_reachable(&self, visit: impl FnMut(&Env<D::Value>, &SpannedInst<Inst>)) {
+        self.for_each_reachable_where(|_| true, visit);
+    }
+
+    /// [`Solved::for_each_reachable`] over the blocks holding at least one
+    /// instruction `wanted` accepts; the blocks without one are not
+    /// replayed.
+    pub fn for_each_reachable_where(
+        &self,
+        wanted: impl Fn(&Inst) -> bool,
+        mut visit: impl FnMut(&Env<D::Value>, &SpannedInst<Inst>),
+    ) {
+        let mut env = Env::bottom();
         for (b, &live) in self.shape.reachable.iter().enumerate() {
-            if live {
-                self.analysis.walk_block(self.domain, &self.shape.cfg, b, |pre, inst| {
+            if live && self.shape.cfg.blocks[b].insts.iter().any(|i| wanted(&i.inst)) {
+                self.analysis.replay(self.domain, self.shape, b, &mut env, |pre, inst| {
                     if pre.is_reachable() {
                         visit(pre, inst);
                     }
@@ -267,11 +309,16 @@ impl<'p> Substrate<'p> {
         let mut trace = IncrementalTrace::default();
 
         // Components solved together: one level of the condensation when
-        // solving in parallel, otherwise each component on its own.
-        let groups =
-            if jobs > 1 { self.levels() } else { (0..self.sccs.len()).map(|c| vec![c]).collect() };
-        for group in &groups {
-            let mut todo: Vec<(usize, Option<StageMiss>)> = Vec::new();
+        // solving in parallel, otherwise each component on its own. Group
+        // `g` is `comps[bounds[g]..bounds[g + 1]]`.
+        let (comps, bounds) = if jobs > 1 {
+            self.levels()
+        } else {
+            ((0..self.sccs.len()).collect(), (0..=self.sccs.len()).collect())
+        };
+        let mut todo: Vec<(usize, Option<StageMiss>)> = Vec::new();
+        for group in bounds.windows(2).map(|w| &comps[w[0]..w[1]]) {
+            todo.clear();
             for &c in group {
                 let Some(sc) = &self.cache else {
                     todo.push((c, None));
@@ -316,7 +363,7 @@ impl<'p> Substrate<'p> {
             let solved = crate::par::map_ordered(&todo, jobs, |&(c, _)| solve(c));
 
             let table = Arc::make_mut(&mut completed);
-            for ((_, miss), comp) in todo.iter().zip(solved) {
+            for ((_, miss), comp) in todo.drain(..).zip(solved) {
                 for (m, v, _) in &comp.members {
                     table.insert(self.graph.name(*m).clone(), v.clone());
                 }
@@ -382,7 +429,7 @@ impl<'p> Substrate<'p> {
             let shape = self.shape(f);
             let (ret, payload) = {
                 let domain = make_domain(local.as_ref().unwrap_or(completed).clone());
-                let analysis = solver.solve(&domain, shape, func);
+                let analysis = solver.solve(&domain, shape);
                 stats.absorb(&analysis.stats);
                 let ret = return_summary(&domain, shape, &analysis);
                 (ret, check(&Solved { func, shape, domain: &domain, analysis: &analysis }))
@@ -398,8 +445,9 @@ impl<'p> Substrate<'p> {
 
     /// Components grouped by level of the condensation, each level in
     /// topological order (callee levels are final when a level is reached
-    /// because `sccs` is bottom-up-topological).
-    fn levels(&self) -> Vec<Vec<usize>> {
+    /// because `sccs` is bottom-up-topological): the components level by
+    /// level, and where each level starts (plus the end).
+    fn levels(&self) -> (Vec<usize>, Vec<usize>) {
         let mut comp_of = vec![0usize; self.graph.len()];
         for (ci, comp) in self.sccs.iter().enumerate() {
             for &m in comp {
@@ -422,7 +470,12 @@ impl<'p> Substrate<'p> {
             }
             by_level[lv].push(ci);
         }
-        by_level
+        let mut bounds = vec![0];
+        bounds.extend(by_level.iter().scan(0, |end, level| {
+            *end += level.len();
+            Some(*end)
+        }));
+        (by_level.concat(), bounds)
     }
 }
 
@@ -435,16 +488,16 @@ fn return_summary<D: Domain>(
     analysis: &DomainAnalysis<D::Value>,
 ) -> D::Value {
     use super::domain::AbstractValue;
+    let frame = analysis.frame(shape);
+    let mut env = Env::bottom();
     let mut acc: Option<D::Value> = None;
-    for (b, block) in shape.cfg.blocks.iter().enumerate() {
-        if !shape.reachable[b]
-            || !block.insts.iter().any(|i| matches!(i.inst, CfgInst::Return(Some(_))))
-        {
+    for (b, (block, &live)) in shape.cfg.blocks.iter().zip(&shape.reachable).enumerate() {
+        if !live || !block.insts.iter().any(|i| matches!(i.inst.op, Op::Return(Some(_)))) {
             continue;
         }
-        analysis.walk_block(domain, &shape.cfg, b, |env, inst| {
-            if let CfgInst::Return(Some(e)) = &inst.inst {
-                let v = domain.eval(env, e);
+        analysis.replay(domain, shape, b, &mut env, |env, inst| {
+            if let Op::Return(Some(e)) = inst.inst.op {
+                let v = domain.eval_node(&frame, env, e);
                 acc = Some(match acc.take() {
                     None => v,
                     Some(a) => a.join(&v),
@@ -472,7 +525,9 @@ mod tests {
 
     fn interval_pass(sub: &Substrate<'_>, jobs: usize) -> PassRun<Interval, String> {
         sub.run(SolverConfig::default(), jobs, 7, IntervalDomain::with_summaries, |s| {
-            format!("{} {:?}", s.func.name, s.analysis.block_entry)
+            let entries: Vec<String> =
+                (0..s.cfg().blocks.len()).map(|b| s.analysis.block_entry(b).to_string()).collect();
+            format!("{} {entries:?}", s.func.name)
         })
     }
 
@@ -577,6 +632,27 @@ mod tests {
         assert!(batch.summaries["f"].is_point(1));
         let inc = interval_pass(&Substrate::incremental(&p, &AnalysisCache::new()), 1);
         assert_eq!(inc.payloads, batch.payloads);
+    }
+
+    #[test]
+    fn a_cached_shape_carries_no_callee_resolution() {
+        // `caller` is byte-identical and at the same offset in both
+        // programs, so its CFG-stage fingerprint matches; the helper it
+        // calls comes later and returns 0 in one program, 1 in the other.
+        let head = "int caller() { int d = helper(); return d + 1; }\n";
+        let a = parse(&format!("{head}int helper() {{ return 0; }}")).unwrap();
+        let b = parse(&format!("{head}int helper() {{ return 1; }}")).unwrap();
+        let cache = AnalysisCache::new();
+        let on_a = interval_pass(&Substrate::incremental(&a, &cache), 1);
+        assert!(on_a.summaries["caller"].is_point(1));
+        let hits = cache.stage_stats(Stage::Cfg).hits;
+        let on_b = interval_pass(&Substrate::incremental(&b, &cache), 1);
+        assert_eq!(cache.stage_stats(Stage::Cfg).hits, hits + 1, "B reuses caller's shape");
+        assert_eq!(on_b.trace.solved, ["helper", "caller"], "caller re-solves under B's helper");
+        let batch = interval_pass(&Substrate::new(&b), 1);
+        assert_eq!(on_b.payloads, batch.payloads);
+        assert_eq!(format!("{:?}", on_b.summaries), format!("{:?}", batch.summaries));
+        assert!(on_b.summaries["caller"].is_point(2), "{}", on_b.summaries["caller"]);
     }
 
     fn incremental(src: &str, cache: &AnalysisCache) -> PassRun<Interval, String> {

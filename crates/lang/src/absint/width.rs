@@ -14,10 +14,9 @@
 //! value's range lies **entirely outside** the destination's representable
 //! range — a must-fact; may-truncation is deliberately not reported.
 
-use super::domain::{AbstractValue, Domain, Env, Summaries};
-use super::interval::Interval;
-use crate::ast::{BinOp, Expr, ExprKind, Type, UnOp};
-use crate::cfg::CfgInst;
+use super::domain::{AbstractValue, Domain, Env, Frame, Summaries};
+use super::interval::{eval_range, refine_range, transfer_range, Interval, Ranged};
+use super::lower::{Callee, Inst, NodeId};
 use std::fmt;
 use std::sync::Arc;
 
@@ -138,8 +137,18 @@ impl fmt::Display for Width {
     }
 }
 
-/// Width transfer functions over the mini-C instruction set, mirroring
-/// [`super::interval::IntervalDomain`] with interprocedural summaries.
+impl Ranged for Width {
+    fn iv(self) -> Interval {
+        self.iv
+    }
+
+    fn of(iv: Interval) -> Self {
+        Width { iv }
+    }
+}
+
+/// Width transfer functions: the interval domain's evaluation, transfer
+/// and refinement, with interprocedural summaries.
 #[derive(Debug, Clone, Default)]
 pub struct WidthDomain {
     /// Abstract return range per analysed function.
@@ -151,150 +160,30 @@ impl WidthDomain {
     pub fn with_summaries(summaries: Arc<Summaries<Width>>) -> Self {
         WidthDomain { summaries }
     }
-
-    fn eval_expr(&self, env: &Env<Width>, e: &Expr) -> Width {
-        match &e.kind {
-            ExprKind::Int(v) => Width::point(*v),
-            ExprKind::Char(c) => Width::point(*c as i64),
-            ExprKind::Str(_) => Width::TOP,
-            ExprKind::Var(name) => env.get(name),
-            ExprKind::Unary(op, inner) => {
-                let v = self.eval_expr(env, inner);
-                match op {
-                    UnOp::Neg => Width { iv: v.iv.neg() },
-                    UnOp::Not => Width::range(0, 1),
-                    UnOp::Deref | UnOp::AddrOf => Width::TOP,
-                }
-            }
-            ExprKind::Binary(op, l, r) => {
-                let a = self.eval_expr(env, l);
-                let b = self.eval_expr(env, r);
-                let iv = match op {
-                    BinOp::Add => a.iv.add(&b.iv),
-                    BinOp::Sub => a.iv.sub(&b.iv),
-                    BinOp::Mul => a.iv.mul(&b.iv),
-                    BinOp::Div => a.iv.div(&b.iv),
-                    BinOp::Rem => a.iv.rem(&b.iv),
-                    op if op.is_comparison() => Interval::range(0, 1),
-                    _ => Interval::TOP,
-                };
-                Width { iv }
-            }
-            ExprKind::Call(name, _) => {
-                self.summaries.get(name.as_str()).copied().unwrap_or(Width::TOP)
-            }
-            ExprKind::Index(_, _) => Width::TOP,
-        }
-    }
-
-    /// Applies the comparison `var_value (op) rhs` as a constraint.
-    fn constrain(var_value: Width, op: BinOp, rhs: &Width) -> Width {
-        if rhs.is_bottom() {
-            return var_value;
-        }
-        match op {
-            BinOp::Lt => var_value.meet(&Width::range(NINF, super::interval::badd(rhs.hi(), -1))),
-            BinOp::Le => var_value.meet(&Width::range(NINF, rhs.hi())),
-            BinOp::Gt => var_value.meet(&Width::range(super::interval::badd(rhs.lo(), 1), PINF)),
-            BinOp::Ge => var_value.meet(&Width::range(rhs.lo(), PINF)),
-            BinOp::Eq => var_value.meet(rhs),
-            BinOp::Ne => match rhs.iv.as_finite_point() {
-                Some(k) if var_value.lo() == k as i128 => {
-                    Width::range(var_value.lo() + 1, var_value.hi())
-                }
-                Some(k) if var_value.hi() == k as i128 => {
-                    Width::range(var_value.lo(), var_value.hi() - 1)
-                }
-                _ => var_value,
-            },
-            _ => var_value,
-        }
-    }
-
-    fn negate_cmp(op: BinOp) -> Option<BinOp> {
-        Some(match op {
-            BinOp::Lt => BinOp::Ge,
-            BinOp::Le => BinOp::Gt,
-            BinOp::Gt => BinOp::Le,
-            BinOp::Ge => BinOp::Lt,
-            BinOp::Eq => BinOp::Ne,
-            BinOp::Ne => BinOp::Eq,
-            _ => return None,
-        })
-    }
-
-    fn flip_cmp(op: BinOp) -> BinOp {
-        match op {
-            BinOp::Lt => BinOp::Gt,
-            BinOp::Le => BinOp::Ge,
-            BinOp::Gt => BinOp::Lt,
-            BinOp::Ge => BinOp::Le,
-            other => other,
-        }
-    }
 }
 
 impl Domain for WidthDomain {
     type Value = Width;
+    const REFINES: bool = true;
 
     fn name(&self) -> &'static str {
         "width"
     }
 
-    fn transfer(&self, env: &mut Env<Width>, inst: &CfgInst) {
-        match inst {
-            CfgInst::Decl { name, ty, init } => {
-                let v = match (ty, init) {
-                    (Type::Array(_, _), _) => Width::TOP,
-                    (_, Some(e)) => self.eval_expr(env, e),
-                    (_, None) => Width::TOP,
-                };
-                env.set(name, v);
-            }
-            CfgInst::Assign { target, value } => {
-                if let crate::ast::LValue::Var(name) = target {
-                    let v = self.eval_expr(env, value);
-                    env.set(name, v);
-                }
-            }
-            CfgInst::Expr(_) | CfgInst::Branch(_) | CfgInst::Return(_) => {}
-        }
-        for name in super::domain::inst_addr_taken(inst) {
-            env.havoc(name);
-        }
+    fn resolve(&self, callee: &Callee) -> Width {
+        self.summaries.get(callee.name.as_str()).copied().unwrap_or(Width::TOP)
     }
 
-    fn eval(&self, env: &Env<Width>, e: &Expr) -> Width {
-        self.eval_expr(env, e)
+    fn transfer(&self, frame: &Frame<'_, Width>, env: &mut Env<Width>, inst: &Inst) {
+        transfer_range(frame, env, inst);
     }
 
-    fn refine(&self, env: &mut Env<Width>, cond: &Expr, taken: bool) {
-        match &cond.kind {
-            ExprKind::Unary(UnOp::Not, inner) => self.refine(env, inner, !taken),
-            ExprKind::Var(name) if !taken => {
-                let refined = env.get(name).meet(&Width::point(0));
-                env.set(name, refined);
-            }
-            ExprKind::Binary(op, l, r) if op.is_comparison() => {
-                let (op, var, other) = match (&l.kind, &r.kind) {
-                    (ExprKind::Var(v), _) => (*op, v, r),
-                    (_, ExprKind::Var(v)) => (Self::flip_cmp(*op), v, l),
-                    _ => return,
-                };
-                let op = if taken {
-                    op
-                } else {
-                    match Self::negate_cmp(op) {
-                        Some(n) => n,
-                        None => return,
-                    }
-                };
-                let rhs = self.eval_expr(env, other);
-                let refined = Self::constrain(env.get(var), op, &rhs);
-                env.set(var, refined);
-            }
-            _ => {}
-        }
+    fn eval_node(&self, frame: &Frame<'_, Width>, env: &Env<Width>, n: NodeId) -> Width {
+        eval_range(frame, env, n)
+    }
+
+    fn refine(&self, frame: &Frame<'_, Width>, env: &mut Env<Width>, cond: NodeId, taken: bool) {
+        refine_range(frame, env, cond, taken);
     }
 }
 

@@ -429,26 +429,32 @@ impl Stmt {
     /// All expressions appearing directly in this statement (not in nested
     /// statements).
     pub fn exprs(&self) -> Vec<&Expr> {
+        let mut out = Vec::new();
+        self.each_expr(&mut |e| out.push(e));
+        out
+    }
+
+    /// Calls `f` on each of [`Stmt::exprs`], in order, without collecting
+    /// them.
+    fn each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         match &self.kind {
-            StmtKind::Decl { init, .. } => init.iter().collect(),
+            StmtKind::Decl { init, .. } => init.iter().for_each(f),
             StmtKind::Assign { target, value, .. } => {
-                let mut v: Vec<&Expr> = Vec::new();
                 match target {
                     LValue::Var(_) => {}
-                    LValue::Deref(e) => v.push(e),
+                    LValue::Deref(e) => f(e),
                     LValue::Index(b, i) => {
-                        v.push(b);
-                        v.push(i);
+                        f(b);
+                        f(i);
                     }
                 }
-                v.push(value);
-                v
+                f(value);
             }
-            StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => vec![cond],
-            StmtKind::For { cond, .. } => cond.iter().collect(),
-            StmtKind::Return(e) => e.iter().collect(),
-            StmtKind::Expr(e) => vec![e],
-            StmtKind::Break | StmtKind::Continue => Vec::new(),
+            StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => f(cond),
+            StmtKind::For { cond, .. } => cond.iter().for_each(f),
+            StmtKind::Return(e) => e.iter().for_each(f),
+            StmtKind::Expr(e) => f(e),
+            StmtKind::Break | StmtKind::Continue => {}
         }
     }
 }
@@ -489,11 +495,7 @@ impl Function {
 
     /// Visits every expression in the body.
     pub fn walk_exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        self.walk_stmts(&mut |s| {
-            for e in s.exprs() {
-                e.walk(f);
-            }
-        });
+        self.walk_stmts(&mut |s| s.each_expr(&mut |e| e.walk(f)));
     }
 
     /// Names of all functions called anywhere in the body, with duplicates.

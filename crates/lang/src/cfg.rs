@@ -1,9 +1,14 @@
 //! Control-flow graph construction.
 //!
 //! The AST's structured control flow is lowered to basic blocks of
-//! [`CfgInst`]s. The CFG is consumed by the abstract interpreter
-//! ([`crate::absint`]), the taint engine ([`crate::taint`]), and the
-//! graph-feature extractors in the ML crate.
+//! [`CfgInst`]s. The CFG is consumed by the taint engine
+//! ([`crate::taint`]) and the graph-feature extractors in the ML crate.
+//!
+//! The block structure is built by one builder that is generic over what an
+//! instruction becomes: [`Cfg::build`] clones each statement's
+//! expressions into a [`CfgInst`], while the abstract interpreter
+//! ([`crate::absint`]) lowers them straight into its own instruction form,
+//! so both see exactly the same blocks and edges.
 
 use crate::ast::*;
 use crate::intern::Symbol;
@@ -65,18 +70,18 @@ impl CfgInst {
 
 /// An instruction plus its source span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpannedInst {
+pub struct SpannedInst<I = CfgInst> {
     /// The lowered instruction.
-    pub inst: CfgInst,
+    pub inst: I,
     /// Source span of the originating statement.
     pub span: Span,
 }
 
 /// A basic block: straight-line instructions plus successor/predecessor edges.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BasicBlock {
+#[derive(Debug, Clone, PartialEq)]
+pub struct BasicBlock<I = SpannedInst> {
     /// Instructions in execution order.
-    pub insts: Vec<SpannedInst>,
+    pub insts: Vec<I>,
     /// Successor block ids. For a block ending in [`CfgInst::Branch`] the
     /// order is `[taken, fallthrough]`.
     pub succs: Vec<BlockId>,
@@ -84,11 +89,17 @@ pub struct BasicBlock {
     pub preds: Vec<BlockId>,
 }
 
-/// A per-function control-flow graph.
+impl<I> Default for BasicBlock<I> {
+    fn default() -> Self {
+        BasicBlock { insts: Vec::new(), succs: Vec::new(), preds: Vec::new() }
+    }
+}
+
+/// A per-function control-flow graph whose instructions are `I`s.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Cfg {
+pub struct Cfg<I = SpannedInst> {
     /// All basic blocks; indices are [`BlockId`]s.
-    pub blocks: Vec<BasicBlock>,
+    pub blocks: Vec<BasicBlock<I>>,
     /// Entry block id (always `0`).
     pub entry: BlockId,
     /// Single synthetic exit block id.
@@ -110,7 +121,15 @@ impl Cfg {
     /// # }
     /// ```
     pub fn build(func: &Function) -> Cfg {
-        let mut b = Builder::new();
+        Cfg::build_with(func, &mut CloneExprs)
+    }
+}
+
+impl<I> Cfg<I> {
+    /// Builds the CFG for a function body with `lower` making each
+    /// statement's instruction.
+    pub(crate) fn build_with<L: Lower<Inst = I>>(func: &Function, lower: &mut L) -> Cfg<I> {
+        let mut b = Builder { blocks: Vec::new(), exit: usize::MAX, lower };
         let mut current = b.new_block(); // entry = 0
         debug_assert_eq!(current, 0);
         current = b.lower_stmts(&func.body, current, &mut Vec::new());
@@ -215,24 +234,77 @@ impl Cfg {
     }
 }
 
-struct Builder {
-    blocks: Vec<BasicBlock>,
+/// What a statement becomes in a block: [`Cfg::build_with`] calls one
+/// method per instruction-making statement, in block order.
+pub(crate) trait Lower {
+    /// The instruction type.
+    type Inst;
+    /// `ty name = init;`
+    fn decl(&mut self, name: &Symbol, ty: &Type, init: Option<&Expr>, span: Span) -> Self::Inst;
+    /// `target = value`, or `target op= value` when `op` is set.
+    fn assign(
+        &mut self,
+        target: &LValue,
+        value: &Expr,
+        op: Option<BinOp>,
+        span: Span,
+    ) -> Self::Inst;
+    /// An expression statement.
+    fn expr(&mut self, e: &Expr, span: Span) -> Self::Inst;
+    /// `return e;`
+    fn ret(&mut self, e: Option<&Expr>, span: Span) -> Self::Inst;
+    /// A block-terminating branch on `cond`.
+    fn branch(&mut self, cond: &Expr, span: Span) -> Self::Inst;
+}
+
+/// The [`Lower`] behind [`Cfg::build`]: clones the statement's expressions,
+/// with compound assignments desugared.
+struct CloneExprs;
+
+impl Lower for CloneExprs {
+    type Inst = SpannedInst;
+
+    fn decl(&mut self, name: &Symbol, ty: &Type, init: Option<&Expr>, span: Span) -> SpannedInst {
+        let inst = CfgInst::Decl { name: name.clone(), ty: ty.clone(), init: init.cloned() };
+        SpannedInst { inst, span }
+    }
+
+    fn assign(
+        &mut self,
+        target: &LValue,
+        value: &Expr,
+        op: Option<BinOp>,
+        span: Span,
+    ) -> SpannedInst {
+        let value = desugar_compound(target, value, op, span);
+        SpannedInst { inst: CfgInst::Assign { target: target.clone(), value }, span }
+    }
+
+    fn expr(&mut self, e: &Expr, span: Span) -> SpannedInst {
+        SpannedInst { inst: CfgInst::Expr(e.clone()), span }
+    }
+
+    fn ret(&mut self, e: Option<&Expr>, span: Span) -> SpannedInst {
+        SpannedInst { inst: CfgInst::Return(e.cloned()), span }
+    }
+
+    fn branch(&mut self, cond: &Expr, span: Span) -> SpannedInst {
+        SpannedInst { inst: CfgInst::Branch(cond.clone()), span }
+    }
+}
+
+/// Builds the blocks and edges; block 0 is the entry, and the exit block is
+/// created on first use so ids stay compact.
+struct Builder<'l, L: Lower> {
+    blocks: Vec<BasicBlock<L::Inst>>,
     exit: BlockId,
+    lower: &'l mut L,
 }
 
 /// Loop context: (header/continue target, exit/break target).
 type LoopCtx = (BlockId, BlockId);
 
-impl Builder {
-    fn new() -> Self {
-        let mut b = Builder { blocks: Vec::new(), exit: 0 };
-        // Block 0 is reserved by the caller as entry; exit created lazily
-        // after entry so ids stay compact. Entry is created by the caller via
-        // new_block; we pre-create exit as block index set later in finish.
-        b.exit = usize::MAX;
-        b
-    }
-
+impl<L: Lower> Builder<'_, L> {
     fn new_block(&mut self) -> BlockId {
         self.blocks.push(BasicBlock::default());
         self.blocks.len() - 1
@@ -253,8 +325,8 @@ impl Builder {
         }
     }
 
-    fn push(&mut self, block: BlockId, inst: CfgInst, span: Span) {
-        self.blocks[block].insts.push(SpannedInst { inst, span });
+    fn push(&mut self, block: BlockId, inst: L::Inst) {
+        self.blocks[block].insts.push(inst);
     }
 
     /// Lowers a statement list starting in `current`; returns the block where
@@ -275,24 +347,23 @@ impl Builder {
     fn lower_stmt(&mut self, s: &Stmt, current: BlockId, loops: &mut Vec<LoopCtx>) -> BlockId {
         match &s.kind {
             StmtKind::Decl { name, ty, init } => {
-                self.push(
-                    current,
-                    CfgInst::Decl { name: name.clone(), ty: ty.clone(), init: init.clone() },
-                    s.span,
-                );
+                let inst = self.lower.decl(name, ty, init.as_ref(), s.span);
+                self.push(current, inst);
                 current
             }
             StmtKind::Assign { target, value, op } => {
-                let value = desugar_compound(target, value, *op, s.span);
-                self.push(current, CfgInst::Assign { target: target.clone(), value }, s.span);
+                let inst = self.lower.assign(target, value, *op, s.span);
+                self.push(current, inst);
                 current
             }
             StmtKind::Expr(e) => {
-                self.push(current, CfgInst::Expr(e.clone()), s.span);
+                let inst = self.lower.expr(e, s.span);
+                self.push(current, inst);
                 current
             }
             StmtKind::Return(e) => {
-                self.push(current, CfgInst::Return(e.clone()), s.span);
+                let inst = self.lower.ret(e.as_ref(), s.span);
+                self.push(current, inst);
                 let exit = self.ensure_exit();
                 self.edge(current, exit);
                 self.new_block() // unreachable continuation
@@ -310,7 +381,8 @@ impl Builder {
                 self.new_block()
             }
             StmtKind::If { cond, then_branch, else_branch } => {
-                self.push(current, CfgInst::Branch(cond.clone()), s.span);
+                let inst = self.lower.branch(cond, s.span);
+                self.push(current, inst);
                 let then_entry = self.new_block();
                 self.edge(current, then_entry);
                 let then_end = self.lower_stmts(then_branch, then_entry, loops);
@@ -333,7 +405,8 @@ impl Builder {
             StmtKind::While { cond, body } => {
                 let header = self.new_block();
                 self.edge(current, header);
-                self.push(header, CfgInst::Branch(cond.clone()), s.span);
+                let inst = self.lower.branch(cond, s.span);
+                self.push(header, inst);
                 let body_entry = self.new_block();
                 let exit = self.new_block();
                 self.edge(header, body_entry);
@@ -351,8 +424,11 @@ impl Builder {
                 }
                 let header = self.new_block();
                 self.edge(cur, header);
-                let cond_expr = cond.clone().unwrap_or_else(|| Expr::int(1));
-                self.push(header, CfgInst::Branch(cond_expr), s.span);
+                let inst = match cond {
+                    Some(c) => self.lower.branch(c, s.span),
+                    None => self.lower.branch(&Expr::int(1), s.span),
+                };
+                self.push(header, inst);
                 let body_entry = self.new_block();
                 let exit = self.new_block();
                 let step_block = self.new_block();
@@ -373,7 +449,7 @@ impl Builder {
         }
     }
 
-    fn finish(mut self) -> Cfg {
+    fn finish(mut self) -> Cfg<L::Inst> {
         let exit = self.ensure_exit();
         self.prune_unreachable_edges();
         Cfg { blocks: self.blocks, entry: 0, exit }
