@@ -309,16 +309,11 @@ impl<'p> Substrate<'p> {
         let mut trace = IncrementalTrace::default();
 
         // Components solved together: one level of the condensation when
-        // solving in parallel, otherwise each component on its own. Group
-        // `g` is `comps[bounds[g]..bounds[g + 1]]`.
-        let (comps, bounds) = if jobs > 1 {
-            self.levels()
-        } else {
-            ((0..self.sccs.len()).collect(), (0..=self.sccs.len()).collect())
-        };
-        let mut todo: Vec<(usize, Option<StageMiss>)> = Vec::new();
-        for group in bounds.windows(2).map(|w| &comps[w[0]..w[1]]) {
-            todo.clear();
+        // solving in parallel, otherwise each component on its own.
+        let groups =
+            if jobs > 1 { self.levels() } else { (0..self.sccs.len()).map(|c| vec![c]).collect() };
+        for group in &groups {
+            let mut todo: Vec<(usize, Option<StageMiss>)> = Vec::new();
             for &c in group {
                 let Some(sc) = &self.cache else {
                     todo.push((c, None));
@@ -363,7 +358,7 @@ impl<'p> Substrate<'p> {
             let solved = crate::par::map_ordered(&todo, jobs, |&(c, _)| solve(c));
 
             let table = Arc::make_mut(&mut completed);
-            for ((_, miss), comp) in todo.drain(..).zip(solved) {
+            for ((_, miss), comp) in todo.iter().zip(solved) {
                 for (m, v, _) in &comp.members {
                     table.insert(self.graph.name(*m).clone(), v.clone());
                 }
@@ -445,9 +440,8 @@ impl<'p> Substrate<'p> {
 
     /// Components grouped by level of the condensation, each level in
     /// topological order (callee levels are final when a level is reached
-    /// because `sccs` is bottom-up-topological): the components level by
-    /// level, and where each level starts (plus the end).
-    fn levels(&self) -> (Vec<usize>, Vec<usize>) {
+    /// because `sccs` is bottom-up-topological).
+    fn levels(&self) -> Vec<Vec<usize>> {
         let mut comp_of = vec![0usize; self.graph.len()];
         for (ci, comp) in self.sccs.iter().enumerate() {
             for &m in comp {
@@ -470,12 +464,7 @@ impl<'p> Substrate<'p> {
             }
             by_level[lv].push(ci);
         }
-        let mut bounds = vec![0];
-        bounds.extend(by_level.iter().scan(0, |end, level| {
-            *end += level.len();
-            Some(*end)
-        }));
-        (by_level.concat(), bounds)
+        by_level
     }
 }
 
