@@ -9,6 +9,12 @@
 //!   detector-less `WorkflowEngine` run);
 //! * `TaintAnalysis::run`'s findings and its summaries, sorted by name.
 //!
+//! A second list, `taint_variants`, pins per unit of all three corpora one
+//! digest of the taint runs the first list does not cover:
+//! `TaintAnalysis::run_intraprocedural` under the default vocabulary, and
+//! `TaintAnalysis::run` under an extended one (an extra source, an extra
+//! sanitizer and a sink dangerous in every argument position).
+//!
 //! Three corpora are covered: the absint golden's 800 samples with their
 //! alpha-renamed, commented and dead-statement mutants, the audit matrix's
 //! 408 vulnerable/fixed pairs, and one `corpus_dedup_graph`-shaped drop
@@ -45,6 +51,9 @@ struct Golden {
     drop: Vec<String>,
     /// Digest of the drop's serialized `CorpusGraph` report.
     drop_graph: String,
+    /// One line per unit of the three corpora above, in that order: the
+    /// intraprocedural run and the extended-vocabulary run.
+    taint_variants: Vec<String>,
 }
 
 fn golden_path() -> PathBuf {
@@ -151,7 +160,37 @@ fn digests(units: &[(String, Sample)]) -> Vec<String> {
         .collect()
 }
 
+/// The default vocabulary plus `to_int` as a source, `concat` as a
+/// sanitizer and `log_event` as a sink in every argument position.
+fn extended_config() -> TaintConfig {
+    let mut config = TaintConfig::default_config();
+    config.add_source("to_int").add_sanitizer("concat").add_sink("log_event", vec![], "log");
+    config
+}
+
+/// One `taint_variants` line per unit.
+fn variant_digests(units: &[(String, Sample)]) -> Vec<String> {
+    let default = TaintConfig::default_config();
+    let extended = extended_config();
+    units
+        .iter()
+        .map(|(unit, sample)| {
+            let program = parse(&sample.source).expect("corpus unit parses");
+            let intra = TaintAnalysis::run_intraprocedural(&program, &default);
+            let inter = TaintAnalysis::run(&program, &extended);
+            let summaries: BTreeMap<&String, _> = inter.summaries.iter().collect();
+            let mut h = 0xcbf29ce484222325u64;
+            fnv(&mut h, format!("{:?}", intra.findings).as_bytes());
+            fnv(&mut h, format!("{:?}", inter.findings).as_bytes());
+            fnv(&mut h, format!("{summaries:?}").as_bytes());
+            format!("{unit} {h:016x}")
+        })
+        .collect()
+}
+
 fn measure() -> Golden {
+    let absint = absint_units();
+    let audit = audit_units();
     let drop = drop_units();
     let samples: Vec<Sample> = drop.iter().map(|(_, s)| s.clone()).collect();
     let graph = CorpusGraph::from_samples(&samples, &AnalysisCache::new(), 1, &Registry::noop())
@@ -159,10 +198,11 @@ fn measure() -> Golden {
     let mut h = 0xcbf29ce484222325u64;
     fnv(&mut h, serde_json::to_string(&graph.report()).expect("report serializes").as_bytes());
     Golden {
-        absint: digests(&absint_units()),
-        audit: digests(&audit_units()),
+        absint: digests(&absint),
+        audit: digests(&audit),
         drop: digests(&drop),
         drop_graph: format!("{h:016x}"),
+        taint_variants: [absint, audit, drop].iter().flat_map(|u| variant_digests(u)).collect(),
     }
 }
 
@@ -200,4 +240,5 @@ fn call_graph_consumers_match_the_committed_golden() {
     assert_digests_match("audit corpus", &current.audit, &golden.audit);
     assert_digests_match("cross-file drop", &current.drop, &golden.drop);
     assert_eq!(current.drop_graph, golden.drop_graph, "cross-file drop graph report");
+    assert_digests_match("taint variants", &current.taint_variants, &golden.taint_variants);
 }

@@ -16,7 +16,8 @@
 use vulnman::core::detector::tool_augmented_model;
 use vulnman::lang::AnalysisCache;
 use vulnman::ml::features::{
-    FeatureExtractor, NormalizedTokenFeatures, TokenNgramFeatures, ToolAugmentedFeatures,
+    AstStatFeatures, ExpertFlowFeatures, FeatureExtractor, NormalizedTokenFeatures,
+    TokenNgramFeatures, ToolAugmentedFeatures,
 };
 use vulnman::prelude::*;
 use vulnman::synth::mutate::alpha_rename;
@@ -26,6 +27,11 @@ use vulnman::synth::mutate::alpha_rename;
 /// that order.
 const FEATURE_GOLDEN: [u64; 4] =
     [0x5370f3be83ab3eaa, 0x6683b684068df4d3, 0xe3ed0d8780a51ceb, 0x90f5c324ad7f8b45];
+
+/// `AstStatFeatures` (the one reader of the CFG's cyclomatic number) and
+/// `ExpertFlowFeatures` (counts from the taint engine), in that order,
+/// pinned before the taint engine moved onto the lowered IR.
+const FLOW_FEATURE_GOLDEN: [u64; 2] = [0x2e5869194e1b381c, 0x3b6fb22f428e6e15];
 
 /// `tool_augmented_model(7)` trained on [`training_set`], scored per sample.
 const SCORE_GOLDEN: u64 = 0xd2d52c29af789176;
@@ -163,6 +169,14 @@ fn feature_vectors_match_the_golden() {
         assert_eq!(digest, golden, "{} through the cache", fx.name());
     }
     assert_eq!(cache.stats().misses, misses, "the extractors recompute nothing the suite stored");
+}
+
+#[test]
+fn structural_and_flow_features_match_the_golden() {
+    let ds = corpus();
+    let extractors: [&dyn FeatureExtractor; 2] = [&AstStatFeatures, &ExpertFlowFeatures::new()];
+    let digests: Vec<u64> = extractors.iter().map(|fx| feature_digest(*fx, &ds)).collect();
+    assert_eq!(digests, FLOW_FEATURE_GOLDEN, "feature digests (got {digests:#x?})");
 }
 
 #[test]
