@@ -161,10 +161,10 @@ fn digests(units: &[(String, Sample)]) -> Vec<String> {
 }
 
 /// The default vocabulary plus `to_int` as a source, `concat` as a
-/// sanitizer and `log_event` as a sink in every argument position.
+/// sanitizer and `send_data` as a sink in every argument position.
 fn extended_config() -> TaintConfig {
     let mut config = TaintConfig::default_config();
-    config.add_source("to_int").add_sanitizer("concat").add_sink("log_event", vec![], "log");
+    config.add_source("to_int").add_sanitizer("concat").add_sink("send_data", vec![], "egress");
     config
 }
 
