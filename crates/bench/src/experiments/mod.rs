@@ -1,52 +1,67 @@
 //! The experiment index (see `DESIGN.md` §4 and `EXPERIMENTS.md`).
 
-pub mod e01_workflow;
-pub mod e02_agreement;
-pub mod e03_specialization;
-pub mod e04_customization;
-pub mod e05_imbalance;
-pub mod e06_distribution_shift;
-pub mod e07_financial;
-pub mod e08_duplication;
-pub mod e09_label_noise;
-pub mod e10_data_scale;
-pub mod e11_multimodal;
-pub mod e12_expert_features;
-pub mod e13_anonymization;
-pub mod e14_artifacts;
-pub mod e15_repair_gap;
-pub mod e16_training_sft;
-pub mod e17_static_vs_dynamic;
-pub mod e18_feedback_loop;
-pub mod e19_ablations;
-pub mod e20_project_scale;
-pub mod e21_clone_leakage;
-pub mod e22_graph_triage;
-pub mod e23_audit_matrix;
+/// Declares each experiment module and lists its entry point in [`INDEX`].
+macro_rules! index {
+    ($($name:ident),* $(,)?) => {
+        $(pub mod $name;)*
+
+        /// Every experiment's module name and entry point, in index order.
+        pub const INDEX: &[(&str, fn(bool))] = &[$((stringify!($name), |quick| {
+            $name::run(quick);
+        })),*];
+    };
+}
+
+index!(
+    e01_workflow,
+    e02_agreement,
+    e03_specialization,
+    e04_customization,
+    e05_imbalance,
+    e06_distribution_shift,
+    e07_financial,
+    e08_duplication,
+    e09_label_noise,
+    e10_data_scale,
+    e11_multimodal,
+    e12_expert_features,
+    e13_anonymization,
+    e14_artifacts,
+    e15_repair_gap,
+    e16_training_sft,
+    e17_static_vs_dynamic,
+    e18_feedback_loop,
+    e19_ablations,
+    e20_project_scale,
+    e21_clone_leakage,
+    e22_graph_triage,
+    e23_audit_matrix,
+);
 
 /// Runs every experiment in index order.
 pub fn run_all(quick: bool) {
-    e01_workflow::run(quick);
-    e02_agreement::run(quick);
-    e03_specialization::run(quick);
-    e04_customization::run(quick);
-    e05_imbalance::run(quick);
-    e06_distribution_shift::run(quick);
-    e07_financial::run(quick);
-    e08_duplication::run(quick);
-    e09_label_noise::run(quick);
-    e10_data_scale::run(quick);
-    e11_multimodal::run(quick);
-    e12_expert_features::run(quick);
-    e13_anonymization::run(quick);
-    e14_artifacts::run(quick);
-    e15_repair_gap::run(quick);
-    e16_training_sft::run(quick);
-    e17_static_vs_dynamic::run(quick);
-    e18_feedback_loop::run(quick);
-    e19_ablations::run(quick);
-    e20_project_scale::run(quick);
-    e21_clone_leakage::run(quick);
-    e22_graph_triage::run(quick);
-    e23_audit_matrix::run(quick);
+    for (_, run) in INDEX {
+        run(quick);
+    }
+}
+
+/// The entry point of experiment `id`: its module name (`e01_workflow`)
+/// or its number (`e01`).
+pub fn find(id: &str) -> Option<fn(bool)> {
+    INDEX.iter().find(|(name, _)| *name == id || name.split('_').next() == Some(id)).map(|e| e.1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ids_are_module_names_or_numbers() {
+        assert_eq!(INDEX.len(), 23);
+        assert!(find("e01_workflow").is_some());
+        assert!(find("e23").is_some());
+        for unknown in ["e24", "e01_agreement", "workflow", "all", ""] {
+            assert!(find(unknown).is_none(), "{unknown}");
+        }
+    }
 }

@@ -7,8 +7,8 @@
 //! Each experiment `eNN` in [`experiments`] has a `run(quick)` entry point:
 //! `quick = true` shrinks corpora for CI; `quick = false` is the
 //! paper-scale configuration the committed `EXPERIMENTS.md` numbers come
-//! from. One binary per experiment wraps the library entry point; the
-//! `all_experiments` binary runs the full index in order.
+//! from. The `experiments <id|all> [--quick] [--metrics-out FILE]` binary
+//! runs one entry of [`experiments::INDEX`] or the full index in order.
 
 #![warn(missing_docs)]
 
@@ -24,7 +24,7 @@ pub fn banner(id: &str, title: &str, claim: &str) {
     println!("{}", "=".repeat(74));
 }
 
-/// Reads `--quick` from the process arguments (used by every binary).
+/// Reads `--quick` from the process arguments.
 pub fn quick_from_args() -> bool {
     std::env::args().any(|a| a == "--quick")
 }

@@ -24,7 +24,7 @@
 //! * [`repair`] — repair engines + verification harness (the SWE-bench-gap
 //!   experiment, Gap Observation 3).
 //! * [`training`] — security-training program simulation (§II-A/B).
-//! * [`report`] — uniform text tables for the experiment binaries.
+//! * [`report`] — uniform text tables for the experiments.
 //!
 //! ## Quick start
 //!

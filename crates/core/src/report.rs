@@ -1,6 +1,6 @@
 //! Plain-text table rendering for experiment reports.
 //!
-//! Every experiment binary in `vulnman-bench` prints its results through
+//! Every experiment in `vulnman-bench` prints its results through
 //! this module so outputs are uniform and diff-able.
 
 use std::fmt::Write as _;

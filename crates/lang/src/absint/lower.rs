@@ -18,9 +18,16 @@
 //!   out under `&`, its calls, its index accesses, its divisors and the
 //!   slots it dereferences.
 //!
-//! The form holds no source spans and no program-wide indices: callees are
-//! names, not call-graph nodes. A shape cached by function fingerprint is
-//! therefore valid in every program that contains the function; summaries
+//! The form holds no program-wide indices: callees are names, not
+//! call-graph nodes, resolved against a domain's summaries (or the taint
+//! engine's configuration and summaries) once per solve. It does hold
+//! source spans: each instruction's statement span ([`SpannedInst`]) and
+//! each call node's call-expression span ([`Lowered::call_span`]), kept in
+//! a side pool so [`Node`] stays small and `Copy`. Both are absolute byte
+//! offsets, which is sound for the stage cache only because a function's
+//! fingerprint covers its position; rebasing the cache key onto
+//! position-free fingerprints must rebase both kinds of span together. A shape cached by fingerprint is therefore valid in
+//! every program that contains the function at that position; summaries
 //! come in only through the per-solve callee resolution.
 
 use super::domain::Slots;
@@ -103,7 +110,7 @@ pub enum Target {
     Index(NodeId, NodeId),
 }
 
-/// A lowered [`CfgInst`](crate::cfg::CfgInst).
+/// A lowered statement: what one block instruction does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Declaration, possibly initialized.
@@ -260,6 +267,8 @@ pub struct Lowered {
     nodes: Vec<Node>,
     /// Call arguments.
     args: Vec<NodeId>,
+    /// Each call node's source span, ascending by node.
+    call_spans: Vec<(NodeId, Span)>,
     /// Per-instruction slot and node lists, and the parameters.
     list: Vec<u32>,
     accesses: Vec<Access>,
@@ -278,6 +287,7 @@ impl Lowered {
         let out = Lowered {
             nodes: Vec::with_capacity(64),
             args: Vec::with_capacity(16),
+            call_spans: Vec::with_capacity(16),
             list: Vec::with_capacity(64),
             callees: Vec::with_capacity(8),
             ..Lowered::default()
@@ -386,6 +396,16 @@ impl Lowered {
     /// Right operands of every `/` and `%`, in pre-order.
     pub fn divisors(&self, inst: &Inst) -> &[NodeId] {
         Seq::of(&self.list, inst.divisors)
+    }
+
+    /// The span of call node `n`'s call expression.
+    ///
+    /// # Panics
+    ///
+    /// If `n` is not a call node.
+    pub fn call_span(&self, n: NodeId) -> Span {
+        let i = self.call_spans.binary_search_by_key(&n, |&(c, _)| c).expect("a call node");
+        self.call_spans[i].1
     }
 
     /// A call node's callee entry and first argument.
@@ -505,7 +525,9 @@ impl Lowerer<'_> {
                 for (k, a) in args.iter().enumerate() {
                     self.out.args[start + k] = self.expr(a);
                 }
-                Node::Call(callee, Seq::from(start, start + args.len()))
+                let n = self.push(Node::Call(callee, Seq::from(start, start + args.len())));
+                self.out.call_spans.push((n, e.span));
+                return n;
             }
         };
         self.push(node)
@@ -543,7 +565,7 @@ impl Lower for Lowerer<'_> {
         SpannedInst { inst: Inst::of(op), span }
     }
 
-    /// `x op= e` lowers as `x = x op e`, like [`Cfg::build`]'s desugaring.
+    /// `x op= e` lowers as `x = x op e`, so the domains see plain stores.
     fn assign(
         &mut self,
         target: &LValue,
@@ -660,5 +682,60 @@ impl Lowered {
         self.list = list;
         self.accesses = accesses;
         Inst { op, reads, addr_taken, derefs, calls, value_calls, accesses: access_run, divisors }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ast::StmtKind;
+    use crate::parser::parse;
+
+    /// Spans of the call expressions under `e`, in pre-order.
+    fn call_spans(e: &Expr, out: &mut Vec<Span>) {
+        e.walk(&mut |e| {
+            if let ExprKind::Call(..) = e.kind {
+                out.push(e.span);
+            }
+        });
+    }
+
+    #[test]
+    fn call_spans_are_the_call_expressions_spans() {
+        let p = parse(
+            "void f(int x, int y) { int a = h(f(x), g(k(y))); buf[f(x)] = g(y); \
+             *p(x) = m(n(x)); buf[k(a)] += q(y); use(h(a)); return r(x); }",
+        )
+        .unwrap();
+        let func = &p.functions[0];
+        let (cfg, l, _) = Lowered::build(func);
+        let insts = &cfg.blocks[cfg.entry].insts;
+        assert_eq!(insts.len(), func.body.len(), "straight-line body");
+        for (stmt, si) in func.body.iter().zip(insts) {
+            // The evaluated expression first (a compound assignment reads its
+            // target before the operand), then the target's expressions.
+            let mut want = Vec::new();
+            match &stmt.kind {
+                StmtKind::Decl { init: Some(e), .. }
+                | StmtKind::Expr(e)
+                | StmtKind::Return(Some(e)) => call_spans(e, &mut want),
+                StmtKind::Assign { target, value, op } => {
+                    let target_exprs: Vec<&Expr> = match target {
+                        LValue::Var(_) => vec![],
+                        LValue::Deref(e) => vec![e],
+                        LValue::Index(b, i) => vec![b, i],
+                    };
+                    if op.is_some() {
+                        target_exprs.iter().for_each(|e| call_spans(e, &mut want));
+                    }
+                    call_spans(value, &mut want);
+                    target_exprs.iter().for_each(|e| call_spans(e, &mut want));
+                }
+                other => panic!("unexpected statement {other:?}"),
+            }
+            assert!(!want.is_empty());
+            let got: Vec<Span> = l.calls(&si.inst).iter().map(|&n| l.call_span(n)).collect();
+            assert_eq!(got, want, "statement at {:?}", stmt.span);
+        }
     }
 }

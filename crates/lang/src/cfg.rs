@@ -1,15 +1,17 @@
 //! Control-flow graph construction.
 //!
-//! The AST's structured control flow is lowered to basic blocks of
-//! [`CfgInst`]s. The CFG is consumed by the taint engine
-//! ([`crate::taint`]) and the graph-feature extractors in the ML crate.
-//!
-//! The block structure is built by one builder that is generic over what an
-//! instruction becomes: [`Cfg::build`] clones each statement's
-//! expressions into a [`CfgInst`], while the abstract interpreter
-//! ([`crate::absint`]) lowers them straight into its own instruction form,
-//! so both see exactly the same blocks and edges.
+//! The AST's structured control flow is lowered to basic blocks. One
+//! builder makes the blocks and edges; what each statement becomes is up to
+//! a `Lower` implementation, so the builder knows nothing of the
+//! instruction format. The one implementation is the lowering of
+//! [`crate::absint::lower`]: slot-resolved instructions over a
+//! per-function expression arena, built once per function into an
+//! [`FnShape`](crate::absint::FnShape). The abstract domains and the taint
+//! engine ([`crate::taint`]) interpret that form; [`Cfg::build`] returns
+//! its blocks alone, for callers that need only the graph (the cyclomatic
+//! number of [`crate::metrics`]).
 
+use crate::absint::lower::{Inst, Lowered};
 use crate::ast::*;
 use crate::intern::Symbol;
 use crate::span::Span;
@@ -17,60 +19,9 @@ use crate::span::Span;
 /// Index of a basic block within a [`Cfg`].
 pub type BlockId = usize;
 
-/// A lowered instruction inside a basic block.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CfgInst {
-    /// Local declaration, possibly initialized.
-    Decl {
-        /// Variable name (interned; cloning is a reference-count bump).
-        name: Symbol,
-        /// Declared type.
-        ty: Type,
-        /// Optional initializer.
-        init: Option<Expr>,
-    },
-    /// Assignment through any lvalue.
-    Assign {
-        /// Target lvalue.
-        target: LValue,
-        /// Right-hand side (already desugared: compound ops folded in).
-        value: Expr,
-    },
-    /// Expression for side effects.
-    Expr(Expr),
-    /// Function return.
-    Return(Option<Expr>),
-    /// Block-terminating branch condition; the block then has exactly two
-    /// successors: `[taken, not_taken]`.
-    Branch(Expr),
-}
-
-impl CfgInst {
-    /// The expression evaluated by this instruction, if any (initializer,
-    /// RHS, condition, or returned value).
-    pub fn expr(&self) -> Option<&Expr> {
-        match self {
-            CfgInst::Decl { init, .. } => init.as_ref(),
-            CfgInst::Assign { value, .. } => Some(value),
-            CfgInst::Expr(e) | CfgInst::Branch(e) => Some(e),
-            CfgInst::Return(e) => e.as_ref(),
-        }
-    }
-
-    /// The variable directly defined (killed) by this instruction, if any.
-    /// Indirect stores (`*p = …`, `a[i] = …`) do not kill.
-    pub fn defined_var(&self) -> Option<&str> {
-        match self {
-            CfgInst::Decl { name, .. } => Some(name.as_str()),
-            CfgInst::Assign { target: LValue::Var(name), .. } => Some(name.as_str()),
-            _ => None,
-        }
-    }
-}
-
 /// An instruction plus its source span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpannedInst<I = CfgInst> {
+pub struct SpannedInst<I = Inst> {
     /// The lowered instruction.
     pub inst: I,
     /// Source span of the originating statement.
@@ -82,8 +33,9 @@ pub struct SpannedInst<I = CfgInst> {
 pub struct BasicBlock<I = SpannedInst> {
     /// Instructions in execution order.
     pub insts: Vec<I>,
-    /// Successor block ids. For a block ending in [`CfgInst::Branch`] the
-    /// order is `[taken, fallthrough]`.
+    /// Successor block ids. For a block ending in a branch
+    /// ([`Op::Branch`](crate::absint::lower::Op::Branch)) the order is
+    /// `[taken, fallthrough]`.
     pub succs: Vec<BlockId>,
     /// Predecessor block ids (derived; kept in sync by the builder).
     pub preds: Vec<BlockId>,
@@ -107,7 +59,9 @@ pub struct Cfg<I = SpannedInst> {
 }
 
 impl Cfg {
-    /// Builds the CFG for a function body.
+    /// Builds the CFG for a function body: the blocks and edges of its
+    /// lowered form. The instructions index an expression arena this drops;
+    /// [`FnShape`](crate::absint::FnShape) keeps both.
     ///
     /// # Examples
     ///
@@ -121,7 +75,7 @@ impl Cfg {
     /// # }
     /// ```
     pub fn build(func: &Function) -> Cfg {
-        Cfg::build_with(func, &mut CloneExprs)
+        Lowered::build(func).0
     }
 }
 
@@ -255,42 +209,6 @@ pub(crate) trait Lower {
     fn ret(&mut self, e: Option<&Expr>, span: Span) -> Self::Inst;
     /// A block-terminating branch on `cond`.
     fn branch(&mut self, cond: &Expr, span: Span) -> Self::Inst;
-}
-
-/// The [`Lower`] behind [`Cfg::build`]: clones the statement's expressions,
-/// with compound assignments desugared.
-struct CloneExprs;
-
-impl Lower for CloneExprs {
-    type Inst = SpannedInst;
-
-    fn decl(&mut self, name: &Symbol, ty: &Type, init: Option<&Expr>, span: Span) -> SpannedInst {
-        let inst = CfgInst::Decl { name: name.clone(), ty: ty.clone(), init: init.cloned() };
-        SpannedInst { inst, span }
-    }
-
-    fn assign(
-        &mut self,
-        target: &LValue,
-        value: &Expr,
-        op: Option<BinOp>,
-        span: Span,
-    ) -> SpannedInst {
-        let value = desugar_compound(target, value, op, span);
-        SpannedInst { inst: CfgInst::Assign { target: target.clone(), value }, span }
-    }
-
-    fn expr(&mut self, e: &Expr, span: Span) -> SpannedInst {
-        SpannedInst { inst: CfgInst::Expr(e.clone()), span }
-    }
-
-    fn ret(&mut self, e: Option<&Expr>, span: Span) -> SpannedInst {
-        SpannedInst { inst: CfgInst::Return(e.cloned()), span }
-    }
-
-    fn branch(&mut self, cond: &Expr, span: Span) -> SpannedInst {
-        SpannedInst { inst: CfgInst::Branch(cond.clone()), span }
-    }
 }
 
 /// Builds the blocks and edges; block 0 is the entry, and the exit block is
@@ -481,33 +399,23 @@ impl<L: Lower> Builder<'_, L> {
     }
 }
 
-/// Rewrites `x += e` as `x = x + e` so downstream analyses see plain stores.
-fn desugar_compound(target: &LValue, value: &Expr, op: Option<BinOp>, span: Span) -> Expr {
-    match op {
-        None => value.clone(),
-        Some(op) => {
-            let base = match target {
-                LValue::Var(name) => Expr::new(ExprKind::Var(name.clone()), span),
-                LValue::Deref(e) => {
-                    Expr::new(ExprKind::Unary(UnOp::Deref, Box::new(e.clone())), span)
-                }
-                LValue::Index(b, i) => {
-                    Expr::new(ExprKind::Index(Box::new(b.clone()), Box::new(i.clone())), span)
-                }
-            };
-            Expr::new(ExprKind::Binary(op, Box::new(base), Box::new(value.clone())), span)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::absint::domain::Slots;
+    use crate::absint::lower::{Op, Target};
+    use crate::absint::Node;
     use crate::parser::parse;
 
     fn cfg_of(src: &str) -> Cfg {
         let p = parse(src).unwrap();
         Cfg::build(&p.functions[0])
+    }
+
+    /// The lowered CFG of the first function, its arena and slot table.
+    fn lowered_of(src: &str) -> (Cfg, Lowered, Slots) {
+        let p = parse(src).unwrap();
+        Lowered::build(&p.functions[0])
     }
 
     #[test]
@@ -525,7 +433,7 @@ mod tests {
         assert_eq!(c.cyclomatic_complexity(), 2);
         // Entry ends with a branch and has two successors.
         let entry = &c.blocks[c.entry];
-        assert!(matches!(entry.insts.last().unwrap().inst, CfgInst::Branch(_)));
+        assert!(matches!(entry.insts.last().unwrap().inst.op, Op::Branch(_)));
         assert_eq!(entry.succs.len(), 2);
     }
 
@@ -543,13 +451,14 @@ mod tests {
 
     #[test]
     fn for_desugars_compound_step() {
-        let c = cfg_of("void f(int n) { for (int i = 0; i < n; i++) { work(i); } }");
+        let (c, l, slots) =
+            lowered_of("void f(int n) { for (int i = 0; i < n; i++) { work(i); } }");
         let mut found = false;
         for b in &c.blocks {
             for i in &b.insts {
-                if let CfgInst::Assign { target: LValue::Var(v), value } = &i.inst {
-                    if v == "i" {
-                        if let ExprKind::Binary(BinOp::Add, _, _) = &value.kind {
+                if let Op::Assign { target: Target::Var(v), value } = i.inst.op {
+                    if slots.name(v) == "i" {
+                        if let Node::Binary(BinOp::Add, _, _) = l.node(value) {
                             found = true;
                         }
                     }
@@ -568,13 +477,17 @@ mod tests {
 
     #[test]
     fn break_exits_loop() {
-        let c = cfg_of("void f() { while (1) { if (stop()) { break; } tick(); } done(); }");
+        let (c, l, _) =
+            lowered_of("void f() { while (1) { if (stop()) { break; } tick(); } done(); }");
         // done() must be reachable from entry.
         let rpo = c.reverse_post_order();
         let reachable_insts: usize = rpo.iter().map(|&b| c.blocks[b].insts.len()).sum();
         let has_done = rpo.iter().any(|&b| {
-            c.blocks[b].insts.iter().any(|i| match &i.inst {
-                CfgInst::Expr(e) => e.called_fns().contains(&"done"),
+            c.blocks[b].insts.iter().any(|i| match i.inst.op {
+                Op::Expr(_) => l
+                    .value_calls(&i.inst)
+                    .iter()
+                    .any(|&n| l.call(n).is_some_and(|(callee, _)| callee.name == "done")),
                 _ => false,
             })
         });
@@ -612,7 +525,7 @@ mod tests {
         // `x = 2;` after the return lands in an unreachable continuation
         // block; before pruning, that block edged into the if-join and
         // polluted every forward analysis meeting there.
-        let c = cfg_of("int f(int x) { if (x) { return 1; x = 2; } return x; }");
+        let (c, _, slots) = lowered_of("int f(int x) { if (x) { return 1; x = 2; } return x; }");
         let reachable = c.reachable();
         for (id, b) in c.blocks.iter().enumerate() {
             for &p in &b.preds {
@@ -634,9 +547,9 @@ mod tests {
             .iter()
             .enumerate()
             .find(|(_, b)| {
-                b.insts
-                    .iter()
-                    .any(|i| matches!(&i.inst, CfgInst::Assign { target: LValue::Var(v), .. } if v == "x"))
+                b.insts.iter().any(|i| {
+                    matches!(i.inst.op, Op::Assign { target: Target::Var(v), .. } if slots.name(v) == "x")
+                })
             })
             .map(|(id, _)| id)
             .expect("dead store lowered somewhere");
@@ -658,11 +571,19 @@ mod tests {
 
     #[test]
     fn inst_expr_and_defined_var() {
-        let c = cfg_of("void f(int a) { int x = a + 1; x = 2; *p = 3; }");
+        let (c, _, slots) = lowered_of("void f(int a) { int x = a + 1; x = 2; *p = 3; }");
         let insts: Vec<_> = c.blocks.iter().flat_map(|b| b.insts.iter()).collect();
-        assert_eq!(insts[0].inst.defined_var(), Some("x"));
-        assert!(insts[0].inst.expr().is_some());
-        assert_eq!(insts[1].inst.defined_var(), Some("x"));
-        assert_eq!(insts[2].inst.defined_var(), None, "indirect store kills nothing");
+        // The variable an instruction directly defines (kills); indirect
+        // stores kill nothing.
+        let defined_var = |op: Op| match op {
+            Op::Decl { slot, .. } | Op::Assign { target: Target::Var(slot), .. } => {
+                Some(slots.name(slot))
+            }
+            _ => None,
+        };
+        assert_eq!(defined_var(insts[0].inst.op), Some("x"));
+        assert!(insts[0].inst.op.value().is_some());
+        assert_eq!(defined_var(insts[1].inst.op), Some("x"));
+        assert_eq!(defined_var(insts[2].inst.op), None, "indirect store kills nothing");
     }
 }

@@ -1,4 +1,9 @@
 //! Structural source metrics used for complexity tiers and ML features.
+//!
+//! Every metric but one is a count over the AST. The cyclomatic number
+//! comes from the function's CFG as [`Cfg::build`] returns it: the blocks
+//! and edges of the lowered form the abstract domains and the taint engine
+//! interpret, so all three agree on one graph.
 
 use crate::ast::{ExprKind, Function, Program, Stmt, StmtKind};
 use crate::cfg::Cfg;

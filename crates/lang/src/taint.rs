@@ -13,26 +13,37 @@
 //!
 //! ## Performance shape
 //!
-//! Per-function data-flow state is a dense `Vec<Origins>` indexed by a
-//! per-function *slot map* (variable name → index) built once up front, so
-//! joins are elementwise ORs over a flat vector and transfer functions never
-//! hash or clone variable names. An absent map key in the old representation
-//! meant "no origins" (`0`), which is exactly what an untouched slot holds,
-//! so the dense form computes identical results. Findings are only
+//! Each function is analyzed on the lowered form the abstract domains
+//! interpret ([`FnShape`]): its CFG, reverse post-order and instructions
+//! whose variables are slots of the function's slot table and whose
+//! expressions live in one node arena. Per-function data-flow state is a
+//! dense `Vec<Origins>` indexed by slot, so joins are elementwise ORs over a
+//! flat vector; an untouched slot holds `0`, "no origins". Once per function
+//! analysis, the function's callee table is resolved by name against the
+//! [`TaintConfig`] (sanitizer, source, sink positions and kind) and the
+//! current summaries, so evaluating a call costs an index and no variable
+//! or callee is looked up by name while the sweep runs. The call sites of
+//! an instruction are [`Lowered::calls`], in the pre-order the sink checks
+//! (and the kind order of `param_to_sink`) follow; a finding's span is the
+//! call expression's, kept beside the arena. Findings are only
 //! materialized on the final pass; fixpoint rounds compute summaries alone.
+//!
+//! Taint shares the IR with the domains, not their lattice: return
+//! summaries are parameter bitmasks, a call of an unknown function passes
+//! its arguments' taint on, a sanitizer clears every kind, and a slot never
+//! written is clean rather than unknown.
 
-use crate::absint::CallGraph;
-use crate::ast::{Expr, ExprKind, Function, LValue, Program};
-use crate::cfg::{Cfg, CfgInst};
+use crate::absint::lower::{Inst, Lowered, Node, NodeId, Op, Target};
+use crate::absint::provenance::{SANITIZER_FNS, SOURCE_FNS};
+use crate::absint::{CallGraph, FnShape};
+use crate::ast::{Function, Program};
+use crate::cfg::SpannedInst;
 use crate::intern::FnvBuildHasher;
 use crate::span::Span;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Function-summary table keyed by function name.
 pub type SummaryMap = HashMap<String, FnSummary, FnvBuildHasher>;
-
-/// Per-function variable slot map (name → dense index).
-type SlotMap<'p> = HashMap<&'p str, usize, FnvBuildHasher>;
 
 /// Maximum number of parameters tracked relationally per function.
 const MAX_PARAMS: usize = 62;
@@ -71,19 +82,11 @@ impl TaintConfig {
     }
 
     /// The default source/sink/sanitizer vocabulary shared by the corpus
-    /// generator and the rule-based detectors.
+    /// generator and the rule-based detectors. Its sources and sanitizers
+    /// are the provenance domain's ([`SOURCE_FNS`], [`SANITIZER_FNS`]).
     pub fn default_config() -> Self {
         let mut cfg = TaintConfig::new();
-        for s in [
-            "read_input",
-            "recv",
-            "getenv",
-            "http_param",
-            "read_file",
-            "read_socket",
-            "get_request_field",
-            "deserialize",
-        ] {
+        for s in SOURCE_FNS {
             cfg.add_source(s);
         }
         // (name, positions, kind)
@@ -107,16 +110,7 @@ impl TaintConfig {
         for (name, positions, kind) in sinks {
             cfg.add_sink(*name, positions.to_vec(), *kind);
         }
-        for s in [
-            "escape_sql",
-            "escape_html",
-            "sanitize_path",
-            "validate_input",
-            "bound_check",
-            "escape_shell",
-            "sanitize",
-            "clamp_len",
-        ] {
+        for (s, _) in SANITIZER_FNS {
             cfg.add_sanitizer(s);
         }
         cfg
@@ -211,51 +205,6 @@ pub struct TaintAnalysis {
     pub findings: Vec<TaintFinding>,
 }
 
-/// Per-function analysis unit: the CFG plus the dense variable slot map.
-struct FnUnit<'p> {
-    func: &'p Function,
-    cfg: Cfg,
-    slots: SlotMap<'p>,
-}
-
-impl<'p> FnUnit<'p> {
-    fn build(func: &'p Function) -> Self {
-        let cfg = Cfg::build(func);
-        let mut slots: SlotMap<'p> = SlotMap::default();
-        for p in &func.params {
-            let next = slots.len();
-            slots.entry(p.name.as_str()).or_insert(next);
-        }
-        // Every name the transfer functions can read or write: declarations,
-        // direct/indirect assignment bases, and variable reads. The CFG only
-        // re-arranges AST statements (it never invents variables), so walking
-        // the AST covers everything the block replay will look up.
-        func.walk_stmts(&mut |s| {
-            use crate::ast::StmtKind;
-            match &s.kind {
-                StmtKind::Decl { name, .. } => {
-                    let next = slots.len();
-                    slots.entry(name.as_str()).or_insert(next);
-                }
-                StmtKind::Assign { target, .. } => {
-                    if let Some(base) = target.base_var() {
-                        let next = slots.len();
-                        slots.entry(base).or_insert(next);
-                    }
-                }
-                _ => {}
-            }
-        });
-        func.walk_exprs(&mut |e| {
-            if let ExprKind::Var(name) = &e.kind {
-                let next = slots.len();
-                slots.entry(name.as_str()).or_insert(next);
-            }
-        });
-        FnUnit { func, cfg, slots }
-    }
-}
-
 impl TaintAnalysis {
     /// Runs the interprocedural analysis on `program` under `config`.
     ///
@@ -282,7 +231,7 @@ impl TaintAnalysis {
     pub fn run(program: &Program, config: &TaintConfig) -> TaintAnalysis {
         let mut summaries: SummaryMap =
             program.functions.iter().map(|f| (f.name.to_string(), FnSummary::default())).collect();
-        let units: Vec<FnUnit<'_>> = program.functions.iter().map(FnUnit::build).collect();
+        let shapes: Vec<FnShape> = program.functions.iter().map(FnShape::build).collect();
         let graph = CallGraph::build(program);
         let (order, cyclic) = graph.post_order();
         // A name defined twice keeps its first definition's summary, the
@@ -300,10 +249,11 @@ impl TaintAnalysis {
             // (only callees are looked up), so inline findings match the
             // converge-then-replay result bit for bit.
             for &i in &order {
-                let unit = &units[i];
-                let (summary, mut fnd) = analyze_function(unit, config, &summaries, true);
+                let func = &program.functions[i];
+                let (summary, mut fnd) =
+                    analyze_function(func, &shapes[i], config, &summaries, true);
                 if resolves_here(i) {
-                    *summaries.get_mut(unit.func.name.as_str()).expect("summary slot") = summary;
+                    *summaries.get_mut(func.name.as_str()).expect("summary slot") = summary;
                 }
                 findings.append(&mut fnd);
             }
@@ -317,9 +267,10 @@ impl TaintAnalysis {
             for _ in 0..max_rounds {
                 let mut changed = false;
                 for &i in order.iter().filter(|&&i| resolves_here(i)) {
-                    let unit = &units[i];
-                    let (summary, _) = analyze_function(unit, config, &summaries, false);
-                    let slot = summaries.get_mut(unit.func.name.as_str()).expect("summary slot");
+                    let func = &program.functions[i];
+                    let (summary, _) =
+                        analyze_function(func, &shapes[i], config, &summaries, false);
+                    let slot = summaries.get_mut(func.name.as_str()).expect("summary slot");
                     if *slot != summary {
                         *slot = summary;
                         changed = true;
@@ -330,8 +281,8 @@ impl TaintAnalysis {
                 }
             }
             // Final pass: collect findings with stable summaries.
-            for unit in &units {
-                let (_, mut fnd) = analyze_function(unit, config, &summaries, true);
+            for (func, shape) in program.functions.iter().zip(&shapes) {
+                let (_, mut fnd) = analyze_function(func, shape, config, &summaries, true);
                 findings.append(&mut fnd);
             }
         }
@@ -348,8 +299,8 @@ impl TaintAnalysis {
         let summaries = SummaryMap::default();
         let mut findings = Vec::new();
         for func in &program.functions {
-            let unit = FnUnit::build(func);
-            let (_, mut fnd) = analyze_function(&unit, config, &summaries, true);
+            let shape = FnShape::build(func);
+            let (_, mut fnd) = analyze_function(func, &shape, config, &summaries, true);
             findings.append(&mut fnd);
         }
         findings.sort_by_key(|f| (f.span.start, f.call.clone()));
@@ -368,45 +319,89 @@ impl TaintAnalysis {
     }
 }
 
+/// What one callee-table entry of a function means to the analysis,
+/// resolved by name against the configuration and the summary table once
+/// per function analysis.
+#[derive(Clone, Copy)]
+struct Resolved<'a> {
+    /// The called name.
+    name: &'a str,
+    sanitizer: bool,
+    source: bool,
+    /// Dangerous argument positions (empty = all) and the sink's kind.
+    sink: Option<(&'a [usize], &'a str)>,
+    /// The summary of a function of the program.
+    summary: Option<&'a FnSummary>,
+}
+
+/// One function's analysis: its lowered form with the callee table
+/// resolved, and the summary pieces and findings accumulated so far.
+struct FnAnalysis<'a> {
+    function: &'a str,
+    body: &'a Lowered,
+    callees: Vec<Resolved<'a>>,
+    /// Parameters tracked relationally.
+    params: usize,
+    /// `None` on fixpoint rounds, which compute summaries alone.
+    findings: Option<Vec<TaintFinding>>,
+    param_to_sink: BTreeMap<usize, Vec<String>>,
+    internal_flow: bool,
+    ret_origins: Origins,
+}
+
 /// Analyzes a single function; returns its summary and (when
 /// `collect_findings` is set) local findings. Fixpoint rounds pass `false`
 /// so no finding records are allocated until summaries have converged.
 fn analyze_function(
-    unit: &FnUnit<'_>,
+    func: &Function,
+    shape: &FnShape,
     config: &TaintConfig,
     summaries: &SummaryMap,
     collect_findings: bool,
 ) -> (FnSummary, Vec<TaintFinding>) {
-    let FnUnit { func, cfg, slots } = unit;
-    let nslots = slots.len();
+    let FnShape { cfg, rpo, rank, lowered: body, .. } = shape;
+    let callees = body
+        .callees
+        .iter()
+        .map(|c| {
+            let name = c.name.as_str();
+            Resolved {
+                name,
+                sanitizer: config.is_sanitizer(name),
+                source: config.is_source(name),
+                sink: config.sink_positions(name).map(|p| (p, config.sink_kind(name))),
+                summary: summaries.get(name),
+            }
+        })
+        .collect();
+    let mut a = FnAnalysis {
+        function: func.name.as_str(),
+        body,
+        callees,
+        params: body.params().len().min(MAX_PARAMS),
+        findings: collect_findings.then(Vec::new),
+        param_to_sink: BTreeMap::new(),
+        internal_flow: false,
+        ret_origins: 0,
+    };
+    let nslots = shape.slot_count();
 
     // Parameters carry their own origin bit at function entry.
     let mut entry_env = vec![0u64; nslots];
-    for (i, p) in func.params.iter().take(MAX_PARAMS).enumerate() {
-        if let Some(&s) = slots.get(p.name.as_str()) {
-            entry_env[s] = 1u64 << i;
-        }
+    for (i, &s) in body.params().iter().take(MAX_PARAMS).enumerate() {
+        entry_env[s as usize] = 1u64 << i;
     }
 
     let n = cfg.blocks.len();
-    let order = cfg.reverse_post_order();
     // In reverse post-order every forward edge points rightward, so when the
     // CFG has no back edge (loop-free function — the common case) all
     // predecessor exits are final by the time a block is visited: one sweep
     // computes the exact solution. (The entry block never merges predecessor
     // state — parameters are its fixed entry facts — so a stray edge back
     // into it cannot carry information and does not spoil exactness.)
-    let mut pos = vec![0usize; n];
-    for (i, &b) in order.iter().enumerate() {
-        pos[b] = i;
-    }
+    // Unreachable blocks have no predecessors after the builder's pruning.
     let acyclic =
-        (0..n).all(|b| b == cfg.entry || cfg.blocks[b].preds.iter().all(|&p| pos[p] < pos[b]));
-
-    let mut findings = Vec::new();
-    let mut param_to_sink: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-    let mut internal_flow = false;
-    let mut ret_origins: Origins = 0;
+        (0..n).all(|b| b == cfg.entry || cfg.blocks[b].preds.iter().all(|&p| rank[p] < rank[b]));
 
     if acyclic {
         // Single exact pass: the sink checks run on the same per-instruction
@@ -416,9 +411,7 @@ fn analyze_function(
         // `internal_flow`) are all accumulative, so visiting blocks in
         // reverse post-order instead of index order changes nothing.
         let mut at_exit: Vec<Vec<Origins>> = vec![Vec::new(); n];
-        let mut reached = vec![false; n];
-        for &b in &order {
-            reached[b] = true;
+        for &b in rpo {
             let mut env: Vec<Origins> = if b == cfg.entry {
                 entry_env.clone()
             } else {
@@ -430,27 +423,7 @@ fn analyze_function(
                 }
                 merged
             };
-            for si in &cfg.blocks[b].insts {
-                check_inst_calls(
-                    func,
-                    &si.inst,
-                    &env,
-                    slots,
-                    config,
-                    summaries,
-                    collect_findings.then_some(&mut findings),
-                    &mut param_to_sink,
-                    &mut internal_flow,
-                );
-                apply_transfer(
-                    &si.inst,
-                    &mut env,
-                    slots,
-                    config,
-                    summaries,
-                    Some(&mut ret_origins),
-                );
-            }
+            a.run_block(&cfg.blocks[b].insts, &mut env, true);
             at_exit[b] = env;
         }
         // Blocks unreachable from the entry never execute, but they have
@@ -458,24 +431,10 @@ fn analyze_function(
         // sink there is still a finding); returns in dead code never reach a
         // caller, so they do not feed `ret_origins`.
         for (b, block) in cfg.blocks.iter().enumerate() {
-            if reached[b] {
+            if shape.reachable[b] {
                 continue;
             }
-            let mut env = vec![0u64; nslots];
-            for si in &block.insts {
-                check_inst_calls(
-                    func,
-                    &si.inst,
-                    &env,
-                    slots,
-                    config,
-                    summaries,
-                    collect_findings.then_some(&mut findings),
-                    &mut param_to_sink,
-                    &mut internal_flow,
-                );
-                apply_transfer(&si.inst, &mut env, slots, config, summaries, None);
-            }
+            a.run_block(&block.insts, &mut vec![0u64; nslots], false);
         }
     } else {
         // Loops: iterate block states to a fixpoint, then replay each block
@@ -485,7 +444,7 @@ fn analyze_function(
         let mut at_exit: Vec<Vec<Origins>> = vec![vec![0; nslots]; n];
         for _ in 0..(n * 2 + 4) {
             let mut changed = false;
-            for &b in &order {
+            for &b in rpo {
                 let mut env: Vec<Origins> = if b == cfg.entry {
                     at_entry[cfg.entry].clone()
                 } else {
@@ -502,14 +461,7 @@ fn analyze_function(
                     changed = true;
                 }
                 for si in &cfg.blocks[b].insts {
-                    apply_transfer(
-                        &si.inst,
-                        &mut env,
-                        slots,
-                        config,
-                        summaries,
-                        Some(&mut ret_origins),
-                    );
+                    a.transfer(&si.inst, &mut env, true);
                 }
                 if env != at_exit[b] {
                     at_exit[b] = env;
@@ -521,237 +473,156 @@ fn analyze_function(
             }
         }
         for (b, block) in cfg.blocks.iter().enumerate() {
-            let mut env = at_entry[b].clone();
-            for si in &block.insts {
-                check_inst_calls(
-                    func,
-                    &si.inst,
-                    &env,
-                    slots,
-                    config,
-                    summaries,
-                    collect_findings.then_some(&mut findings),
-                    &mut param_to_sink,
-                    &mut internal_flow,
-                );
-                apply_transfer(&si.inst, &mut env, slots, config, summaries, None);
-            }
+            a.run_block(&block.insts, &mut at_entry[b].clone(), false);
         }
     }
 
-    (FnSummary { ret_origins, param_to_sink, internal_flow }, findings)
+    let FnAnalysis { findings, param_to_sink, internal_flow, ret_origins, .. } = a;
+    (FnSummary { ret_origins, param_to_sink, internal_flow }, findings.unwrap_or_default())
 }
 
-/// Runs [`check_call`] on every call expression appearing in `inst`
-/// (including calls nested in indirect assignment targets), under the
-/// environment holding *before* the instruction executes.
-#[allow(clippy::too_many_arguments)]
-fn check_inst_calls(
-    func: &Function,
-    inst: &CfgInst,
-    env: &[Origins],
-    slots: &SlotMap<'_>,
-    config: &TaintConfig,
-    summaries: &SummaryMap,
-    mut findings: Option<&mut Vec<TaintFinding>>,
-    param_to_sink: &mut BTreeMap<usize, Vec<String>>,
-    internal_flow: &mut bool,
-) {
-    let mut check = |e: &Expr| {
-        if let ExprKind::Call(name, args) = &e.kind {
-            check_call(
-                func,
-                name.as_str(),
-                args,
-                e.span,
-                env,
-                slots,
-                config,
-                summaries,
-                findings.as_deref_mut(),
-                param_to_sink,
-                internal_flow,
-            );
-        }
-    };
-    if let Some(root) = inst.expr() {
-        root.walk(&mut check);
-    }
-    // Indirect-target expressions can also contain calls.
-    if let CfgInst::Assign { target, .. } = inst {
-        match target {
-            LValue::Var(_) => {}
-            LValue::Deref(e) => e.walk(&mut check),
-            LValue::Index(b2, i2) => {
-                b2.walk(&mut check);
-                i2.walk(&mut check);
+impl FnAnalysis<'_> {
+    /// Runs each instruction of a block: the sink checks on every call it
+    /// makes (including calls nested in indirect assignment targets) under
+    /// the environment holding *before* it executes, then its transfer.
+    fn run_block(&mut self, insts: &[SpannedInst<Inst>], env: &mut [Origins], feed_ret: bool) {
+        let body = self.body;
+        for si in insts {
+            for &n in body.calls(&si.inst) {
+                self.check_call(n, env);
             }
+            self.transfer(&si.inst, env, feed_ret);
         }
     }
-}
 
-/// Applies one instruction's dataflow transfer to `env`. Return-value
-/// origins are accumulated into `ret_origins` when provided (the replay
-/// passes skip it — dead and already-summarized returns must not feed the
-/// summary twice).
-fn apply_transfer(
-    inst: &CfgInst,
-    env: &mut [Origins],
-    slots: &SlotMap<'_>,
-    config: &TaintConfig,
-    summaries: &SummaryMap,
-    ret_origins: Option<&mut Origins>,
-) {
-    match inst {
-        CfgInst::Decl { name, init, .. } => {
-            let t = init.as_ref().map_or(0, |e| expr_origins(e, env, slots, config, summaries));
-            if let Some(&s) = slots.get(name.as_str()) {
-                env[s] = t;
+    /// Applies one instruction's dataflow transfer to `env`. Return-value
+    /// origins feed the summary only when `feed_ret` is set (the replay
+    /// passes clear it — dead and already-summarized returns must not feed
+    /// the summary twice).
+    fn transfer(&mut self, inst: &Inst, env: &mut [Origins], feed_ret: bool) {
+        match inst.op {
+            Op::Decl { slot, init, .. } => {
+                env[slot as usize] = init.map_or(0, |e| self.origins(e, env));
             }
-        }
-        CfgInst::Assign { target, value } => {
-            let t = expr_origins(value, env, slots, config, summaries);
-            match target {
-                LValue::Var(name) => {
-                    if let Some(&s) = slots.get(name.as_str()) {
-                        env[s] = t;
-                    }
-                }
-                LValue::Deref(e) | LValue::Index(e, _) => {
-                    // Indirect store taints the base object (weak update:
-                    // union with existing taint).
-                    if let ExprKind::Var(base) = &e.kind {
-                        if let Some(&s) = slots.get(base.as_str()) {
-                            env[s] |= t;
+            Op::Assign { target, value } => {
+                let t = self.origins(value, env);
+                match target {
+                    Target::Var(s) => env[s as usize] = t,
+                    Target::Deref(e) | Target::Index(e, _) => {
+                        // Indirect store taints the base object (weak update:
+                        // union with existing taint).
+                        if let Node::Var(base) = self.body.node(e) {
+                            env[base as usize] |= t;
                         }
                     }
                 }
             }
+            Op::Return(Some(e)) if feed_ret => self.ret_origins |= self.origins(e, env),
+            Op::Return(_) | Op::Expr(_) | Op::Branch(_) => {}
         }
-        CfgInst::Return(e) => {
-            if let (Some(r), Some(e)) = (ret_origins, e) {
-                *r |= expr_origins(e, env, slots, config, summaries);
-            }
-        }
-        CfgInst::Expr(_) | CfgInst::Branch(_) => {}
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn check_call(
-    func: &Function,
-    name: &str,
-    args: &[Expr],
-    span: Span,
-    env: &[Origins],
-    slots: &SlotMap<'_>,
-    config: &TaintConfig,
-    summaries: &SummaryMap,
-    mut findings: Option<&mut Vec<TaintFinding>>,
-    param_to_sink: &mut BTreeMap<usize, Vec<String>>,
-    internal_flow: &mut bool,
-) {
-    // Positions that are dangerous for this callee: direct sinks from config,
-    // derived sinks from summaries. Kinds stay borrowed until a finding or a
-    // new derived-sink entry actually needs an owned copy.
-    let mut dangerous: Vec<(usize, &str, bool)> = Vec::new(); // (arg pos, kind, via wrapper)
-    if let Some(positions) = config.sink_positions(name) {
-        let kind = config.sink_kind(name);
-        if positions.is_empty() {
-            for i in 0..args.len() {
-                dangerous.push((i, kind, false));
+    /// Checks call node `n`: direct sinks from the configuration, then
+    /// derived sinks from the callee's summary.
+    fn check_call(&mut self, n: NodeId, env: &[Origins]) {
+        let body = self.body;
+        let Node::Call(c, args) = body.node(n) else { return };
+        let args = body.args(args);
+        let callee = self.callees[c as usize];
+        if let Some((positions, kind)) = callee.sink {
+            if positions.is_empty() {
+                for pos in 0..args.len() {
+                    self.check_arg(n, callee.name, args.get(pos), kind, false, env);
+                }
+            } else {
+                for &pos in positions {
+                    self.check_arg(n, callee.name, args.get(pos), kind, false, env);
+                }
             }
-        } else {
-            for &p in positions {
-                dangerous.push((p, kind, false));
+        }
+        if let Some(s) = callee.summary {
+            for (&pos, kinds) in &s.param_to_sink {
+                for kind in kinds {
+                    self.check_arg(n, callee.name, args.get(pos), kind, true, env);
+                }
             }
         }
     }
-    if let Some(s) = summaries.get(name) {
-        for (p, kinds) in &s.param_to_sink {
-            for k in kinds {
-                dangerous.push((*p, k.as_str(), true));
-            }
-        }
-    }
-    for (pos, kind, via_wrapper) in dangerous {
-        let Some(arg) = args.get(pos) else { continue };
-        let t = expr_origins(arg, env, slots, config, summaries);
+
+    /// Checks one dangerous argument of call node `n`: a source-tainted
+    /// argument is a finding, a parameter-tainted one a derived-sink entry.
+    fn check_arg(
+        &mut self,
+        n: NodeId,
+        call: &str,
+        arg: Option<&NodeId>,
+        kind: &str,
+        via_wrapper: bool,
+        env: &[Origins],
+    ) {
+        let Some(&arg) = arg else { return };
+        let t = self.origins(arg, env);
         if t & SOURCE_BIT != 0 {
-            if let Some(findings) = findings.as_deref_mut() {
+            if let Some(findings) = &mut self.findings {
                 findings.push(TaintFinding {
-                    function: func.name.to_string(),
-                    call: name.to_string(),
+                    function: self.function.to_string(),
+                    call: call.to_string(),
                     sink_kind: kind.to_string(),
-                    span,
+                    span: self.body.call_span(n),
                     interprocedural: via_wrapper,
                 });
             }
-            *internal_flow = true;
+            self.internal_flow = true;
         }
         // Record parameter-origin flows for the derived-sink summary.
-        for (i, _) in func.params.iter().take(MAX_PARAMS).enumerate() {
+        for i in 0..self.params {
             if t & (1u64 << i) != 0 {
-                let kinds = param_to_sink.entry(i).or_default();
+                let kinds = self.param_to_sink.entry(i).or_default();
                 if !kinds.iter().any(|k| k == kind) {
                     kinds.push(kind.to_string());
                 }
             }
         }
     }
-}
 
-/// Computes the origin mask of an expression under the dense `env`.
-fn expr_origins(
-    e: &Expr,
-    env: &[Origins],
-    slots: &SlotMap<'_>,
-    config: &TaintConfig,
-    summaries: &SummaryMap,
-) -> Origins {
-    match &e.kind {
-        ExprKind::Int(_) | ExprKind::Char(_) | ExprKind::Str(_) => 0,
-        ExprKind::Var(name) => slots.get(name.as_str()).map_or(0, |&s| env[s]),
-        ExprKind::Unary(_, inner) => expr_origins(inner, env, slots, config, summaries),
-        ExprKind::Binary(_, l, r) => {
-            expr_origins(l, env, slots, config, summaries)
-                | expr_origins(r, env, slots, config, summaries)
-        }
-        ExprKind::Index(b, i) => {
-            expr_origins(b, env, slots, config, summaries)
-                | expr_origins(i, env, slots, config, summaries)
-        }
-        ExprKind::Call(name, args) => {
-            if config.is_sanitizer(name.as_str()) {
-                return 0;
+    /// The origin mask of node `n` under `env`.
+    fn origins(&self, n: NodeId, env: &[Origins]) -> Origins {
+        match self.body.node(n) {
+            Node::Int(_) | Node::Char(_) | Node::Str => 0,
+            Node::Var(s) => env[s as usize],
+            Node::Unary(_, e) => self.origins(e, env),
+            Node::Binary(_, l, r) | Node::Index(l, r) => {
+                self.origins(l, env) | self.origins(r, env)
             }
-            let mut t = 0;
-            if config.is_source(name.as_str()) {
-                t |= SOURCE_BIT;
-            }
-            match summaries.get(name.as_str()) {
-                Some(s) => {
-                    // Known function: return carries SOURCE if the callee
-                    // returns source data, plus the origins of any argument
-                    // the return value depends on.
-                    if s.ret_origins & SOURCE_BIT != 0 {
-                        t |= SOURCE_BIT;
+            Node::Call(c, args) => {
+                let callee = &self.callees[c as usize];
+                if callee.sanitizer {
+                    return 0;
+                }
+                let args = self.body.args(args);
+                let mut t = if callee.source { SOURCE_BIT } else { 0 };
+                match callee.summary {
+                    Some(s) => {
+                        // Known function: return carries SOURCE if the callee
+                        // returns source data, plus the origins of any
+                        // argument the return value depends on.
+                        t |= s.ret_origins & SOURCE_BIT;
+                        for (i, &arg) in args.iter().enumerate().take(MAX_PARAMS) {
+                            if s.ret_origins & (1u64 << i) != 0 {
+                                t |= self.origins(arg, env);
+                            }
+                        }
                     }
-                    for (i, arg) in args.iter().enumerate().take(MAX_PARAMS) {
-                        if s.ret_origins & (1u64 << i) != 0 {
-                            t |= expr_origins(arg, env, slots, config, summaries);
+                    None => {
+                        // Unknown library function: conservatively propagate
+                        // argument taint through the return value.
+                        for &arg in args {
+                            t |= self.origins(arg, env);
                         }
                     }
                 }
-                None => {
-                    // Unknown library function: conservatively propagate
-                    // argument taint through the return value.
-                    for arg in args {
-                        t |= expr_origins(arg, env, slots, config, summaries);
-                    }
-                }
+                t
             }
-            t
         }
     }
 }
@@ -915,6 +786,53 @@ mod tests {
     fn multiple_sink_args_checked() {
         let r = run(r#"void f(char* dst) { char* s = recv(); memcpy(dst, s, 8); }"#);
         assert_eq!(r.findings.len(), 1, "tainted src argument of memcpy");
+    }
+
+    #[test]
+    fn default_vocabulary_is_the_provenance_domains() {
+        let cfg = TaintConfig::default_config();
+        let sources: HashSet<&str> = cfg.source_names().collect();
+        assert_eq!(sources, SOURCE_FNS.into_iter().collect());
+        let sanitizers: HashSet<&str> = cfg.sanitizers.iter().map(String::as_str).collect();
+        assert_eq!(sanitizers, SANITIZER_FNS.iter().map(|&(name, _)| name).collect());
+    }
+
+    #[test]
+    fn all_positions_sink_checks_every_argument() {
+        let p =
+            parse(r#"void f(char* a) { char* t = read_input(); audit(t, "x"); audit("y", a); }"#)
+                .unwrap();
+        let mut cfg = TaintConfig::default_config();
+        cfg.add_sink("audit", vec![], "log");
+        let r = TaintAnalysis::run(&p, &cfg);
+        assert_eq!(r.findings.len(), 1, "source data in position 0");
+        assert_eq!(r.summaries["f"].param_to_sink[&0], vec!["log".to_string()], "param in 1");
+    }
+
+    #[test]
+    fn calls_in_indirect_store_targets_are_checked() {
+        let src = r#"void f(char* buf) { char* q = read_input(); buf[exec_query(q)] = 0; *lookup(system(q)) = 1; }"#;
+        let r = run(src);
+        let calls: Vec<_> = r.findings.iter().map(|f| &src[f.span.start..f.span.end]).collect();
+        assert_eq!(calls, ["exec_query(q)", "system(q)"]);
+    }
+
+    #[test]
+    fn finding_span_is_the_call_expression() {
+        let src = r#"void f() { char* q = read_input(); wrap(1, exec_query(q)); }"#;
+        let r = run(src);
+        assert_eq!(r.findings.len(), 1);
+        let s = r.findings[0].span;
+        assert_eq!(&src[s.start..s.end], "exec_query(q)");
+    }
+
+    #[test]
+    fn derived_sink_kinds_keep_pre_order() {
+        // The evaluated expression's calls come first, outer before inner,
+        // then the indirect target's.
+        let r = run(r#"void w(char* a, char* b) { b[exec_query(a)] = system(render_html(a)); }"#);
+        let kinds = &r.summaries["w"].param_to_sink[&0];
+        assert_eq!(kinds, &["command", "xss", "sql"].map(String::from));
     }
 
     #[test]

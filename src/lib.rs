@@ -41,7 +41,7 @@
 //!
 //! The experiment harness reproducing the paper's figures and quantitative
 //! claims lives in the `vulnman-bench` crate (`cargo run --release -p
-//! vulnman-bench --bin all_experiments`); results are recorded in
+//! vulnman-bench --bin experiments -- all`); results are recorded in
 //! `EXPERIMENTS.md`.
 
 #![warn(missing_docs)]
