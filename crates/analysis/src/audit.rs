@@ -370,7 +370,7 @@ impl AuditEngine {
     pub fn run(&self) -> AuditReport {
         let units = self.corpus();
         let builder = UnitViewsBuilder::new();
-        let cache = AnalysisCache::new();
+        let cache = AnalysisCache::scratch();
         let scanned = vulnman_lang::par::map_ordered(&units, self.config.jobs, |u| {
             let key = AnalysisCache::content_key(&u.sample.source);
             let views = builder.build(key, &u.sample.source, &cache);

@@ -33,6 +33,7 @@ use vulnman_lang::absint::{
 };
 use vulnman_lang::ast::Program;
 use vulnman_lang::incremental::IncrementalTrace;
+use vulnman_lang::AnalysisCache;
 use vulnman_obs::Registry;
 use vulnman_synth::cwe::Cwe;
 
@@ -40,12 +41,15 @@ use vulnman_synth::cwe::Cwe;
 // Engine
 // ---------------------------------------------------------------------------
 
-/// The full result of a semantic scan: findings plus solver telemetry.
-#[derive(Debug, Clone)]
+/// The full result of a semantic scan: findings, solver telemetry, and the
+/// per-function recompute trace.
+#[derive(Debug, Clone, Default)]
 pub struct SemanticScan {
     /// Findings, sorted by `(span.start, cwe)`; each carries evidence.
     pub findings: Vec<Finding>,
     /// Accumulated fixpoint statistics across all six domain passes.
+    /// Components served from the stage tables contribute their recorded
+    /// statistics, so these equal a batch scan's at any stage warmth.
     pub stats: SolverStats,
     /// Wall time of the interval pass (solver + checker), in microseconds.
     pub interval_micros: u64,
@@ -61,29 +65,9 @@ pub struct SemanticScan {
     /// Wall time of the provenance (kind-masked taint) pass, in
     /// microseconds.
     pub provenance_micros: u64,
-}
-
-/// The result of an incremental semantic scan: findings and statistics
-/// byte-identical to [`SemanticEngine::analyze`], plus the per-function
-/// recompute trace (no wall-clock fields — incremental results must stay
-/// comparable across runs and cache states).
-#[derive(Debug, Clone)]
-pub struct IncrementalSemanticScan {
-    /// Findings, sorted by `(span.start, cwe)`; each carries evidence.
-    pub findings: Vec<Finding>,
-    /// Accumulated fixpoint statistics across all six domain passes
-    /// (cached components contribute their recorded statistics).
-    pub stats: SolverStats,
-    /// Which functions any domain pass re-solved vs. reused.
+    /// Which functions any domain pass re-solved vs. reused from the stage
+    /// tables (empty for a batch scan).
     pub trace: IncrementalTrace,
-}
-
-/// All six passes' output; `micros` is each pass's wall time.
-struct EngineRun {
-    findings: Vec<Finding>,
-    stats: SolverStats,
-    trace: IncrementalTrace,
-    micros: [u64; 6],
 }
 
 /// Runs the six abstract-domain passes over a program and reports semantic
@@ -135,43 +119,32 @@ impl SemanticEngine {
 
     /// Runs all six domain passes and returns findings plus telemetry.
     pub fn analyze(&self, program: &Program) -> SemanticScan {
-        let run = self.run_passes(&Substrate::new(program));
-        let [interval, nullness, init, ownership, width, provenance] = run.micros;
-        SemanticScan {
-            findings: run.findings,
-            stats: run.stats,
-            interval_micros: interval,
-            nullness_micros: nullness,
-            init_micros: init,
-            ownership_micros: ownership,
-            width_micros: width,
-            provenance_micros: provenance,
-        }
+        self.run_passes(&Substrate::new(program))
     }
 
     /// The six domain passes, in delivery order. Each solves its domain
     /// over the shared substrate and runs its checkers on every solved
     /// function; the tag separates the passes' incremental cache entries.
-    const PASSES: [fn(&SemanticEngine, &Substrate<'_>, &mut EngineRun); 6] = [
-        |e, s, run| e.pass(s, run, 0x01, IntervalDomain::with_summaries, check_intervals),
-        |e, s, run| e.pass(s, run, 0x02, NullnessDomain::with_summaries, check_nullness),
-        |e, s, run| e.pass(s, run, 0x03, |_| InitDomain, check_init),
-        |e, s, run| {
-            e.pass(s, run, 0x04, OwnershipDomain::with_summaries, |solved, out| {
+    const PASSES: [fn(&SemanticEngine, &Substrate<'_>, &mut SemanticScan); 6] = [
+        |e, s, scan| e.pass(s, scan, 0x01, IntervalDomain::with_summaries, check_intervals),
+        |e, s, scan| e.pass(s, scan, 0x02, NullnessDomain::with_summaries, check_nullness),
+        |e, s, scan| e.pass(s, scan, 0x03, |_| InitDomain, check_init),
+        |e, s, scan| {
+            e.pass(s, scan, 0x04, OwnershipDomain::with_summaries, |solved, out| {
                 check_ownership(solved, out);
                 check_toctou(solved.func.name.as_str(), solved.shape, out);
             })
         },
-        |e, s, run| e.pass(s, run, 0x05, WidthDomain::with_summaries, check_width),
-        |e, s, run| e.pass(s, run, 0x06, ProvenanceDomain::with_summaries, check_sinks),
+        |e, s, scan| e.pass(s, scan, 0x05, WidthDomain::with_summaries, check_width),
+        |e, s, scan| e.pass(s, scan, 0x06, ProvenanceDomain::with_summaries, check_sinks),
     ];
 
     /// Runs one domain pass over `substrate` and appends its findings,
-    /// statistics and recompute trace to `run`.
+    /// statistics and recompute trace to `scan`.
     fn pass<D, M>(
         &self,
         substrate: &Substrate<'_>,
-        run: &mut EngineRun,
+        scan: &mut SemanticScan,
         tag: u64,
         make_domain: M,
         check: fn(&Solved<'_, D>, &mut Vec<Finding>),
@@ -191,28 +164,35 @@ impl SemanticEngine {
                 out
             },
         );
-        run.findings.extend(pass.payloads.into_iter().flatten());
-        run.stats.absorb(&pass.stats);
-        run.trace.merge(&pass.trace);
+        scan.findings.extend(pass.payloads.into_iter().flatten());
+        scan.stats.absorb(&pass.stats);
+        scan.trace.merge(&pass.trace);
     }
 
-    /// Runs every pass in [`Self::PASSES`] over `substrate`. Findings are
-    /// concatenated pass-major (bottom-up within a pass), then stably
-    /// sorted by `(span.start, cwe)`.
-    fn run_passes(&self, substrate: &Substrate<'_>) -> EngineRun {
-        let mut run = EngineRun {
-            findings: Vec::new(),
+    /// Runs every pass in [`Self::PASSES`] over `substrate`, timing each.
+    /// Findings are concatenated pass-major (bottom-up within a pass), then
+    /// stably sorted by `(span.start, cwe)`.
+    fn run_passes(&self, substrate: &Substrate<'_>) -> SemanticScan {
+        let mut scan = SemanticScan {
             stats: SolverStats { converged: true, ..SolverStats::default() },
-            trace: IncrementalTrace::default(),
-            micros: [0; 6],
+            ..SemanticScan::default()
         };
-        for (i, pass) in Self::PASSES.iter().enumerate() {
+        let mut micros = [0; 6];
+        for (pass, micros) in Self::PASSES.iter().zip(&mut micros) {
             let t = Instant::now();
-            pass(self, substrate, &mut run);
-            run.micros[i] = t.elapsed().as_micros() as u64;
+            pass(self, substrate, &mut scan);
+            *micros = t.elapsed().as_micros() as u64;
         }
-        run.findings.sort_by_key(|f| (f.span.start, f.cwe.id()));
-        run
+        [
+            scan.interval_micros,
+            scan.nullness_micros,
+            scan.init_micros,
+            scan.ownership_micros,
+            scan.width_micros,
+            scan.provenance_micros,
+        ] = micros;
+        scan.findings.sort_by_key(|f| (f.span.start, f.cwe.id()));
+        scan
     }
 
     /// Parses and scans source text.
@@ -224,99 +204,76 @@ impl SemanticEngine {
         Ok(self.scan(&vulnman_lang::parse(source)?))
     }
 
-    /// Parses and scans through a content-addressed cache under the
-    /// `"absint-findings"` kind: warm runs skip the fixpoint entirely.
-    /// Results are identical to [`SemanticEngine::scan_source`].
+    /// The semantic findings of one unit through `cache`: the one cached
+    /// entry point of the suite and the one place its whole-unit
+    /// `absint-findings` entry is spelled. `program` is the parse of
+    /// `source`, whose content key is `content_key`.
     ///
-    /// # Errors
-    ///
-    /// Returns the parse error if `source` is not valid mini-C.
-    pub fn scan_source_cached(
-        &self,
-        source: &str,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> Result<Vec<Finding>, vulnman_lang::ParseError> {
-        let key = vulnman_lang::AnalysisCache::content_key(source);
-        let program = cache.parse_keyed(key, source)?;
-        Ok((*self.findings_cached_parsed(key, &program, cache, &Registry::noop())).clone())
-    }
-
-    /// The cache entry behind [`SemanticEngine::scan_source_cached`] for an
-    /// already-parsed unit, shared rather than copied (the semantic half of
-    /// [`RuleEngine::findings_cached_parsed`](crate::RuleEngine::findings_cached_parsed)).
-    /// A miss scans through [`SemanticEngine::scan_with_metrics`], so the
-    /// `absint.*` instruments of `metrics` see cold solver work only.
-    pub fn findings_cached_parsed(
+    /// A repeat is one lookup. A miss computes through the per-stage tables
+    /// of `cache` (see [`vulnman_lang::incremental`]), so a resubmission
+    /// with one function edited re-solves only what the edit touched; a
+    /// cache that keeps no stages (disabled or
+    /// [`scratch`](AnalysisCache::scratch)) computes through the batch
+    /// substrate. Either way the
+    /// miss's [`SemanticScan`] feeds the `absint.*` instruments of
+    /// `metrics` (see [`register_absint_instruments`]), whose counters read
+    /// the same at any stage warmth. Findings are identical to
+    /// [`SemanticEngine::scan_source`]'s.
+    pub fn findings_cached(
         &self,
         content_key: u64,
+        source: &str,
         program: &Program,
-        cache: &vulnman_lang::AnalysisCache,
+        cache: &AnalysisCache,
         metrics: &Registry,
     ) -> Arc<Vec<Finding>> {
         cache.analysis_keyed(content_key, "absint-findings", self.fingerprint(), || {
-            self.scan_with_metrics(program, metrics)
+            let scan = if cache.keeps_stages() {
+                self.run_passes(&Substrate::incremental_from_source(program, source, cache))
+            } else {
+                self.analyze(program)
+            };
+            record(&scan, metrics);
+            scan.findings
         })
     }
 
-    /// [`SemanticEngine::analyze`] through the per-stage incremental
-    /// tables of `cache`: CFGs, summaries, and findings of functions whose
-    /// inputs are unchanged since a previous call are reused instead of
-    /// re-solved (see [`vulnman_lang::incremental`]). Findings and solver
-    /// statistics are byte-identical to the batch path; the returned trace
-    /// says which functions were actually re-analyzed.
-    pub fn analyze_incremental(
-        &self,
-        program: &Program,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> IncrementalSemanticScan {
-        self.analyze_incremental_in(&Substrate::incremental(program, cache))
-    }
-
-    fn analyze_incremental_in(&self, substrate: &Substrate<'_>) -> IncrementalSemanticScan {
-        let run = self.run_passes(substrate);
-        IncrementalSemanticScan { findings: run.findings, stats: run.stats, trace: run.trace }
-    }
-
-    /// Parses (through the [`Stage::Parse`](vulnman_lang::Stage) table) and
-    /// scans `source` incrementally. Results are identical to
-    /// [`SemanticEngine::scan_source`].
+    /// Parses `source` through `cache` and scans it through the per-stage
+    /// tables alone, returning the recompute trace: the stage path behind
+    /// [`SemanticEngine::findings_cached`]'s misses, for callers that
+    /// inspect which functions an edit re-solved. Findings and statistics
+    /// are identical to [`SemanticEngine::analyze`]'s.
     ///
     /// # Errors
     ///
     /// Returns the parse error if `source` is not valid mini-C (cached, so
-    /// malformed resubmissions fail at the parse stage without re-running
-    /// anything downstream).
+    /// malformed resubmissions fail without re-running anything
+    /// downstream).
     pub fn scan_source_incremental(
         &self,
         source: &str,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> Result<IncrementalSemanticScan, vulnman_lang::ParseError> {
-        let key = vulnman_lang::AnalysisCache::content_key(source);
-        let program = cache.parse_stage(key, source)?;
-        // The source is in hand, so fingerprint functions from their raw
-        // source slices — far cheaper than rendering each AST.
-        Ok(self
-            .analyze_incremental_in(&Substrate::incremental_from_source(&program, source, cache)))
+        cache: &AnalysisCache,
+    ) -> Result<SemanticScan, vulnman_lang::ParseError> {
+        let program = cache.parse_keyed(AnalysisCache::content_key(source), source)?;
+        Ok(self.run_passes(&Substrate::incremental_from_source(&program, source, cache)))
     }
+}
 
-    /// Scans and reports solver telemetry through the pre-registered
-    /// `absint.*` instruments (see [`register_absint_instruments`]).
-    pub fn scan_with_metrics(&self, program: &Program, metrics: &Registry) -> Vec<Finding> {
-        let scan = self.analyze(program);
-        metrics.counter("absint.solver.iterations").add(scan.stats.iterations);
-        metrics.counter("absint.solver.widenings").add(scan.stats.widenings);
-        if !scan.stats.converged {
-            metrics.counter("absint.solver.nonconverged").add(1);
-        }
-        metrics.counter("absint.findings").add(scan.findings.len() as u64);
-        metrics.histogram("absint.domain.interval_micros").observe(scan.interval_micros);
-        metrics.histogram("absint.domain.nullness_micros").observe(scan.nullness_micros);
-        metrics.histogram("absint.domain.init_micros").observe(scan.init_micros);
-        metrics.histogram("absint.domain.ownership_micros").observe(scan.ownership_micros);
-        metrics.histogram("absint.domain.width_micros").observe(scan.width_micros);
-        metrics.histogram("absint.domain.provenance_micros").observe(scan.provenance_micros);
-        scan.findings
+/// Reports one computed scan through the pre-registered `absint.*`
+/// instruments (see [`register_absint_instruments`]).
+fn record(scan: &SemanticScan, metrics: &Registry) {
+    metrics.counter("absint.solver.iterations").add(scan.stats.iterations);
+    metrics.counter("absint.solver.widenings").add(scan.stats.widenings);
+    if !scan.stats.converged {
+        metrics.counter("absint.solver.nonconverged").add(1);
     }
+    metrics.counter("absint.findings").add(scan.findings.len() as u64);
+    metrics.histogram("absint.domain.interval_micros").observe(scan.interval_micros);
+    metrics.histogram("absint.domain.nullness_micros").observe(scan.nullness_micros);
+    metrics.histogram("absint.domain.init_micros").observe(scan.init_micros);
+    metrics.histogram("absint.domain.ownership_micros").observe(scan.ownership_micros);
+    metrics.histogram("absint.domain.width_micros").observe(scan.width_micros);
+    metrics.histogram("absint.domain.provenance_micros").observe(scan.provenance_micros);
 }
 
 /// Detection counts for one CWE class on the fixed semantic-gap corpus —
@@ -983,7 +940,7 @@ mod tests {
     use crate::detectors::RuleEngine;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use vulnman_lang::{parse, AnalysisCache};
+    use vulnman_lang::{parse, Stage};
     use vulnman_synth::emit::EmitCtx;
     use vulnman_synth::style::StyleProfile;
     use vulnman_synth::templates::semantic::{semantic_gap_pair, GAP_CLASSES};
@@ -1333,11 +1290,18 @@ mod tests {
     fn cached_scan_is_identical_and_warm() {
         let engine = SemanticEngine::new();
         let src = "void f() { int a[4]; int i = 9; a[i] = 1; consume_table(a, 4); }";
+        let (key, program) = (AnalysisCache::content_key(src), parse(src).unwrap());
         let cache = AnalysisCache::new();
-        let cold = engine.scan_source_cached(src, &cache).unwrap();
-        let warm = engine.scan_source_cached(src, &cache).unwrap();
-        assert_eq!(cold, warm);
-        assert_eq!(cold, engine.scan_source(src).unwrap());
+        let scan = |cache: &AnalysisCache| {
+            engine.findings_cached(key, src, &program, cache, &Registry::noop())
+        };
+        let cold = scan(&cache);
+        let solved = cache.stage_stats(Stage::Summary);
+        let warm = scan(&cache);
+        assert!(Arc::ptr_eq(&cold, &warm), "a repeat is the stored entry");
+        assert_eq!(cache.stage_stats(Stage::Summary), solved, "a repeat reads no stage");
+        assert_eq!(*cold, engine.scan_source(src).unwrap());
+        assert_eq!(*scan(&AnalysisCache::disabled()), *cold, "the batch path agrees");
         assert!(!cold.is_empty());
         // Different solver configs must not share cache entries.
         let other = SemanticEngine::with_config(SolverConfig {
@@ -1352,8 +1316,10 @@ mod tests {
         let metrics = Registry::new();
         register_absint_instruments(&metrics);
         let engine = SemanticEngine::new();
-        let program = parse("void f() { int x; record_metric(\"x\", x); }").unwrap();
-        let findings = engine.scan_with_metrics(&program, &metrics);
+        let src = "void f() { int x; record_metric(\"x\", x); }";
+        let program = parse(src).unwrap();
+        let key = AnalysisCache::content_key(src);
+        let findings = engine.findings_cached(key, src, &program, &AnalysisCache::new(), &metrics);
         assert_eq!(findings.len(), 1);
         let json = serde_json::to_string(&metrics.snapshot()).unwrap();
         for key in [

@@ -164,14 +164,14 @@ impl RuleEngine {
         cache: &vulnman_lang::AnalysisCache,
     ) -> Result<std::sync::Arc<Vec<Finding>>, vulnman_lang::ParseError> {
         let program = cache.parse_keyed(content_key, source)?;
-        Ok(self.findings_cached_parsed(content_key, &program, cache))
+        Ok(self.findings_cached(content_key, &program, cache))
     }
 
     /// [`RuleEngine::findings_cached_keyed`] over an already-parsed unit,
     /// so a caller that runs several views on one tree parses it once even
     /// when `cache` is disabled. The one place the `"rule-findings"` entry
     /// is spelled.
-    pub(crate) fn findings_cached_parsed(
+    pub fn findings_cached(
         &self,
         content_key: u64,
         program: &Program,

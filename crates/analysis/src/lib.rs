@@ -42,8 +42,7 @@ mod views;
 pub use audit::{register_audit_instruments, AuditConfig, AuditEngine, AuditReport, MlVerdict};
 pub use autofix::AutoFixer;
 pub use checkers::{
-    register_absint_instruments, AbsintBaseline, BaselineEntry, IncrementalSemanticScan,
-    SemanticEngine, SemanticScan,
+    register_absint_instruments, AbsintBaseline, BaselineEntry, SemanticEngine, SemanticScan,
 };
 pub use corpusgraph::{
     register_graph_instruments, CorpusGraph, CorpusGraphReport, LinkUnit, UnitLinks, UnitRef,

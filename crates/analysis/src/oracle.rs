@@ -487,7 +487,7 @@ impl DifferentialOracle {
                 .filter_map(|f| sink_kind_to_cwe(&f.sink_kind))
                 .collect::<BTreeSet<Cwe>>()
         });
-        (self.views.build_parsed(key, &program, cache), (*taint).clone())
+        (self.views.build_parsed(key, source, &program, cache), (*taint).clone())
     }
 
     /// Classifies every disagreement for one source against `truth`

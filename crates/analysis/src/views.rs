@@ -74,21 +74,23 @@ impl UnitViewsBuilder {
     /// views. An unparseable unit records the error and no verdicts.
     pub(crate) fn build(&self, content_key: u64, source: &str, cache: &AnalysisCache) -> UnitViews {
         match cache.parse_keyed(content_key, source) {
-            Ok(program) => self.build_parsed(content_key, &program, cache),
+            Ok(program) => self.build_parsed(content_key, source, &program, cache),
             Err(e) => UnitViews::unparsed(&e),
         }
     }
 
     /// [`UnitViewsBuilder::build`] over an already-parsed unit, for callers
-    /// that run further views on the same tree.
+    /// that run further views on the same tree. `program` is the parse of
+    /// `source`.
     pub(crate) fn build_parsed(
         &self,
         content_key: u64,
+        source: &str,
         program: &Program,
         cache: &AnalysisCache,
     ) -> UnitViews {
         let mut views = UnitViews::default();
-        for f in self.rules.findings_cached_parsed(content_key, program, cache).iter() {
+        for f in self.rules.findings_cached(content_key, program, cache).iter() {
             let set =
                 if f.detector == TAINT_FLOW { &mut views.taint_flow } else { &mut views.rules };
             set.insert(f.cwe);
@@ -99,7 +101,7 @@ impl UnitViewsBuilder {
         views.dynamic = (*dynamic).clone();
         views.semantic = self
             .semantics
-            .findings_cached_parsed(content_key, program, cache, &Registry::noop())
+            .findings_cached(content_key, source, program, cache, &Registry::noop())
             .iter()
             .map(|f| f.cwe)
             .collect();

@@ -10,7 +10,8 @@
 //!   the content-addressed cache on a duplicate-heavy corpus.
 //! - `corpus_generation/<tier>`, `taint_analysis/interprocedural`,
 //!   `anonymizer/<strength>`.
-//! - `absint_solver_scaling/f<functions>_d<depth>`, `absint_cache/{cold,warm}`.
+//! - `absint_solver_scaling/f<functions>_d<depth>`,
+//!   `absint_cache/{cold,warm,edit}`.
 //! - `absint_domain/<domain>`: one domain pass (solves and return
 //!   summaries, no checker) over a fixed-seed pool of 256 samples shaped
 //!   like perfbench's `batch_cold` (every CWE class, shuffled), with the
@@ -43,6 +44,8 @@ use vulnman_lang::taint::{TaintAnalysis, TaintConfig};
 use vulnman_lang::{parse, AnalysisCache};
 use vulnman_ml::pipeline::model_zoo;
 use vulnman_ml::split::stratified_split;
+use vulnman_obs::Registry;
+use vulnman_serve::SERVE_CACHE_ENTRY_LIMIT;
 use vulnman_synth::dataset::{Dataset, DatasetBuilder};
 use vulnman_synth::emit::EmitCtx;
 use vulnman_synth::style::StyleProfile;
@@ -217,8 +220,9 @@ fn absint_program(functions: usize, depth: usize) -> String {
 }
 
 /// The fixpoint's cost against program size (function count x loop
-/// nesting depth), and what the `"absint-findings"` cache entry saves on a
-/// warm run.
+/// nesting depth), and [`SemanticEngine::findings_cached`] on a fresh
+/// cache (`cold`), on a repeat (`warm`) and on a one-function edit after a
+/// warm base (`edit`).
 fn absint(b: &mut Bench) {
     let engine = SemanticEngine::new();
     for (functions, depth) in [(1, 1), (4, 1), (16, 1), (4, 3), (4, 5), (16, 3)] {
@@ -228,12 +232,25 @@ fn absint(b: &mut Bench) {
         });
     }
 
+    let scan = |source: &str, cache: &AnalysisCache| {
+        let key = AnalysisCache::content_key(source);
+        let program = cache.parse_keyed(key, source).expect("synthetic program parses");
+        engine.findings_cached(key, source, &program, cache, &Registry::noop()).len()
+    };
     let source = absint_program(8, 3);
-    let scan =
-        |cache: &AnalysisCache| engine.scan_source_cached(&source, cache).expect("scans").len();
-    b.run("absint_cache/cold", 1, || scan(&AnalysisCache::new()));
+    b.run("absint_cache/cold", 1, || scan(&source, &AnalysisCache::new()));
     let cache = AnalysisCache::new();
-    b.run("absint_cache/warm", 1, || scan(&cache));
+    b.run("absint_cache/warm", 1, || scan(&source, &cache));
+    // Each edit changes the return of `main`, the last function, so no
+    // other function moves; the cache is bounded like a server's, since
+    // every edit is a new unit version.
+    let cache = AnalysisCache::new().with_entry_limit(SERVE_CACHE_ENTRY_LIMIT);
+    scan(&source, &cache);
+    let mut edit = 0;
+    b.run("absint_cache/edit", 1, || {
+        edit += 1;
+        scan(&source.replace("return total;", &format!("return total + {edit};")), &cache)
+    });
 }
 
 /// The `absint_domain/*` and `absint_analyze/*` pool: 256 samples (128

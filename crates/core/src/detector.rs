@@ -226,7 +226,8 @@ impl Detector for SemanticDetector {
         self.to_assessment(findings)
     }
 
-    /// The engine's cached findings entry; cold scans feed the `absint.*`
+    /// The engine's cached findings entry
+    /// ([`SemanticEngine::findings_cached`]); cold scans feed the `absint.*`
     /// instruments, warm hits skip the fixpoint and leave them untouched,
     /// which is exactly what they measure.
     fn assess_cached_keyed(
@@ -239,8 +240,13 @@ impl Detector for SemanticDetector {
             Ok(p) => p,
             Err(_) => return self.to_assessment(Vec::new()),
         };
-        let findings =
-            self.engine.findings_cached_parsed(content_key, &program, cache, &self.metrics);
+        let findings = self.engine.findings_cached(
+            content_key,
+            &sample.source,
+            &program,
+            cache,
+            &self.metrics,
+        );
         self.to_assessment((*findings).clone())
     }
 

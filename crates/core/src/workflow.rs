@@ -619,7 +619,7 @@ impl WorkflowEngine {
     /// `cache.*` counters and fault-injection sites still describe the
     /// persistent cache only.
     fn scratch_cache(&self) -> Option<AnalysisCache> {
-        (!self.config.cache).then(AnalysisCache::new)
+        (!self.config.cache).then(AnalysisCache::scratch)
     }
 
     /// The per-sample pass: [`WorkflowEngine::assess_one`] for every

@@ -29,9 +29,10 @@
 //!   [`par`](crate::par) work queue; members of one component stay
 //!   sequential in post-order, so cycle members see exactly the partial
 //!   summary tables of the plain walk.
-//! * **Incremental** ([`Substrate::incremental`]): each component is first
-//!   looked up in the [`AnalysisCache`] summary and findings stages and
-//!   solved only on a miss (see [`crate::incremental`] for the keys).
+//! * **Incremental** ([`Substrate::incremental_from_source`]): each
+//!   component is first looked up in the [`AnalysisCache`] summary and
+//!   findings stages and solved only on a miss (see [`crate::incremental`]
+//!   for the keys).
 //!
 //! Either way the payloads come back in the exact post-order of
 //! [`CallGraph::post_order`], which is what keeps the concatenated findings
@@ -44,9 +45,7 @@ use super::solver::{DomainAnalysis, Solver, SolverConfig, SolverStats};
 use crate::ast::{Function, Program};
 use crate::cache::{AnalysisCache, Stage};
 use crate::cfg::{BlockId, SpannedInst};
-use crate::incremental::{
-    component_keys, fingerprint_function, fingerprint_function_source, IncrementalTrace,
-};
+use crate::incremental::{component_keys, fingerprint_function_source, IncrementalTrace};
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
@@ -241,30 +240,16 @@ impl<'p> Substrate<'p> {
     }
 
     /// The substrate of `program` for incremental runs through the stage
-    /// tables of `cache`, with functions fingerprinted from their ASTs
-    /// ([`fingerprint_function`]).
-    pub fn incremental(program: &'p Program, cache: &'p AnalysisCache) -> Substrate<'p> {
-        Self::with_fingerprints(program, cache, fingerprint_function)
-    }
-
-    /// [`Substrate::incremental`] with functions fingerprinted from their
-    /// source slices ([`fingerprint_function_source`]), which skips
-    /// rendering every AST. `program` must be the parse of exactly this
-    /// `source`.
+    /// tables of `cache`, with functions fingerprinted from their source
+    /// slices ([`fingerprint_function_source`]). `program` must be the
+    /// parse of exactly this `source`.
     pub fn incremental_from_source(
         program: &'p Program,
         source: &str,
         cache: &'p AnalysisCache,
     ) -> Substrate<'p> {
-        Self::with_fingerprints(program, cache, |f| fingerprint_function_source(source, f))
-    }
-
-    fn with_fingerprints(
-        program: &'p Program,
-        cache: &'p AnalysisCache,
-        fp: impl Fn(&Function) -> u64,
-    ) -> Substrate<'p> {
-        let fps = program.functions.iter().map(fp).collect();
+        let fps =
+            program.functions.iter().map(|f| fingerprint_function_source(source, f)).collect();
         Substrate { cache: Some(StageCache { cache, fps }), ..Substrate::new(program) }
     }
 
@@ -574,7 +559,7 @@ mod tests {
         let batch = interval_pass(&Substrate::new(&p), 1);
         let cache = AnalysisCache::new();
         for round in 0..3 {
-            let inc = interval_pass(&Substrate::incremental(&p, &cache), 1);
+            let inc = interval_pass(&Substrate::incremental_from_source(&p, PROG, &cache), 1);
             assert_eq!(inc.payloads, batch.payloads, "round {round}");
             assert_eq!(format!("{:?}", inc.summaries), format!("{:?}", batch.summaries));
             assert_eq!(inc.stats, batch.stats, "round {round}");
@@ -586,7 +571,8 @@ mod tests {
             }
         }
         // Incremental and parallel compose.
-        let par = interval_pass(&Substrate::incremental(&p, &AnalysisCache::new()), 4);
+        let par =
+            interval_pass(&Substrate::incremental_from_source(&p, PROG, &AnalysisCache::new()), 4);
         assert_eq!(par.payloads, batch.payloads);
     }
 
@@ -594,14 +580,14 @@ mod tests {
     fn shapes_are_looked_up_once_and_only_when_solving() {
         let p = parse(PROG).unwrap();
         let cache = AnalysisCache::new();
-        let sub = Substrate::incremental(&p, &cache);
+        let sub = Substrate::incremental_from_source(&p, PROG, &cache);
         for tag in [1, 2, 3] {
             sub.run(SolverConfig::default(), 1, tag, IntervalDomain::with_summaries, |_| ());
         }
         let cold = cache.stage_stats(Stage::Cfg);
         assert_eq!((cold.hits, cold.misses), (0, 5), "one lookup per function for three passes");
         // A fully cached request touches no shape at all.
-        let sub = Substrate::incremental(&p, &cache);
+        let sub = Substrate::incremental_from_source(&p, PROG, &cache);
         sub.run(SolverConfig::default(), 1, 1, IntervalDomain::with_summaries, |_| ());
         assert_eq!(cache.stage_stats(Stage::Cfg), cold);
     }
@@ -610,16 +596,14 @@ mod tests {
     fn duplicate_definitions_analyze_the_first_in_every_mode() {
         // `Program::function` resolves a name to its first definition; both
         // nodes of `f` solve that body, like every other lookup by name.
-        let p = parse(
-            "int f() { return 1; }\n\
-             int g() { return f(); }\n\
-             int f() { return 2; }",
-        )
-        .unwrap();
+        let src = "int f() { return 1; }\n\
+                   int g() { return f(); }\n\
+                   int f() { return 2; }";
+        let p = parse(src).unwrap();
         let batch = interval_pass(&Substrate::new(&p), 1);
         assert_eq!(batch.payloads.len(), 3);
         assert!(batch.summaries["f"].is_point(1));
-        let inc = interval_pass(&Substrate::incremental(&p, &AnalysisCache::new()), 1);
+        let inc = incremental(src, &AnalysisCache::new());
         assert_eq!(inc.payloads, batch.payloads);
     }
 
@@ -629,23 +613,23 @@ mod tests {
         // programs, so its CFG-stage fingerprint matches; the helper it
         // calls comes later and returns 0 in one program, 1 in the other.
         let head = "int caller() { int d = helper(); return d + 1; }\n";
-        let a = parse(&format!("{head}int helper() {{ return 0; }}")).unwrap();
-        let b = parse(&format!("{head}int helper() {{ return 1; }}")).unwrap();
+        let a = format!("{head}int helper() {{ return 0; }}");
+        let b = format!("{head}int helper() {{ return 1; }}");
         let cache = AnalysisCache::new();
-        let on_a = interval_pass(&Substrate::incremental(&a, &cache), 1);
+        let on_a = incremental(&a, &cache);
         assert!(on_a.summaries["caller"].is_point(1));
         let hits = cache.stage_stats(Stage::Cfg).hits;
-        let on_b = interval_pass(&Substrate::incremental(&b, &cache), 1);
+        let on_b = incremental(&b, &cache);
         assert_eq!(cache.stage_stats(Stage::Cfg).hits, hits + 1, "B reuses caller's shape");
         assert_eq!(on_b.trace.solved, ["helper", "caller"], "caller re-solves under B's helper");
-        let batch = interval_pass(&Substrate::new(&b), 1);
+        let batch = interval_pass(&Substrate::new(&parse(&b).unwrap()), 1);
         assert_eq!(on_b.payloads, batch.payloads);
         assert_eq!(format!("{:?}", on_b.summaries), format!("{:?}", batch.summaries));
         assert!(on_b.summaries["caller"].is_point(2), "{}", on_b.summaries["caller"]);
     }
 
     fn incremental(src: &str, cache: &AnalysisCache) -> PassRun<Interval, String> {
-        interval_pass(&Substrate::incremental(&parse(src).unwrap(), cache), 1)
+        interval_pass(&Substrate::incremental_from_source(&parse(src).unwrap(), src, cache), 1)
     }
 
     #[test]

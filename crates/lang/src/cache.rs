@@ -8,12 +8,25 @@
 //! trailing whitespace stripped), so any stage — parsing, CFG construction,
 //! dataflow, taint, rule scans — can memoize per unique content.
 //!
-//! Two tables are kept:
+//! Three tables are kept:
 //!
-//! * a parse table: content key → `Result<Arc<Program>, ParseError>`, and
-//! * a generic analysis table: `(content key, analysis kind, config
-//!   fingerprint)` → type-erased `Arc` result, for downstream passes whose
-//!   output depends on both the source and the pass configuration.
+//! * a parse table: content key → `Result<Arc<Program>, ParseError>`;
+//! * a whole-unit analysis table: `(content key, analysis kind, config
+//!   fingerprint)` → type-erased `Arc` result, for passes whose output
+//!   depends on both the source and the pass configuration; and
+//! * a per-stage table: `(`[`Stage`]`, stage key)` → type-erased `Arc`
+//!   artifact, for the per-function CFG, summary and findings stages of
+//!   the incremental absint driver (see [`crate::incremental`]).
+//!
+//! The semantic findings of a unit use two layers: a whole-unit entry
+//! serves an exact repeat with one lookup, and a miss computes through the
+//! stage tables, so a resubmission with one function edited re-solves only
+//! what the edit touched.
+//!
+//! Every table goes through one memo routine: a lookup that finds no entry
+//! inserts an empty slot under the table lock and fills it outside the
+//! lock. A caller that finds a slot while it is being filled waits for the
+//! value instead of computing it again (single-flight) and counts a hit.
 //!
 //! The cache is thread-safe (shared by the parallel workflow shards) and
 //! deterministic: it never changes *what* is computed, only whether the
@@ -24,10 +37,10 @@
 use crate::ast::Program;
 use crate::error::ParseError;
 use crate::intern::Fnv64;
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::hash::Hasher;
-use std::sync::{Arc, Mutex};
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use vulnman_obs::{Counter, Gauge, Registry};
 
 /// Hit/miss counters for one cache: a point-in-time view read from the
@@ -53,23 +66,32 @@ impl CacheStats {
     }
 }
 
-/// Key of one memoized downstream analysis.
-type AnalysisKey = (u64, &'static str, u64);
+/// A type-erased stored value.
+type Erased = Arc<dyn Any + Send + Sync>;
 
-/// One stage of the incremental per-function pipeline
-/// (parse → CFG → absint summary → detector findings).
+/// One table entry: inserted empty under the table lock, filled once
+/// outside it. Callers that find it mid-fill wait on the cell.
+type Slot<V> = Arc<OnceLock<V>>;
+
+/// Key of one memoized whole-unit analysis: content key, kind, config
+/// fingerprint, and the value's type (so a downcast never fails).
+type AnalysisKey = (u64, &'static str, u64, TypeId);
+
+/// Key of one stage artifact, typed like [`AnalysisKey`].
+type StageKey = (Stage, u64, TypeId);
+
+/// One stage of the incremental per-function absint pipeline
+/// (CFG → absint summary → detector findings).
 ///
 /// Each stage gets its own key space and its own hit/miss counters
 /// (`incr.<stage>.hits` / `incr.<stage>.misses`), so the incremental driver
 /// can prove per-stage minimality: an unchanged input hash must hit, a
-/// changed one must miss, and hits + misses must equal lookups. Parse
-/// results are keyed per sample (whole-unit content key); CFG results
-/// per function; summaries and findings per call-graph component (see
-/// `crate::incremental`).
+/// changed one must miss, and hits + misses must equal lookups. CFG results
+/// are keyed per function; summaries and findings per call-graph component
+/// (see `crate::incremental`). Parses are whole-unit and count on
+/// `cache.*`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Stage {
-    /// Parsing one source unit into a [`Program`].
-    Parse,
     /// Control-flow-graph construction for one function.
     Cfg,
     /// Interprocedural abstract-interpretation summaries for one
@@ -81,12 +103,11 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 4] = [Stage::Parse, Stage::Cfg, Stage::Summary, Stage::Findings];
+    pub const ALL: [Stage; 3] = [Stage::Cfg, Stage::Summary, Stage::Findings];
 
     /// Stable lowercase name (used for metric keys).
     pub fn as_str(self) -> &'static str {
         match self {
-            Stage::Parse => "parse",
             Stage::Cfg => "cfg",
             Stage::Summary => "summary",
             Stage::Findings => "findings",
@@ -95,12 +116,7 @@ impl Stage {
 
     /// Index into the per-stage counter arrays.
     fn idx(self) -> usize {
-        match self {
-            Stage::Parse => 0,
-            Stage::Cfg => 1,
-            Stage::Summary => 2,
-            Stage::Findings => 3,
-        }
+        self as usize
     }
 }
 
@@ -113,7 +129,8 @@ impl std::fmt::Display for Stage {
 /// A cache operation a fault hook can veto.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOp {
-    /// A lookup. A vetoed get is served as a miss (the value is recomputed).
+    /// A lookup. A vetoed get is served as a miss (the value is recomputed
+    /// and no entry is touched).
     Get,
     /// A store. A vetoed put is dropped (the value is returned but not
     /// retained).
@@ -148,6 +165,24 @@ pub const STAGE_TABLE_FANOUT: usize = 16;
 /// fill; the entries are small next to the parsed AST.
 pub const ANALYSIS_TABLE_FANOUT: usize = 4;
 
+/// One bounded table of slots; its bound is the unit limit times `fanout`.
+/// A disabled table computes every lookup fresh and stores nothing.
+struct Table<K, V> {
+    slots: Mutex<HashMap<K, Slot<V>>>,
+    fanout: usize,
+    enabled: bool,
+}
+
+impl<K, V> Table<K, V> {
+    fn new(fanout: usize, enabled: bool) -> Self {
+        Table { slots: Mutex::new(HashMap::new()), fanout, enabled }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<K, Slot<V>>> {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 /// A thread-safe, content-addressed cache of parse and analysis results.
 ///
 /// Accounting (hits, misses, evictions, resident source bytes) is reported
@@ -156,17 +191,16 @@ pub const ANALYSIS_TABLE_FANOUT: usize = 4;
 /// pipeline-wide snapshot, or use [`AnalysisCache::new`] for a standalone
 /// cache with its own private registry.
 pub struct AnalysisCache {
-    enabled: bool,
     entry_limit: Option<usize>,
-    parses: Mutex<HashMap<u64, Result<Arc<Program>, ParseError>>>,
-    analyses: Mutex<HashMap<AnalysisKey, Arc<dyn Any + Send + Sync>>>,
-    stages: Mutex<HashMap<(Stage, u64), Arc<dyn Any + Send + Sync>>>,
+    parses: Table<u64, Result<Arc<Program>, ParseError>>,
+    analyses: Table<AnalysisKey, Erased>,
+    stages: Table<StageKey, Erased>,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
     bytes: Gauge,
-    stage_hits: [Counter; 4],
-    stage_misses: [Counter; 4],
+    stage_hits: [Counter; 3],
+    stage_misses: [Counter; 3],
     fault_hook: Option<CacheFaultHook>,
 }
 
@@ -180,7 +214,7 @@ impl std::fmt::Debug for AnalysisCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.stats();
         f.debug_struct("AnalysisCache")
-            .field("enabled", &self.enabled)
+            .field("enabled", &self.is_enabled())
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
             .finish()
@@ -199,6 +233,12 @@ impl AnalysisCache {
     /// `cache.evictions` counters and the `cache.bytes` gauge of resident
     /// cached source bytes).
     pub fn with_metrics(metrics: &Registry) -> Self {
+        AnalysisCache::with_tables(metrics, true, true)
+    }
+
+    /// A cache whose parse and whole-unit tables are on when `enabled`, and
+    /// whose stage table is on when `stages` is too.
+    fn with_tables(metrics: &Registry, enabled: bool, stages: bool) -> Self {
         // Per-stage counters are pre-registered (`incr.<stage>.hits` /
         // `incr.<stage>.misses`) so exported snapshots carry the full
         // incremental schema even for stages that never fire.
@@ -206,11 +246,10 @@ impl AnalysisCache {
         let stage_misses =
             Stage::ALL.map(|s| metrics.counter(&format!("incr.{}.misses", s.as_str())));
         AnalysisCache {
-            enabled: true,
             entry_limit: None,
-            parses: Mutex::new(HashMap::new()),
-            analyses: Mutex::new(HashMap::new()),
-            stages: Mutex::new(HashMap::new()),
+            parses: Table::new(1, enabled),
+            analyses: Table::new(ANALYSIS_TABLE_FANOUT, enabled),
+            stages: Table::new(STAGE_TABLE_FANOUT, enabled && stages),
             hits: metrics.counter("cache.hits"),
             misses: metrics.counter("cache.misses"),
             evictions: metrics.counter("cache.evictions"),
@@ -235,35 +274,31 @@ impl AnalysisCache {
     /// unit. Long-running services need the bound: an unbounded table
     /// retains every historical version of every resubmitted unit, and the
     /// resulting heap growth taxes every allocation the analysis makes.
-    /// Flushed entries are recorded on the `cache.evictions` counter.
-    /// Eviction never changes results — only whether a computation is
-    /// repeated.
+    /// Flushed entries are recorded on the `cache.evictions` counter; a
+    /// flushed slot still being filled is finished for the callers already
+    /// waiting on it. Eviction never changes results — only whether a
+    /// computation is repeated.
     pub fn with_entry_limit(mut self, limit: usize) -> Self {
         self.entry_limit = Some(limit.max(1));
         self
     }
 
-    /// Flushes `table` if inserting one more entry would exceed `bound`
+    /// Flushes `table` if inserting one more entry would exceed its bound
     /// (no-op when the cache is unbounded).
     fn make_room<K, V>(
         &self,
-        table: &mut HashMap<K, V>,
-        bound: Option<usize>,
+        table: &Table<K, V>,
+        slots: &mut HashMap<K, Slot<V>>,
         holds_sources: bool,
     ) {
-        let Some(bound) = bound else { return };
-        if table.len() >= bound {
-            self.evictions.add(table.len() as u64);
-            table.clear();
+        let Some(limit) = self.entry_limit else { return };
+        if slots.len() >= limit.saturating_mul(table.fanout) {
+            self.evictions.add(slots.len() as u64);
+            slots.clear();
             if holds_sources {
                 self.bytes.set(0);
             }
         }
-    }
-
-    /// The stage table's entry bound relative to the configured unit limit.
-    fn stage_bound(&self) -> Option<usize> {
-        self.entry_limit.map(|l| l.saturating_mul(STAGE_TABLE_FANOUT))
     }
 
     /// Installs a fault hook consulted before every storage access (see
@@ -278,6 +313,53 @@ impl AnalysisCache {
         self.fault_hook.as_ref().is_some_and(|h| h(op, key))
     }
 
+    /// The one memo routine behind [`parse_keyed`](Self::parse_keyed),
+    /// [`analysis_keyed`](Self::analysis_keyed) and [`stage`](Self::stage).
+    ///
+    /// A disabled cache or a vetoed get computes fresh and touches no slot.
+    /// A found slot is a hit: its value, waited for if another caller is
+    /// still filling it. Otherwise a vetoed put computes fresh without
+    /// inserting anything; else an empty slot is inserted (after the bound
+    /// check) and filled here. `counters` are the `(hits, misses)` the
+    /// lookup lands on; `source_bytes` is the length of the source a new
+    /// parse entry holds (`None` for tables that hold no sources).
+    fn memo<K: Eq + Hash, V: Clone>(
+        &self,
+        table: &Table<K, V>,
+        key: K,
+        fault_key: u64,
+        (hits, misses): (&Counter, &Counter),
+        source_bytes: Option<usize>,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        if !table.enabled || self.faulted(CacheOp::Get, fault_key) {
+            misses.inc();
+            return compute();
+        }
+        let mut slots = table.lock();
+        let slot = match slots.get(&key) {
+            Some(slot) => {
+                hits.inc();
+                Arc::clone(slot)
+            }
+            None if self.faulted(CacheOp::Put, fault_key) => {
+                drop(slots);
+                misses.inc();
+                return compute();
+            }
+            None => {
+                self.make_room(table, &mut slots, source_bytes.is_some());
+                if let Some(n) = source_bytes {
+                    self.bytes.add(n as i64);
+                }
+                misses.inc();
+                Arc::clone(slots.entry(key).or_default())
+            }
+        };
+        drop(slots);
+        slot.get_or_init(compute).clone()
+    }
+
     /// Creates a pass-through cache: every lookup computes fresh and nothing
     /// is stored. Used as the baseline in benchmarks and when a run must not
     /// retain source-derived state.
@@ -288,12 +370,27 @@ impl AnalysisCache {
     /// A pass-through cache reporting its (all-miss) lookup volume through
     /// `metrics`, so baselines can still export comparable counters.
     pub fn disabled_with_metrics(metrics: &Registry) -> Self {
-        AnalysisCache { enabled: false, ..AnalysisCache::with_metrics(metrics) }
+        AnalysisCache::with_tables(metrics, false, false)
+    }
+
+    /// A cache private to one run: parses and whole-unit analyses are
+    /// shared within the run, and the per-stage table stays off, so
+    /// semantic misses take the batch path. Stage artifacts pay off only
+    /// when a unit comes back edited, which a cache dropped with its run
+    /// never sees, and depositing them makes a cold unit's analysis slower.
+    pub fn scratch() -> Self {
+        AnalysisCache::with_tables(&Registry::new(), true, false)
     }
 
     /// Whether lookups are served from storage.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.parses.enabled
+    }
+
+    /// Whether the per-stage table is on: false for a disabled cache and
+    /// for a [`scratch`](Self::scratch) one.
+    pub fn keeps_stages(&self) -> bool {
+        self.stages.enabled
     }
 
     /// Current hit/miss counters (counted even when disabled, so baselines
@@ -309,9 +406,9 @@ impl AnalysisCache {
     /// are recorded on the `cache.evictions` counter and the resident-byte
     /// gauge returns to zero.
     pub fn clear(&self) {
-        let mut parses = self.parses.lock().unwrap_or_else(|e| e.into_inner());
-        let mut analyses = self.analyses.lock().unwrap_or_else(|e| e.into_inner());
-        let mut stages = self.stages.lock().unwrap_or_else(|e| e.into_inner());
+        let mut parses = self.parses.lock();
+        let mut analyses = self.analyses.lock();
+        let mut stages = self.stages.lock();
         self.evictions.add((parses.len() + analyses.len() + stages.len()) as u64);
         parses.clear();
         analyses.clear();
@@ -368,7 +465,7 @@ impl AnalysisCache {
     /// been parsed before. Errors are cached too: malformed duplicates fail
     /// fast without re-lexing.
     pub fn parse(&self, source: &str) -> Result<Arc<Program>, ParseError> {
-        if !self.enabled {
+        if !self.parses.enabled {
             self.misses.inc();
             return crate::parser::parse(source).map(Arc::new);
         }
@@ -379,35 +476,9 @@ impl AnalysisCache {
     /// (Self::content_key). Callers touching several tables for the same
     /// source hash it once and reuse the key.
     pub fn parse_keyed(&self, key: u64, source: &str) -> Result<Arc<Program>, ParseError> {
-        if !self.enabled {
-            self.misses.inc();
-            return crate::parser::parse(source).map(Arc::new);
-        }
-        if self.faulted(CacheOp::Get, key) {
-            // Injected lookup fault: degrade to a recompute (and skip the
-            // store — a faulted read path should not mutate storage).
-            self.misses.inc();
-            return crate::parser::parse(source).map(Arc::new);
-        }
-        if let Some(cached) = self.parses.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            self.hits.inc();
-            return cached.clone();
-        }
-        // Compute outside the lock; a concurrent shard may duplicate the
-        // parse of a brand-new key, but both produce identical values.
-        self.misses.inc();
-        let result = crate::parser::parse(source).map(Arc::new);
-        if self.faulted(CacheOp::Put, key) {
-            return result;
-        }
-        let mut parses = self.parses.lock().unwrap_or_else(|e| e.into_inner());
-        self.make_room(&mut parses, self.entry_limit, true);
-        let prev = parses.insert(key, result.clone());
-        drop(parses);
-        if prev.is_none() {
-            self.bytes.add(source.len() as i64);
-        }
-        result
+        self.memo(&self.parses, key, key, (&self.hits, &self.misses), Some(source.len()), || {
+            crate::parser::parse(source).map(Arc::new)
+        })
     }
 
     /// Memoizes one named downstream analysis of `source`.
@@ -427,7 +498,7 @@ impl AnalysisCache {
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        if !self.enabled {
+        if !self.analyses.enabled {
             self.misses.inc();
             return Arc::new(compute());
         }
@@ -448,31 +519,12 @@ impl AnalysisCache {
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        if !self.enabled {
-            self.misses.inc();
-            return Arc::new(compute());
-        }
-        let key = (content_key, kind, config_key);
-        if self.faulted(CacheOp::Get, key.0) {
-            self.misses.inc();
-            return Arc::new(compute());
-        }
-        if let Some(cached) = self.analyses.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            if let Ok(typed) = Arc::downcast::<T>(Arc::clone(cached)) {
-                self.hits.inc();
-                return typed;
-            }
-        }
-        self.misses.inc();
-        let value = Arc::new(compute());
-        if self.faulted(CacheOp::Put, key.0) {
-            return value;
-        }
-        let mut analyses = self.analyses.lock().unwrap_or_else(|e| e.into_inner());
-        let bound = self.entry_limit.map(|l| l.saturating_mul(ANALYSIS_TABLE_FANOUT));
-        self.make_room(&mut analyses, bound, false);
-        analyses.insert(key, Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
-        value
+        let key = (content_key, kind, config_key, TypeId::of::<T>());
+        let value =
+            self.memo(&self.analyses, key, content_key, (&self.hits, &self.misses), None, || {
+                Arc::new(compute()) as Erased
+            });
+        Arc::downcast(value).unwrap_or_else(|_| unreachable!("entries are keyed by their type"))
     }
 
     /// Current hit/miss counters of one incremental stage (reads the
@@ -485,92 +537,63 @@ impl AnalysisCache {
         }
     }
 
+    /// The `(hits, misses)` counters of one stage.
+    fn stage_counters(&self, stage: Stage) -> (&Counter, &Counter) {
+        (&self.stage_hits[stage.idx()], &self.stage_misses[stage.idx()])
+    }
+
     /// Looks up one stage entry without computing on a miss. Every call
     /// counts exactly one hit or one miss on the stage's counters, so
     /// `hits + misses == lookups` holds per stage. A vetoed get (see
-    /// [`CacheFaultHook`]) or a type mismatch is served as a miss.
+    /// [`CacheFaultHook`]), a slot still being filled or a type mismatch
+    /// is served as a miss.
     pub fn stage_get<T>(&self, stage: Stage, key: u64) -> Option<Arc<T>>
     where
         T: Send + Sync + 'static,
     {
-        if !self.enabled || self.faulted(CacheOp::Get, key) {
-            self.stage_misses[stage.idx()].inc();
-            return None;
+        let (hits, misses) = self.stage_counters(stage);
+        let found = (self.stages.enabled && !self.faulted(CacheOp::Get, key))
+            .then(|| self.stages.lock().get(&(stage, key, TypeId::of::<T>())).map(Arc::clone))
+            .flatten()
+            .and_then(|slot| slot.get().map(Arc::clone))
+            .and_then(|value| Arc::downcast::<T>(value).ok());
+        match found {
+            Some(_) => hits.inc(),
+            None => misses.inc(),
         }
-        let cached = self
-            .stages
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&(stage, key))
-            .map(Arc::clone);
-        match cached.and_then(|c| Arc::downcast::<T>(c).ok()) {
-            Some(typed) => {
-                self.stage_hits[stage.idx()].inc();
-                Some(typed)
-            }
-            None => {
-                self.stage_misses[stage.idx()].inc();
-                None
-            }
-        }
+        found
     }
 
     /// Stores one stage entry. Counts nothing (only lookups are counted);
-    /// a vetoed put is dropped, a disabled cache stores nothing.
+    /// a vetoed put is dropped, a cache without a stage table stores
+    /// nothing.
     pub fn stage_put<T>(&self, stage: Stage, key: u64, value: Arc<T>)
     where
         T: Send + Sync + 'static,
     {
-        if !self.enabled || self.faulted(CacheOp::Put, key) {
+        if !self.stages.enabled || self.faulted(CacheOp::Put, key) {
             return;
         }
-        let mut stages = self.stages.lock().unwrap_or_else(|e| e.into_inner());
-        self.make_room(&mut stages, self.stage_bound(), false);
-        stages.insert((stage, key), value as Arc<dyn Any + Send + Sync>);
+        let mut slots = self.stages.lock();
+        self.make_room(&self.stages, &mut slots, false);
+        let slot = OnceLock::from(value as Erased);
+        slots.insert((stage, key, TypeId::of::<T>()), Arc::new(slot));
     }
 
-    /// Memoizes one stage computation: [`stage_get`](Self::stage_get), and
-    /// on a miss `compute` runs and the result is
-    /// [`stage_put`](Self::stage_put) back.
+    /// Memoizes one stage computation: a lookup counted like
+    /// [`stage_get`](Self::stage_get), and on a miss `compute` runs and the
+    /// result is stored (single-flight, like every memoized table).
     pub fn stage<T, F>(&self, stage: Stage, key: u64, compute: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        if let Some(cached) = self.stage_get::<T>(stage, key) {
-            return cached;
-        }
-        let value = Arc::new(compute());
-        self.stage_put(stage, key, Arc::clone(&value));
-        value
-    }
-
-    /// [`parse_keyed`](Self::parse_keyed) accounted on the incremental
-    /// [`Stage::Parse`] counters instead of the whole-cache `cache.*`
-    /// counters. Storage is shared with `parse_keyed`: a unit parsed by the
-    /// batch workflow is a warm hit for the serving path and vice versa.
-    pub fn parse_stage(&self, key: u64, source: &str) -> Result<Arc<Program>, ParseError> {
-        if !self.enabled || self.faulted(CacheOp::Get, key) {
-            self.stage_misses[Stage::Parse.idx()].inc();
-            return crate::parser::parse(source).map(Arc::new);
-        }
-        if let Some(cached) = self.parses.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            self.stage_hits[Stage::Parse.idx()].inc();
-            return cached.clone();
-        }
-        self.stage_misses[Stage::Parse.idx()].inc();
-        let result = crate::parser::parse(source).map(Arc::new);
-        if self.faulted(CacheOp::Put, key) {
-            return result;
-        }
-        let mut parses = self.parses.lock().unwrap_or_else(|e| e.into_inner());
-        self.make_room(&mut parses, self.entry_limit, true);
-        let prev = parses.insert(key, result.clone());
-        drop(parses);
-        if prev.is_none() {
-            self.bytes.add(source.len() as i64);
-        }
-        result
+        let slot_key = (stage, key, TypeId::of::<T>());
+        let value =
+            self.memo(&self.stages, slot_key, key, self.stage_counters(stage), None, || {
+                Arc::new(compute()) as Erased
+            });
+        Arc::downcast(value).unwrap_or_else(|_| unreachable!("entries are keyed by their type"))
     }
 }
 
@@ -672,6 +695,31 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 64);
         assert!(stats.hits >= 60, "most lookups hit: {stats:?}");
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)] // two raw threads meeting on one key is what this test checks
+    fn concurrent_lookups_of_one_key_compute_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cache = AnalysisCache::new();
+        let runs = AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let value = cache.analysis_keyed(7, "slow", 0, || {
+                        runs.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        42u32
+                    });
+                    assert_eq!(*value, 42);
+                });
+            }
+        });
+        // The second caller found the first one's slot and waited on it.
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]

@@ -5,18 +5,18 @@
 //! A long-running service sees the *same* program resubmitted with one
 //! function edited, over and over — re-running the whole fixpoint is almost
 //! entirely wasted work. A substrate built with
-//! [`Substrate::incremental`] keys each pipeline stage by a hash of exactly
-//! the inputs that determine its output, so a resubmission re-runs only the
-//! stages whose input hashes changed:
+//! [`Substrate::incremental_from_source`] keys each pipeline stage by a
+//! hash of exactly the inputs that determine its output, so a resubmission
+//! re-runs only the stages whose input hashes changed:
 //!
 //! * **CFG** ([`Stage::Cfg`]) — keyed per function by the function's
-//!   [fingerprint](fingerprint_function): a hash of its full AST `Debug`
-//!   rendering, which covers the name, parameters, types, body, doc
-//!   comments, *and every source span*. Two functions share an entry only
-//!   when their ASTs — locations included — are identical, which is what
-//!   makes reusing span-bearing results sound. The entry is the function's
-//!   whole [`FnShape`] (CFG, RPO ranks, reachable mask, slot table), looked
-//!   up at most once per request and only for functions some pass solves.
+//!   [source fingerprint](fingerprint_function_source): a hash of its
+//!   source slice *and its absolute position*. Two functions share an
+//!   entry only when their ASTs — locations included — are identical,
+//!   which is what makes reusing span-bearing results sound. The entry is
+//!   the function's whole [`FnShape`] (CFG, RPO ranks, reachable mask,
+//!   slot table), looked up at most once per request and only for
+//!   functions some pass solves.
 //! * **Summary** ([`Stage::Summary`]) and **findings**
 //!   ([`Stage::Findings`]) — keyed per call-graph strongly connected
 //!   component by the pass tag, the fingerprints of every member, and the
@@ -26,9 +26,10 @@
 //!   keys are unchanged and their fixpoints are skipped — early cutoff,
 //!   exactly like a build system keyed on content rather than timestamps.
 //!
-//! Parse stage accounting for whole units lives on
-//! [`AnalysisCache::parse_stage`]; this module handles everything from the
-//! CFG down.
+//! Whole units are parsed through [`AnalysisCache::parse_keyed`], and the
+//! semantic suite's whole-unit findings entry sits on top of the stages: a
+//! repeat of a unit is one lookup there, and only a miss walks the stages.
+//! This module handles everything from the CFG down.
 //!
 //! ## Equivalence argument
 //!
@@ -43,9 +44,9 @@
 //! commutatively, so the aggregate statistics match a batch run too.
 //!
 //! [`Substrate::run`]: crate::absint::Substrate::run
-//! [`Substrate::incremental`]: crate::absint::Substrate::incremental
+//! [`Substrate::incremental_from_source`]: crate::absint::Substrate::incremental_from_source
 //! [`FnShape`]: crate::absint::FnShape
-//! [`AnalysisCache::parse_stage`]: crate::cache::AnalysisCache::parse_stage
+//! [`AnalysisCache::parse_keyed`]: crate::cache::AnalysisCache::parse_keyed
 //! [`Stage::Cfg`]: crate::cache::Stage::Cfg
 //! [`Stage::Summary`]: crate::cache::Stage::Summary
 //! [`Stage::Findings`]: crate::cache::Stage::Findings

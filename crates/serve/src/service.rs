@@ -1,7 +1,7 @@
 //! The request executor shared by every worker thread: rule engine,
-//! incremental semantic engine, and differential oracle over one shared,
-//! bounded per-stage [`AnalysisCache`], plus the deterministic fault walk at
-//! [`Site::ServeRequest`].
+//! semantic engine, and differential oracle over one shared, bounded
+//! [`AnalysisCache`] (whole-unit entries over the per-stage incremental
+//! tables), plus the deterministic fault walk at [`Site::ServeRequest`].
 //!
 //! Responses are intentionally free of timing, trace, or cache-state data:
 //! two servers given the same request must produce byte-identical response
@@ -14,8 +14,8 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 use vulnman_analysis::corpusgraph::register_graph_instruments;
 use vulnman_analysis::{
-    register_audit_instruments, AuditConfig, AuditEngine, AuditReport, CorpusGraph,
-    DifferentialOracle, LinkUnit, OracleConfig, RuleEngine, SemanticEngine, UnitLinks,
+    dedupe_findings, register_audit_instruments, AuditConfig, AuditEngine, AuditReport,
+    CorpusGraph, DifferentialOracle, LinkUnit, OracleConfig, RuleEngine, SemanticEngine, UnitLinks,
 };
 use vulnman_core::DegradationSummary;
 use vulnman_faults::{site_key, FaultConfig, FaultKind, FaultPlan, Site};
@@ -109,8 +109,8 @@ impl ServiceCore {
             return Response::degraded(req.id);
         }
         match req.kind.as_str() {
-            "analyze" => self.analyze(req),
-            "lint" => self.lint(req),
+            "analyze" => self.findings(req, true),
+            "lint" => self.findings(req, false),
             "oracle" => self.oracle(req),
             "clones" => self.clones(req),
             "graph" => self.graph(req),
@@ -160,37 +160,35 @@ impl ServiceCore {
         true
     }
 
-    /// Rule-based findings followed by semantic findings, each produced
-    /// through the shared cache (rules through the whole-sample table,
-    /// semantics through the per-stage incremental driver). Family
-    /// double-reports — a rule match and a semantic proof of the same
-    /// defect at the same span — collapse to the evidence-bearing finding
-    /// via [`vulnman_analysis::dedupe_findings`].
-    fn analyze(&self, req: &Request) -> Response {
+    /// `analyze` (`rules` set) and `lint`: the request's source is hashed
+    /// and parsed once through the shared cache, and its semantic findings
+    /// are read from [`SemanticEngine::findings_cached`], the entry the
+    /// oracle reads too (a repeat is one lookup, an edit re-solves only
+    /// what it touched). `analyze` puts the rule suite's findings first;
+    /// family double-reports — a rule match and a semantic proof of the
+    /// same defect at the same span — collapse to the evidence-bearing
+    /// finding via [`vulnman_analysis::dedupe_findings`].
+    fn findings(&self, req: &Request, rules: bool) -> Response {
         let key = AnalysisCache::content_key(&req.source);
-        let mut findings = match self.rules.scan_source_cached_keyed(key, &req.source, &self.cache)
-        {
-            Ok(f) => f,
+        let program = match self.cache.parse_keyed(key, &req.source) {
+            Ok(program) => program,
             Err(e) => return Response::error(req.id, format!("parse error: {e}")),
         };
-        match self.semantics.scan_source_incremental(&req.source, &self.cache) {
-            Ok(scan) => findings.extend(scan.findings),
-            Err(e) => return Response::error(req.id, format!("parse error: {e}")),
-        }
-        Response::ok_findings(req.id, vulnman_analysis::dedupe_findings(findings))
-    }
-
-    /// Semantic (absint) findings only, through the incremental driver.
-    fn lint(&self, req: &Request) -> Response {
-        match self.semantics.scan_source_incremental(&req.source, &self.cache) {
-            Ok(scan) => Response::ok_findings(req.id, scan.findings),
-            Err(e) => Response::error(req.id, format!("parse error: {e}")),
-        }
+        let mut findings = if rules {
+            (*self.rules.findings_cached(key, &program, &self.cache)).clone()
+        } else {
+            Vec::new()
+        };
+        let noop = Registry::noop();
+        let semantic =
+            self.semantics.findings_cached(key, &req.source, &program, &self.cache, &noop);
+        findings.extend(semantic.iter().cloned());
+        Response::ok_findings(req.id, if rules { dedupe_findings(findings) } else { findings })
     }
 
     /// Differential-oracle classification of the submitted sample, through
     /// the shared cache: a source `analyze` already scanned costs the
-    /// oracle only its dynamic, semantic and taint views.
+    /// oracle only its dynamic and taint views.
     fn oracle(&self, req: &Request) -> Response {
         let cwe = match &req.cwe {
             None => None,
@@ -313,6 +311,8 @@ impl ServiceCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use vulnman_lang::Stage;
 
     #[test]
     fn fault_key_hash_is_pinned() {
@@ -407,16 +407,64 @@ mod tests {
         assert!(metrics.counter("cache.evictions").get() > 0, "oracle entries must be evicted");
     }
 
+    /// Every `incr.*` counter of `metrics`.
+    fn incr_counters(metrics: &Registry) -> Vec<(String, u64)> {
+        let counters = metrics.snapshot().counters;
+        counters.into_iter().filter(|(k, _)| k.starts_with("incr.")).collect()
+    }
+
     #[test]
     fn oracle_after_analyze_reads_the_same_cache() {
-        let core = core(0.0);
+        let metrics = Registry::new();
+        let core = ServiceCore::new(&metrics, &FaultConfig::with_rate(7, 0.0));
         let ledger = Mutex::new(DegradationSummary::default());
         assert_eq!(core.handle(&req(1, "analyze", VULN), &ledger).status, "ok");
-        let before = core.cache().stats();
+        let (before, stages) = (core.cache().stats(), incr_counters(&metrics));
         assert_eq!(core.handle(&req(2, "oracle", VULN), &ledger).status, "ok");
         let after = core.cache().stats();
-        // The parse and the rule findings `analyze` stored are hits.
-        assert!(after.hits >= before.hits + 2, "before {before:?}, after {after:?}");
+        // The parse, the rule findings and the semantic findings `analyze`
+        // stored are hits, so no stage is consulted; the oracle computes
+        // its dynamic and taint views only.
+        assert_eq!(after.hits - before.hits, 3, "before {before:?}, after {after:?}");
+        assert_eq!(after.misses - before.misses, 2, "before {before:?}, after {after:?}");
+        assert_eq!(incr_counters(&metrics), stages);
+        let key = AnalysisCache::content_key(VULN);
+        for kind in ["dynamic-cwes", "oracle-taint"] {
+            core.cache().analysis_keyed(key, kind, 0, || -> BTreeSet<Cwe> {
+                unreachable!("the oracle stored {kind}")
+            });
+        }
+    }
+
+    #[test]
+    fn analyze_repeats_read_no_stage_and_edits_stay_incremental() {
+        const BASE: &str = "int leaf(int a) { return a + 1; }\n\
+                            int mid(int a) { return leaf(a) * 2; }\n\
+                            int top(int a) { int z = 0; return mid(a) / z; }\n";
+        // A same-length edit of `mid`: no span moves, `leaf` is untouched.
+        let edited = BASE.replace("* 2", "* 3");
+        let metrics = Registry::new();
+        let core = ServiceCore::new(&metrics, &FaultConfig::with_rate(7, 0.0));
+        let ledger = Mutex::new(DegradationSummary::default());
+        let summary_misses = |cache: &AnalysisCache| cache.stage_stats(Stage::Summary).misses;
+
+        assert_eq!(core.handle(&req(1, "analyze", BASE), &ledger).status, "ok");
+        let warm = incr_counters(&metrics);
+        assert_eq!(core.handle(&req(2, "analyze", BASE), &ledger).status, "ok");
+        assert_eq!(incr_counters(&metrics), warm, "a repeated analyze is one lookup");
+
+        let served = summary_misses(core.cache());
+        assert_eq!(core.handle(&req(3, "analyze", &edited), &ledger).status, "ok");
+        let served = summary_misses(core.cache()) - served;
+        // The same edit through the stage path on a cache primed with the
+        // base.
+        let (engine, cache) = (SemanticEngine::new(), AnalysisCache::new());
+        engine.scan_source_incremental(BASE, &cache).unwrap();
+        let primed = summary_misses(&cache);
+        let scan = engine.scan_source_incremental(&edited, &cache).unwrap();
+        assert_eq!(served, summary_misses(&cache) - primed);
+        assert!(served > 0);
+        assert_eq!(scan.trace.solved, ["mid"], "only the edited function re-solves");
     }
 
     #[test]
