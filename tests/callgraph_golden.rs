@@ -13,7 +13,10 @@
 //! digest of the taint runs the first list does not cover:
 //! `TaintAnalysis::run_intraprocedural` under the default vocabulary, and
 //! `TaintAnalysis::run` under an extended one (an extra source, an extra
-//! sanitizer and a sink dangerous in every argument position).
+//! sanitizer and a sink dangerous in every argument position). It also
+//! covers a small hand-written corpus of shapes the generated corpora never
+//! emit: sink calls inside indirect-store targets, and tainted data that
+//! reaches only position 0 of the all-positions sink.
 //!
 //! Three corpora are covered: the absint golden's 800 samples with their
 //! alpha-renamed, commented and dead-statement mutants, the audit matrix's
@@ -168,24 +171,51 @@ fn extended_config() -> TaintConfig {
     config
 }
 
+/// Hand-written taint units, `(name, source)`: sink calls in the target of
+/// an indirect store (an index or a dereferenced call), directly and
+/// through a parameter, and tainted data reaching only position 0 of the
+/// extended vocabulary's all-positions sink `send_data`, directly, through
+/// a parameter, through the extra source and behind the extra sanitizer.
+const TAINT_UNITS: [(&str, &str); 8] = [
+    (
+        "store/index",
+        r#"void f(char* buf) { char* q = read_input(); buf[send_data(q)] = 0; buf[exec_query(q)] = 1; }"#,
+    ),
+    (
+        "store/deref",
+        r#"void f() { char* q = read_input(); *lookup(send_data(q, 1)) = 1; *lookup(system(q)) = 2; }"#,
+    ),
+    (
+        "store/param",
+        r#"void put(char* p, char* buf) { buf[send_data(p)] = 0; *slot(exec_query(p)) = 1; }
+void caller() { char b[8]; put(read_input(), b); }"#,
+    ),
+    ("pos0/direct", r#"void f() { char* t = read_input(); send_data(t, "x", 3); }"#),
+    (
+        "pos0/param",
+        r#"void emit(char* a, int n) { send_data(a, "y", n); }
+void caller() { emit(getenv("HOME"), 2); }"#,
+    ),
+    ("pos0/extra-source", r#"void f() { int n = to_int(http_param("n")); send_data(n, 0); }"#),
+    ("pos0/sanitized", r#"void f() { char* t = read_input(); send_data(concat(t), "x"); }"#),
+    ("pos1/control", r#"void f() { char* t = read_input(); send_data("x", t); }"#),
+];
+
 /// One `taint_variants` line per unit.
 fn variant_digests(units: &[(String, Sample)]) -> Vec<String> {
-    let default = TaintConfig::default_config();
-    let extended = extended_config();
-    units
-        .iter()
-        .map(|(unit, sample)| {
-            let program = parse(&sample.source).expect("corpus unit parses");
-            let intra = TaintAnalysis::run_intraprocedural(&program, &default);
-            let inter = TaintAnalysis::run(&program, &extended);
-            let summaries: BTreeMap<&String, _> = inter.summaries.iter().collect();
-            let mut h = 0xcbf29ce484222325u64;
-            fnv(&mut h, format!("{:?}", intra.findings).as_bytes());
-            fnv(&mut h, format!("{:?}", inter.findings).as_bytes());
-            fnv(&mut h, format!("{summaries:?}").as_bytes());
-            format!("{unit} {h:016x}")
-        })
-        .collect()
+    units.iter().map(|(unit, sample)| variant_digest(unit, &sample.source)).collect()
+}
+
+fn variant_digest(unit: &str, source: &str) -> String {
+    let program = parse(source).expect("corpus unit parses");
+    let intra = TaintAnalysis::run_intraprocedural(&program, &TaintConfig::default_config());
+    let inter = TaintAnalysis::run(&program, &extended_config());
+    let summaries: BTreeMap<&String, _> = inter.summaries.iter().collect();
+    let mut h = 0xcbf29ce484222325u64;
+    fnv(&mut h, format!("{:?}", intra.findings).as_bytes());
+    fnv(&mut h, format!("{:?}", inter.findings).as_bytes());
+    fnv(&mut h, format!("{summaries:?}").as_bytes());
+    format!("{unit} {h:016x}")
 }
 
 fn measure() -> Golden {
@@ -202,7 +232,11 @@ fn measure() -> Golden {
         audit: digests(&audit),
         drop: digests(&drop),
         drop_graph: format!("{h:016x}"),
-        taint_variants: [absint, audit, drop].iter().flat_map(|u| variant_digests(u)).collect(),
+        taint_variants: [absint, audit, drop]
+            .iter()
+            .flat_map(|u| variant_digests(u))
+            .chain(TAINT_UNITS.iter().map(|(unit, source)| variant_digest(unit, source)))
+            .collect(),
     }
 }
 
