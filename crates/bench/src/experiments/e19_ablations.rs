@@ -7,6 +7,7 @@
 use vulnman_core::detector::{DetectorRegistry, MlDetector, RuleBasedDetector};
 use vulnman_core::report::{fmt3, Table};
 use vulnman_lang::taint::{TaintAnalysis, TaintConfig};
+use vulnman_lang::AnalysisCache;
 use vulnman_ml::eval::Metrics;
 use vulnman_ml::pipeline::model_zoo;
 use vulnman_ml::split::stratified_split;
@@ -120,7 +121,8 @@ pub fn run(quick: bool) -> AblationResult {
             m.train(&train);
             registry.register(Box::new(MlDetector::new(m)));
         }
-        let pred: Vec<bool> = split.test.iter().map(|s| registry.verdict(s).0).collect();
+        let cache = AnalysisCache::new();
+        let pred: Vec<bool> = split.test.iter().map(|s| registry.verdict(s, &cache).0).collect();
         let truth: Vec<bool> = split.test.iter().map(|s| s.label).collect();
         let m = Metrics::from_predictions(&pred, &truth);
         t3.row(vec![name.into(), fmt3(m.precision()), fmt3(m.recall()), fmt3(m.f1())]);

@@ -7,11 +7,10 @@
 //! often specialized to address certain vulnerabilities").
 
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use vulnman_analysis::checkers::SemanticEngine;
 use vulnman_analysis::detectors::RuleEngine;
 use vulnman_analysis::finding::Finding;
-use vulnman_faults::{FaultInjector, Site};
+use vulnman_faults::Site;
 use vulnman_lang::AnalysisCache;
 use vulnman_ml::pipeline::DetectionModel;
 use vulnman_obs::{Counter, Histogram, Registry};
@@ -32,8 +31,8 @@ pub struct Assessment {
 }
 
 /// A detector invocation that produced no assessment — the failure surface
-/// of fallible backends (ML prediction under fault injection). The engine
-/// degrades by omitting the assessment, never by panicking.
+/// of fallible backends (an ML model emitting a non-finite score). The
+/// engine degrades by omitting the assessment, never by panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AssessError {
     /// Name of the detector that failed.
@@ -51,6 +50,14 @@ impl std::fmt::Display for AssessError {
 impl std::error::Error for AssessError {}
 
 /// A vulnerability detector usable by the workflow engine.
+///
+/// Detectors are pure: [`Detector::assess`] depends only on the sample
+/// (and on work memoized under its content key), and no detector holds a
+/// fault injector, a retry loop or quarantine state. The workflow engine
+/// walks every fault site of a `(detector, sample)` pair — its own
+/// `detector_call` coordinate, then the site the detector names through
+/// [`Detector::fault_site`] — once, before it asks for the value, for
+/// directly analyzed samples and propagated clone members alike.
 pub trait Detector: Send + Sync {
     /// Display name.
     fn name(&self) -> &str;
@@ -60,37 +67,20 @@ pub trait Detector: Send + Sync {
         None
     }
 
-    /// Assesses one sample.
-    fn assess(&self, sample: &Sample) -> Assessment;
-
     /// Assesses one sample through a shared content-addressed analysis
     /// cache, under `content_key`: the sample source's
-    /// [`vulnman_lang::AnalysisCache::content_key`], hashed once per sample
-    /// by the caller no matter how many cache-aware detectors run.
-    /// Detectors whose work is source-derived (parse, CFG, dataflow, taint,
-    /// ML features) override this to memoize per unique content; the
-    /// default ignores the cache. Must return exactly what
-    /// [`Detector::assess`] returns.
-    fn assess_cached_keyed(
+    /// [`AnalysisCache::content_key`], hashed once per sample by the caller
+    /// no matter how many detectors run. Detectors whose work is
+    /// source-derived (parse, CFG, dataflow, taint, ML features) memoize it
+    /// per unique content; the result never depends on the cache's state.
+    /// An `Err` is a backend failure the engine degrades on (the assessment
+    /// is lost and counted), never a panic.
+    fn assess(
         &self,
         sample: &Sample,
-        _cache: &vulnman_lang::AnalysisCache,
-        _content_key: u64,
-    ) -> Assessment {
-        self.assess(sample)
-    }
-
-    /// Fallible [`Detector::assess_cached_keyed`]: detectors with fallible
-    /// backends (e.g. ML prediction under fault injection) override this to
-    /// surface failures the engine degrades on. The default never fails.
-    fn try_assess_cached_keyed(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
+        cache: &AnalysisCache,
         content_key: u64,
-    ) -> Result<Assessment, AssessError> {
-        Ok(self.assess_cached_keyed(sample, cache, content_key))
-    }
+    ) -> Result<Assessment, AssessError>;
 
     /// Whether this detector's assessment is invariant under the clone
     /// equivalence the workflow's dedup stage proves: identical token
@@ -104,10 +94,15 @@ pub trait Detector: Send + Sync {
         false
     }
 
-    /// Receives the engine's fault injector at construction. Detectors
-    /// whose backends consult a fault plan (ML prediction) forward it; the
-    /// default ignores it.
-    fn attach_faults(&mut self, _injector: Arc<FaultInjector>) {}
+    /// The injection site standing for this detector's backend, walked by
+    /// the engine keyed by sample id (so a backend failure is a property of
+    /// the sample, identical at any worker count and for every clone
+    /// member): [`Site::CheckerCall`] for the semantic suite,
+    /// [`Site::MlPredict`] for ML models. `None` (the default) means the
+    /// detector has no backend site beyond its `detector_call` coordinate.
+    fn fault_site(&self) -> Option<Site> {
+        None
+    }
 
     /// Receives the engine's metrics registry when one is attached.
     /// Detectors with their own instrument families (the semantic suite's
@@ -139,22 +134,17 @@ impl Detector for RuleBasedDetector {
         &self.name
     }
 
-    fn assess(&self, sample: &Sample) -> Assessment {
-        let findings = self.engine.scan_source(&sample.source).unwrap_or_default();
-        self.to_assessment(findings)
-    }
-
-    fn assess_cached_keyed(
+    fn assess(
         &self,
         sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
+        cache: &AnalysisCache,
         content_key: u64,
-    ) -> Assessment {
+    ) -> Result<Assessment, AssessError> {
         let findings = self
             .engine
             .scan_source_cached_keyed(content_key, &sample.source, cache)
             .unwrap_or_default();
-        self.to_assessment(findings)
+        Ok(self.to_assessment(findings))
     }
 
     /// Rule findings are derived from the lexed/parsed program, where
@@ -181,16 +171,12 @@ impl RuleBasedDetector {
 
 /// Adapter: the abstract-interpretation checker suite as a [`Detector`].
 ///
-/// Cache-aware (the engine's findings entry, shared with the differential
-/// oracle's absint view) and fault-aware: when the engine attaches an
-/// injector, every invocation consults the
-/// [`checker_call`](vulnman_faults::Site::CheckerCall) site keyed by sample
-/// id, so checker failures are deterministic per sample regardless of
-/// sharding, and the engine degrades by omitting the assessment.
+/// Cache-aware: it reads the engine's findings entry, shared with the
+/// differential oracle's absint view. Its backend site is
+/// [`checker_call`](Site::CheckerCall), which the workflow engine walks.
 #[derive(Debug)]
 pub struct SemanticDetector {
     engine: SemanticEngine,
-    faults: Option<Arc<FaultInjector>>,
     metrics: Registry,
 }
 
@@ -202,7 +188,7 @@ impl SemanticDetector {
 
     /// Wraps a custom-configured engine.
     pub fn new(engine: SemanticEngine) -> Self {
-        SemanticDetector { engine, faults: None, metrics: Registry::noop() }
+        SemanticDetector { engine, metrics: Registry::noop() }
     }
 
     fn to_assessment(&self, findings: Vec<Finding>) -> Assessment {
@@ -221,24 +207,19 @@ impl Detector for SemanticDetector {
         "semantic-suite"
     }
 
-    fn assess(&self, sample: &Sample) -> Assessment {
-        let findings = self.engine.scan_source(&sample.source).unwrap_or_default();
-        self.to_assessment(findings)
-    }
-
     /// The engine's cached findings entry
     /// ([`SemanticEngine::findings_cached`]); cold scans feed the `absint.*`
     /// instruments, warm hits skip the fixpoint and leave them untouched,
     /// which is exactly what they measure.
-    fn assess_cached_keyed(
+    fn assess(
         &self,
         sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
+        cache: &AnalysisCache,
         content_key: u64,
-    ) -> Assessment {
+    ) -> Result<Assessment, AssessError> {
         let program = match cache.parse_keyed(content_key, &sample.source) {
             Ok(p) => p,
-            Err(_) => return self.to_assessment(Vec::new()),
+            Err(_) => return Ok(self.to_assessment(Vec::new())),
         };
         let findings = self.engine.findings_cached(
             content_key,
@@ -247,31 +228,11 @@ impl Detector for SemanticDetector {
             cache,
             &self.metrics,
         );
-        self.to_assessment((*findings).clone())
+        Ok(self.to_assessment((*findings).clone()))
     }
 
-    fn try_assess_cached_keyed(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-        content_key: u64,
-    ) -> Result<Assessment, AssessError> {
-        match &self.faults {
-            Some(inj) => inj
-                .run(Site::CheckerCall, sample.id, || {
-                    self.assess_cached_keyed(sample, cache, content_key)
-                })
-                .map(|attempted| attempted.value)
-                .map_err(|e| AssessError {
-                    detector: "semantic-suite".into(),
-                    reason: e.to_string(),
-                }),
-            None => Ok(self.assess_cached_keyed(sample, cache, content_key)),
-        }
-    }
-
-    fn attach_faults(&mut self, injector: Arc<FaultInjector>) {
-        self.faults = Some(injector);
+    fn fault_site(&self) -> Option<Site> {
+        Some(Site::CheckerCall)
     }
 
     fn attach_metrics(&mut self, metrics: &Registry) {
@@ -404,37 +365,29 @@ impl Detector for MlDetector {
         self.scope.clone()
     }
 
-    fn assess(&self, sample: &Sample) -> Assessment {
-        self.to_assessment(self.model.predict_proba(sample))
-    }
-
     /// Features read the parse and rule findings the detectors before the
-    /// model stored under `content_key`.
-    fn assess_cached_keyed(
+    /// model stored under `content_key`. A non-finite score is a model
+    /// failure: the engine degrades instead of propagating NaN into
+    /// reports.
+    fn assess(
         &self,
         sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-        content_key: u64,
-    ) -> Assessment {
-        self.to_assessment(self.model.predict_proba_cached(sample, cache, content_key))
-    }
-
-    fn try_assess_cached_keyed(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
+        cache: &AnalysisCache,
         content_key: u64,
     ) -> Result<Assessment, AssessError> {
-        match self.model.try_predict_proba_cached(sample, cache, content_key) {
-            Ok(score) => Ok(self.to_assessment(score)),
-            Err(e) => {
-                Err(AssessError { detector: self.model.name().to_string(), reason: e.to_string() })
-            }
+        let score = self.model.predict_proba_cached(sample, cache, content_key);
+        if score.is_finite() {
+            Ok(self.to_assessment(score))
+        } else {
+            Err(AssessError {
+                detector: self.model.name().to_string(),
+                reason: format!("non-finite score {score}"),
+            })
         }
     }
 
-    fn attach_faults(&mut self, injector: Arc<FaultInjector>) {
-        self.model.attach_faults(injector);
+    fn fault_site(&self) -> Option<Site> {
+        Some(Site::MlPredict)
     }
 }
 
@@ -525,33 +478,20 @@ impl DetectorRegistry {
         }
     }
 
-    /// Runs `assess` for the detector at `idx`, counted and timed.
-    fn observed<T>(&self, idx: usize, assess: impl FnOnce() -> T) -> T {
-        let ins = &self.instruments[idx];
-        ins.calls.inc();
-        if ins.micros.is_enabled() {
-            let t0 = std::time::Instant::now();
-            let a = assess();
-            ins.micros.observe_duration(t0.elapsed());
-            a
-        } else {
-            assess()
-        }
-    }
-
-    /// Propagates the engine's fault injector to every registered detector
-    /// (see [`Detector::attach_faults`]).
-    pub fn attach_faults(&mut self, injector: &Arc<FaultInjector>) {
-        for d in &mut self.detectors {
-            d.attach_faults(Arc::clone(injector));
-        }
-    }
-
-    /// Registration indices of the detectors applicable to `sample`, in
-    /// registration order (the engine's resilient path drives detectors
-    /// individually through these).
+    /// Registration indices of the detectors applicable to `sample` (scope
+    /// matching the sample's CWE when the sample declares one; unscoped
+    /// detectors always run), in registration order.
     pub(crate) fn applicable_indices(&self, sample: &Sample) -> Vec<usize> {
-        self.applicable(sample).map(|(i, _)| i).collect()
+        self.detectors
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| match (d.scope(), sample.cwe) {
+                (Some(scope), Some(cwe)) => scope.contains(&cwe),
+                (Some(_), None) => true, // scoped tools still scan unknown code
+                (None, _) => true,
+            })
+            .map(|(i, _)| i)
+            .collect()
     }
 
     /// Whether the detector at `idx` declares its assessment invariant
@@ -561,32 +501,32 @@ impl DetectorRegistry {
         self.detectors[idx].clone_invariant()
     }
 
-    /// Runs the detector at `idx` through the cache on the infallible
-    /// path, counted and timed — the per-detector unit of
-    /// [`DetectorRegistry::assess_all_cached_keyed`], used by the dedup
-    /// stage to assess clone representatives detector by detector.
-    pub(crate) fn assess_cached_keyed_at(
-        &self,
-        idx: usize,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-        content_key: u64,
-    ) -> Assessment {
-        self.observed(idx, || self.detectors[idx].assess_cached_keyed(sample, cache, content_key))
+    /// The backend fault site the detector at `idx` declares (see
+    /// [`Detector::fault_site`]).
+    pub(crate) fn fault_site_at(&self, idx: usize) -> Option<Site> {
+        self.detectors[idx].fault_site()
     }
 
-    /// Runs the detector at `idx` through the cache, counted and timed,
-    /// surfacing fallible-backend errors instead of panicking.
-    pub(crate) fn try_assess_cached_at(
+    /// Runs the detector at `idx` through the cache, counted and timed:
+    /// the one place a registered detector is called.
+    pub(crate) fn assess_at(
         &self,
         idx: usize,
         sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
+        cache: &AnalysisCache,
         content_key: u64,
     ) -> Result<Assessment, AssessError> {
-        self.observed(idx, || {
-            self.detectors[idx].try_assess_cached_keyed(sample, cache, content_key)
-        })
+        let ins = &self.instruments[idx];
+        ins.calls.inc();
+        let assess = || self.detectors[idx].assess(sample, cache, content_key);
+        if ins.micros.is_enabled() {
+            let t0 = std::time::Instant::now();
+            let a = assess();
+            ins.micros.observe_duration(t0.elapsed());
+            a
+        } else {
+            assess()
+        }
     }
 
     /// Number of registered detectors.
@@ -604,58 +544,19 @@ impl DetectorRegistry {
         self.detectors.iter().map(|d| d.name().to_string()).collect()
     }
 
-    /// Detectors applicable to a sample (scope matching the sample's CWE
-    /// when the sample declares one; unscoped detectors always run), with
-    /// their registration index for instrument lookup.
-    fn applicable<'a>(
-        &'a self,
-        sample: &'a Sample,
-    ) -> impl Iterator<Item = (usize, &'a dyn Detector)> {
-        self.detectors
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| match (d.scope(), sample.cwe) {
-                (Some(scope), Some(cwe)) => scope.contains(&cwe),
-                (Some(_), None) => true, // scoped tools still scan unknown code
-                (None, _) => true,
-            })
-            .map(|(i, d)| (i, d.as_ref()))
-    }
-
-    /// Runs every applicable detector.
-    pub fn assess_all(&self, sample: &Sample) -> Vec<Assessment> {
-        self.applicable(sample).map(|(i, d)| self.observed(i, || d.assess(sample))).collect()
-    }
-
-    /// Runs every applicable detector through a shared analysis cache,
-    /// with the sample source hashed once by the caller (`content_key`).
-    /// Assessments are identical to [`DetectorRegistry::assess_all`].
-    pub fn assess_all_cached_keyed(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-        content_key: u64,
-    ) -> Vec<Assessment> {
-        self.applicable(sample)
-            .map(|(i, d)| self.observed(i, || d.assess_cached_keyed(sample, cache, content_key)))
-            .collect()
-    }
-
-    /// Combined verdict under the registry policy, along with the individual
-    /// assessments.
-    pub fn verdict(&self, sample: &Sample) -> (bool, Vec<Assessment>) {
-        self.combine(self.assess_all(sample))
-    }
-
-    /// Cache-assisted [`DetectorRegistry::verdict`]: the verdict and the
-    /// assessments are identical, only repeated work is skipped.
-    pub fn verdict_cached_keyed(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-        content_key: u64,
-    ) -> (bool, Vec<Assessment>) {
-        self.combine(self.assess_all_cached_keyed(sample, cache, content_key))
+    /// Combined verdict of every applicable detector under the registry
+    /// policy, along with the individual assessments, with analyses shared
+    /// through `cache`. A detector whose assessment fails is left out, as
+    /// the workflow engine degrades. No fault plan applies here; the
+    /// engine's assessment stage is where fault sites are walked.
+    pub fn verdict(&self, sample: &Sample, cache: &AnalysisCache) -> (bool, Vec<Assessment>) {
+        let key = AnalysisCache::content_key(&sample.source);
+        let assessments = self
+            .applicable_indices(sample)
+            .into_iter()
+            .filter_map(|d| self.assess_at(d, sample, cache, key).ok())
+            .collect();
+        self.combine(assessments)
     }
 
     pub(crate) fn combine(&self, assessments: Vec<Assessment>) -> (bool, Vec<Assessment>) {
@@ -678,14 +579,22 @@ mod tests {
     use vulnman_synth::style::StyleProfile;
     use vulnman_synth::tier::Tier;
 
+    /// One assessment through a fresh cache.
+    fn assess(d: &dyn Detector, sample: &Sample) -> Assessment {
+        let key = AnalysisCache::content_key(&sample.source);
+        d.assess(sample, &AnalysisCache::new(), key).expect("assessment")
+    }
+
     #[test]
     fn rule_detector_flags_vulnerable_sample() {
         let mut g = SampleGenerator::new(1, StyleProfile::mainstream());
         let (v, f) = g.vulnerable_pair(Cwe::SqlInjection, Tier::Simple, "p");
         let d = RuleBasedDetector::standard();
-        assert!(d.assess(&v).vulnerable);
-        assert!(!d.assess(&f).vulnerable);
-        assert!(!d.assess(&v).findings.is_empty());
+        assert!(assess(&d, &v).vulnerable);
+        assert!(!assess(&d, &f).vulnerable);
+        assert!(!assess(&d, &v).findings.is_empty());
+        assert_eq!(d.fault_site(), None);
+        assert_eq!(SemanticDetector::standard().fault_site(), Some(Site::CheckerCall));
     }
 
     #[test]
@@ -705,8 +614,9 @@ mod tests {
         r.attach_metrics(metrics.clone());
         let mut g = SampleGenerator::new(9, StyleProfile::mainstream());
         let (v, _) = g.vulnerable_pair(Cwe::SqlInjection, Tier::Simple, "p");
-        r.verdict(&v);
-        r.verdict(&v);
+        let cache = AnalysisCache::new();
+        r.verdict(&v, &cache);
+        r.verdict(&v, &cache);
         assert_eq!(metrics.counter("detector.rule-suite.calls").get(), 2);
         let snap = metrics.snapshot();
         assert_eq!(snap.histograms["detector.rule-suite.micros"].count, 2);
@@ -725,13 +635,18 @@ mod tests {
             fn name(&self) -> &str {
                 self.1
             }
-            fn assess(&self, _: &Sample) -> Assessment {
-                Assessment {
+            fn assess(
+                &self,
+                _: &Sample,
+                _: &AnalysisCache,
+                _: u64,
+            ) -> Result<Assessment, AssessError> {
+                Ok(Assessment {
                     vulnerable: self.0,
                     score: if self.0 { 1.0 } else { 0.0 },
                     findings: vec![],
                     detector: self.1.into(),
-                }
+                })
             }
         }
         let mut g = SampleGenerator::new(2, StyleProfile::mainstream());
@@ -741,13 +656,14 @@ mod tests {
         any.register(Box::new(Fixed(true, "a")));
         any.register(Box::new(Fixed(false, "b")));
         any.register(Box::new(Fixed(false, "c")));
-        assert!(any.verdict(&sample).0);
+        let cache = AnalysisCache::new();
+        assert!(any.verdict(&sample, &cache).0);
 
         let mut majority = DetectorRegistry::new().with_policy(CombinePolicy::Majority);
         majority.register(Box::new(Fixed(true, "a")));
         majority.register(Box::new(Fixed(false, "b")));
         majority.register(Box::new(Fixed(false, "c")));
-        assert!(!majority.verdict(&sample).0);
+        assert!(!majority.verdict(&sample, &cache).0);
     }
 
     #[test]
@@ -760,13 +676,18 @@ mod tests {
             fn scope(&self) -> Option<Vec<Cwe>> {
                 Some(vec![Cwe::SqlInjection])
             }
-            fn assess(&self, _: &Sample) -> Assessment {
-                Assessment {
+            fn assess(
+                &self,
+                _: &Sample,
+                _: &AnalysisCache,
+                _: u64,
+            ) -> Result<Assessment, AssessError> {
+                Ok(Assessment {
                     vulnerable: true,
                     score: 1.0,
                     findings: vec![],
                     detector: "yes".into(),
-                }
+                })
             }
         }
         let mut g = SampleGenerator::new(3, StyleProfile::mainstream());
@@ -774,8 +695,9 @@ mod tests {
         let (sql, _) = g.vulnerable_pair(Cwe::SqlInjection, Tier::Simple, "p");
         let mut r = DetectorRegistry::new();
         r.register(Box::new(AlwaysYes));
-        assert!(r.assess_all(&uaf).is_empty(), "UAF sample is out of scope");
-        assert_eq!(r.assess_all(&sql).len(), 1);
+        let cache = AnalysisCache::new();
+        assert!(r.verdict(&uaf, &cache).1.is_empty(), "UAF sample is out of scope");
+        assert_eq!(r.verdict(&sql, &cache).1.len(), 1);
     }
 
     #[test]
@@ -807,11 +729,14 @@ mod tests {
         let mut model = model_zoo(2).remove(2); // graph-rf
         model.train(&split.train);
         let d = MlDetector::new(model);
+        assert_eq!(d.fault_site(), Some(Site::MlPredict));
         let mut registry = DetectorRegistry::new();
         registry.register(Box::new(d));
         registry.register(Box::new(RuleBasedDetector::standard()));
         assert_eq!(registry.len(), 2);
-        let hits = split.test.iter().filter(|s| s.label).filter(|s| registry.verdict(s).0).count();
+        let cache = AnalysisCache::new();
+        let hits =
+            split.test.iter().filter(|s| s.label).filter(|s| registry.verdict(s, &cache).0).count();
         let total = split.test.iter().filter(|s| s.label).count();
         assert!(hits * 10 >= total * 8, "combined registry should catch most: {hits}/{total}");
     }

@@ -10,7 +10,7 @@
 //! then a fold in submission order.
 
 use crate::costmodel::{CostParams, CostReport};
-use crate::detector::{Assessment, DetectorRegistry};
+use crate::detector::{AssessError, Assessment, DetectorRegistry};
 use crate::resilience::{register_fault_instruments, ObsFaultObserver};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -19,7 +19,7 @@ use vulnman_analysis::autofix::AutoFixer;
 use vulnman_analysis::detectors::RuleEngine;
 use vulnman_analysis::finding::{Evidence, EvidenceFact, Finding};
 use vulnman_analysis::reachability::Surface;
-use vulnman_faults::{site_key, FaultConfig, FaultInjector, FaultKind, Site};
+use vulnman_faults::{site_key, FaultConfig, FaultInjector, FaultKind, FaultTally, Site};
 use vulnman_lang::clone::{CloneConfig, CloneIndex, TokenAlignment};
 use vulnman_lang::lexer::lex_ref;
 use vulnman_lang::par;
@@ -59,7 +59,10 @@ pub struct WorkflowConfig {
     /// members with spans, identifiers and messages remapped through a
     /// proven token alignment. Members whose alignment fails (or whose
     /// [`vulnman_faults::Site::CloneIndex`] coordinate is faulted) fall
-    /// back to direct analysis, so dedup changes work, never results.
+    /// back to direct analysis. Propagation substitutes only a detector's
+    /// value: every (detector, member) pair still walks its own fault
+    /// sites, so dedup changes work, never results, with or without a
+    /// fault plan.
     pub dedup: bool,
     /// Optional unit bound for the analysis cache (see
     /// [`AnalysisCache::with_entry_limit`]): long-running embedders cap
@@ -132,12 +135,13 @@ impl CaseOutcome {
 
 /// Deterministic fault-degradation accounting for one run.
 ///
-/// Every count here derives from the fault plan over detector-call and
-/// ML-predict coordinates that are independent of worker count, cache
-/// configuration, and call order — which is why the summary (and therefore
-/// the whole serialized report) stays byte-identical across `jobs`
-/// settings. Jobs-dependent sites (cache get/put, shard workers) are
-/// accounted in metrics only, never here.
+/// Every count here derives from the fault plan over detector-call,
+/// checker-call and ML-predict coordinates, and from detector results,
+/// all independent of worker count, cache configuration, call order and
+/// clone dedup — which is why the summary (and therefore the whole
+/// serialized report) stays byte-identical across `jobs` settings.
+/// Jobs-dependent sites (cache get/put, shard workers) are accounted in
+/// metrics only, never here.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct DegradationSummary {
     /// Transient faults injected at the detector-call site.
@@ -155,11 +159,14 @@ pub struct DegradationSummary {
     pub recovered: u64,
     /// Detector calls that gave up (retry budget exhausted or crash).
     pub exhausted: u64,
-    /// Assessments lost to exhaustion, quarantine skips, or ML predict
-    /// failures.
+    /// Assessments lost to exhaustion, quarantine skips, or detector
+    /// backend failures.
     pub assessments_lost: u64,
-    /// ML predictions that failed under injection (deterministic per
-    /// sample id).
+    /// Detector backend failures, deterministic per sample: a detector's
+    /// own fault site exhausting its retry budget (`ml_predict` for ML
+    /// models, `checker_call` for the semantic suite) or a detector
+    /// returning an error (an ML model's non-finite score). The name
+    /// predates the semantic suite's site.
     pub ml_failures: u64,
     /// Samples that lost at least one detector assessment.
     pub degraded_samples: usize,
@@ -180,10 +187,10 @@ impl DegradationSummary {
 
     /// Folds one case's accounting in, in submission order.
     fn absorb(&mut self, d: &CaseDegradation) {
-        self.transient += d.transient;
-        self.timeout += d.timeout;
-        self.corrupt += d.corrupt;
-        self.crash += d.crash;
+        self.transient += d.faults.transient;
+        self.timeout += d.faults.timeout;
+        self.corrupt += d.faults.corrupt;
+        self.crash += d.faults.crash;
         self.retries += d.retries;
         self.recovered += d.recovered;
         self.exhausted += d.exhausted;
@@ -195,14 +202,12 @@ impl DegradationSummary {
     }
 }
 
-/// Per-case fault accounting from the resilient assessment path, folded
-/// into [`DegradationSummary`] in submission order.
+/// Per-case accounting from the assessment stage, folded into
+/// [`DegradationSummary`] in submission order. `faults` tallies the
+/// `detector_call` site only.
 #[derive(Debug, Clone, Copy, Default)]
 struct CaseDegradation {
-    transient: u64,
-    timeout: u64,
-    corrupt: u64,
-    crash: u64,
+    faults: FaultTally,
     retries: u64,
     recovered: u64,
     exhausted: u64,
@@ -211,13 +216,11 @@ struct CaseDegradation {
 }
 
 impl CaseDegradation {
-    fn record(&mut self, kind: FaultKind) {
-        match kind {
-            FaultKind::Transient => self.transient += 1,
-            FaultKind::Timeout => self.timeout += 1,
-            FaultKind::Corrupt => self.corrupt += 1,
-            FaultKind::Crash => self.crash += 1,
-        }
+    /// One detector backend failure: its own site exhausted, or its
+    /// assessment came back as an error.
+    fn backend_failed(&mut self) {
+        self.ml_failures += 1;
+        self.lost += 1;
     }
 }
 
@@ -326,6 +329,49 @@ struct FaultHarness {
 struct FaultRun {
     injector: Arc<FaultInjector>,
     quarantine_at: Vec<u64>,
+}
+
+impl FaultRun {
+    /// Walks the fault sites of detector `d` on the sample at submission
+    /// index `idx`, in order: the quarantine point, the `detector_call`
+    /// retry loop keyed by `(d, idx)`, then the detector's own backend site
+    /// (`own_site`) keyed by sample id. Returns whether the detector may
+    /// produce its value; every loss is counted in `deg`. Own-site faults
+    /// stay off the per-case kind tallies, which describe detector calls.
+    fn admits(
+        &self,
+        d: usize,
+        own_site: Option<Site>,
+        idx: usize,
+        sample_id: u64,
+        deg: &mut CaseDegradation,
+    ) -> bool {
+        if (idx as u64) > self.quarantine_at[d] {
+            // Quarantined earlier in the run: never called again.
+            deg.lost += 1;
+            return false;
+        }
+        match self.injector.run(Site::DetectorCall, site_key(d as u64, idx as u64), || ()) {
+            Ok(done) => {
+                deg.faults.merge(&done.faults);
+                deg.retries += u64::from(done.retries);
+                deg.recovered += u64::from(done.retries > 0);
+            }
+            Err(e) => {
+                deg.faults.merge(&e.faults());
+                deg.retries += u64::from(e.retries());
+                deg.exhausted += 1;
+                deg.lost += 1;
+                return false;
+            }
+        }
+        let backend_up =
+            own_site.is_none_or(|site| self.injector.run(site, sample_id, || ()).is_ok());
+        if !backend_up {
+            deg.backend_failed();
+        }
+        backend_up
+    }
 }
 
 /// Every span name the engine emits, pre-registered at construction so the
@@ -507,14 +553,13 @@ impl WorkflowEngine {
     /// [`WorkflowEngine::with_fault_config`] recording into `metrics`
     /// (resilience events land on the pre-registered `fault.*` instruments).
     pub fn with_fault_metrics(
-        mut registry: DetectorRegistry,
+        registry: DetectorRegistry,
         config: WorkflowConfig,
         fault_config: FaultConfig,
         metrics: Registry,
     ) -> Self {
         let observer = Arc::new(ObsFaultObserver::new(&metrics));
         let injector = Arc::new(FaultInjector::with_observer(&fault_config, observer));
-        registry.attach_faults(&injector);
         let mut engine = WorkflowEngine::with_metrics(registry, config, metrics);
         let hook_injector = Arc::clone(&injector);
         // Cache faults are keyed by content hash: a dropped get degrades to
@@ -836,8 +881,33 @@ impl WorkflowEngine {
     /// Stage 1 + threat model: detector verdicts and surface classification
     /// for one sample, with findings merged across detectors in the
     /// deterministic (detector, span, CWE, message) order. `idx` is the
-    /// sample's submission index — the fault plan's coordinate; without a
-    /// fault run the index is unused and the degradation stays zero.
+    /// sample's submission index — the fault plan's coordinate.
+    ///
+    /// Every applicable detector runs once through the same loop, whether
+    /// the sample is analyzed directly or is a propagated clone member.
+    /// With a fault run, each (detector, sample) pair first walks its fault
+    /// sites ([`FaultRun::admits`]); only a pair that survives them
+    /// produces its value. A detector that quarantines or exhausts its
+    /// budget, or whose value is an error, loses its assessment for this
+    /// sample, and the verdict is combined from whatever survived: graceful
+    /// degradation instead of a failed run. At rate zero every walk
+    /// succeeds on the first attempt, so the result is byte-identical to a
+    /// run without a fault plan.
+    ///
+    /// For a member,
+    /// the remap pass first assesses the representative with every
+    /// clone-invariant detector (warm in the shared content-addressed
+    /// cache after its own direct pass — no phase ordering required) and
+    /// remaps the findings onto the member through the token alignment
+    /// (spans via the token-boundary maps, identifiers in function names,
+    /// messages, and evidence via the proven rename); those remapped
+    /// assessments stand in for the member's own values. Detectors that
+    /// are not clone-invariant (ML reads raw token text and source length)
+    /// assess the member. The surface classification propagates from the
+    /// representative: it is derived from the call graph, which the clone
+    /// equivalence preserves up to identifier renaming. A finding that
+    /// fails to remap (an endpoint off a token boundary) sends the member
+    /// to direct analysis before any member-side work.
     fn assess_stage(
         &self,
         sample: &Sample,
@@ -846,36 +916,47 @@ impl WorkflowEngine {
         cache: &AnalysisCache,
         dedup: Option<&DedupPlan>,
     ) -> (Assessed, CaseDegradation) {
-        if let DedupDecision::Propagate { rep, rep_key, alignment } =
-            DedupPlan::decision(dedup, idx)
-        {
-            match self.assess_propagated(sample, rep, *rep_key, alignment, idx, run, cache) {
-                Some(out) => {
-                    self.metrics.counter("clone.propagated").inc();
-                    return out;
-                }
-                // A finding failed to remap (endpoint off a token
-                // boundary): analyze this member directly instead.
-                None => self.metrics.counter("clone.align_fallback").inc(),
+        let applicable = self.registry.applicable_indices(sample);
+        let propagated = match DedupPlan::decision(dedup, idx) {
+            DedupDecision::Propagate { rep, rep_key, alignment } => {
+                let remapped = self.remap_pass(&applicable, rep, *rep_key, alignment, cache);
+                let counter =
+                    if remapped.is_some() { "clone.propagated" } else { "clone.align_fallback" };
+                self.metrics.counter(counter).inc();
+                remapped.map(|values| (rep.as_ref(), *rep_key, values))
             }
-        }
+            DedupDecision::Direct => None,
+        };
         let span = self.stage_spans.assess.start();
         // One content hash per sample: every cache-aware consumer below
         // (detectors, surface classification) reuses this key instead of
         // re-hashing the source per cache table.
-        let content_key = vulnman_lang::AnalysisCache::content_key(&sample.source);
+        let content_key = AnalysisCache::content_key(&sample.source);
         let detect = self.stage_spans.detect.start();
-        let (flagged, assessments, deg) = match run {
-            None => {
-                let (flagged, assessments) =
-                    self.registry.verdict_cached_keyed(sample, cache, content_key);
-                (flagged, assessments, CaseDegradation::default())
-            }
-            Some(run) => self.assess_resilient(sample, idx, run, content_key, cache),
+        let ((surface_sample, surface_key), mut remapped) = match propagated {
+            Some((rep, rep_key, values)) => ((rep, rep_key), Some(values.into_iter())),
+            None => ((sample, content_key), None),
         };
+        let mut deg = CaseDegradation::default();
+        let mut assessments = Vec::with_capacity(applicable.len());
+        for &d in &applicable {
+            let stand_in = remapped.as_mut().and_then(Iterator::next).flatten();
+            if let Some(run) = run {
+                if !run.admits(d, self.registry.fault_site_at(d), idx, sample.id, &mut deg) {
+                    continue;
+                }
+            }
+            let value =
+                stand_in.unwrap_or_else(|| self.registry.assess_at(d, sample, cache, content_key));
+            match value {
+                Ok(a) => assessments.push(a),
+                Err(_) => deg.backend_failed(),
+            }
+        }
+        let (flagged, assessments) = self.registry.combine(assessments);
         detect.stop();
         let surface_span = self.stage_spans.surface.start();
-        let surface = self.classify_surface(sample, content_key, cache);
+        let surface = self.classify_surface(surface_sample, surface_key, cache);
         surface_span.stop();
         let mut findings: Vec<Finding> = assessments.into_iter().flat_map(|a| a.findings).collect();
         findings.sort_by(|a, b| {
@@ -889,180 +970,30 @@ impl WorkflowEngine {
         (Assessed { flagged, surface, findings }, deg)
     }
 
-    /// The fault-aware assessment stage: each applicable detector runs
-    /// under a bounded retry loop driven by the plan. Quarantined detectors
-    /// are skipped outright; a detector that exhausts its budget (or hits a
-    /// crash) loses its assessment for this sample, and the verdict is
-    /// combined from whatever survived — graceful degradation instead of a
-    /// failed run. At rate zero every call succeeds on the first attempt,
-    /// making the result byte-identical to the non-fault path.
-    fn assess_resilient(
+    /// The remap pass of a propagated clone member: one slot per applicable
+    /// detector, holding the representative's remapped value for
+    /// clone-invariant detectors and `None` for the rest. `None` overall
+    /// when any finding fails to remap.
+    fn remap_pass(
         &self,
-        sample: &Sample,
-        idx: usize,
-        run: &FaultRun,
-        content_key: u64,
-        cache: &AnalysisCache,
-    ) -> (bool, Vec<Assessment>, CaseDegradation) {
-        let mut deg = CaseDegradation::default();
-        let mut assessments = Vec::new();
-        for d in self.registry.applicable_indices(sample) {
-            self.assess_detector_resilient(
-                d,
-                sample,
-                idx,
-                run,
-                content_key,
-                cache,
-                &mut assessments,
-                &mut deg,
-            );
-        }
-        let (flagged, assessments) = self.registry.combine(assessments);
-        (flagged, assessments, deg)
-    }
-
-    /// One detector's fault-aware assessment: the bounded retry loop of
-    /// [`WorkflowEngine::assess_resilient`], factored per detector so the
-    /// dedup propagation path can drive non-clone-invariant detectors
-    /// through exactly the same degradation machinery.
-    #[allow(clippy::too_many_arguments)]
-    fn assess_detector_resilient(
-        &self,
-        d: usize,
-        sample: &Sample,
-        idx: usize,
-        run: &FaultRun,
-        content_key: u64,
-        cache: &AnalysisCache,
-        assessments: &mut Vec<Assessment>,
-        deg: &mut CaseDegradation,
-    ) {
-        let inj = run.injector.as_ref();
-        if (idx as u64) > run.quarantine_at[d] {
-            // Quarantined earlier in the run: never called again.
-            deg.lost += 1;
-            return;
-        }
-        let key = site_key(d as u64, idx as u64);
-        let mut produced = false;
-        let mut attempts_made = 0u32;
-        for attempt in 0..=inj.max_retries() {
-            attempts_made = attempt + 1;
-            match inj.attempt(Site::DetectorCall, key, attempt) {
-                None => {
-                    if attempt > 0 {
-                        inj.note_recovered(Site::DetectorCall, attempt);
-                        deg.recovered += 1;
-                    }
-                    match self.registry.try_assess_cached_at(d, sample, cache, content_key) {
-                        Ok(a) => assessments.push(a),
-                        Err(_) => {
-                            // The detector ran but its backend failed
-                            // (ML predict fault, keyed by sample id).
-                            deg.ml_failures += 1;
-                            deg.lost += 1;
-                        }
-                    }
-                    produced = true;
-                    break;
-                }
-                Some(kind) => {
-                    deg.record(kind);
-                    if !kind.is_retryable() {
-                        break;
-                    }
-                }
-            }
-        }
-        deg.retries += u64::from(attempts_made.saturating_sub(1));
-        if !produced {
-            inj.note_exhausted(Site::DetectorCall);
-            deg.exhausted += 1;
-            deg.lost += 1;
-        }
-    }
-
-    /// Assessment + threat-model stages for a clone-class member, reusing
-    /// the representative's work: clone-invariant detectors assess the
-    /// representative (warm in the shared content-addressed cache after
-    /// its own direct pass — no phase ordering required) and their
-    /// findings are remapped onto the member through the token alignment
-    /// (spans via the token-boundary maps, identifiers in function names,
-    /// messages, and evidence via the proven rename). Detectors that are
-    /// not clone-invariant (ML reads raw token text and source length)
-    /// run directly on the member, under the same fault machinery as the
-    /// direct path. The surface classification propagates from the
-    /// representative: it is derived from the call graph, which the clone
-    /// equivalence preserves up to identifier renaming.
-    ///
-    /// Returns `None` when any finding fails to remap — before any
-    /// member-side detector work happens — so the caller can fall back to
-    /// the direct path from a clean slate. At fault rate zero the result
-    /// is byte-identical to direct analysis of the member.
-    #[allow(clippy::too_many_arguments)]
-    fn assess_propagated(
-        &self,
-        sample: &Sample,
+        applicable: &[usize],
         rep: &Sample,
         rep_key: u64,
         alignment: &TokenAlignment,
-        idx: usize,
-        run: Option<&FaultRun>,
         cache: &AnalysisCache,
-    ) -> Option<(Assessed, CaseDegradation)> {
-        let applicable = self.registry.applicable_indices(sample);
-        // Remap pass first: assess the representative with every
-        // applicable clone-invariant detector and remap the findings. A
-        // failed remap bails out here, before any member-side work.
-        let mut slots: Vec<Option<Assessment>> = Vec::with_capacity(applicable.len());
-        for &d in &applicable {
-            if self.registry.clone_invariant_at(d) {
-                let a = self.registry.assess_cached_keyed_at(d, rep, cache, rep_key);
-                slots.push(Some(remap_assessment(a, alignment)?));
-            } else {
-                slots.push(None);
-            }
-        }
-        let span = self.stage_spans.assess.start();
-        let detect = self.stage_spans.detect.start();
-        let mut deg = CaseDegradation::default();
-        let mut assessments = Vec::with_capacity(applicable.len());
-        let member_key = AnalysisCache::content_key(&sample.source);
-        for (slot, &d) in slots.into_iter().zip(&applicable) {
-            match slot {
-                Some(a) => assessments.push(a),
-                None => match run {
-                    None => assessments
-                        .push(self.registry.assess_cached_keyed_at(d, sample, cache, member_key)),
-                    Some(run) => self.assess_detector_resilient(
-                        d,
-                        sample,
-                        idx,
-                        run,
-                        member_key,
-                        cache,
-                        &mut assessments,
-                        &mut deg,
-                    ),
-                },
-            }
-        }
-        let (flagged, assessments) = self.registry.combine(assessments);
-        detect.stop();
-        let surface_span = self.stage_spans.surface.start();
-        let surface = self.classify_surface(rep, rep_key, cache);
-        surface_span.stop();
-        let mut findings: Vec<Finding> = assessments.into_iter().flat_map(|a| a.findings).collect();
-        findings.sort_by(|a, b| {
-            a.detector
-                .cmp(&b.detector)
-                .then(a.span.cmp(&b.span))
-                .then(a.cwe.id().cmp(&b.cwe.id()))
-                .then(a.message.cmp(&b.message))
-        });
-        span.stop();
-        Some((Assessed { flagged, surface, findings }, deg))
+    ) -> Option<Vec<Option<Result<Assessment, AssessError>>>> {
+        applicable
+            .iter()
+            .map(|&d| {
+                if !self.registry.clone_invariant_at(d) {
+                    return Some(None);
+                }
+                match self.registry.assess_at(d, rep, cache, rep_key) {
+                    Ok(a) => remap_assessment(a, alignment).map(|a| Some(Ok(a))),
+                    Err(e) => Some(Some(Err(e))),
+                }
+            })
+            .collect()
     }
 
     /// Threat-model stage: surface of the sample's unit (most exposed
@@ -1522,6 +1453,71 @@ mod tests {
     }
 
     #[test]
+    fn faulted_dedup_reports_are_byte_identical_to_direct_analysis() {
+        // Rule + semantic + ML under a fault plan: every propagated member
+        // walks its own detector_call, checker_call and ml_predict
+        // coordinates, so dedup changes work, never the degraded report.
+        let samples = big_corpus();
+        let training = DatasetBuilder::new(5).vulnerable_count(40).build();
+        let engine = |jobs: usize, dedup: bool, rate: f64| {
+            let mut model = crate::detector::tool_augmented_model(3);
+            model.train(&training);
+            let mut registry = DetectorRegistry::new();
+            registry.register(Box::new(RuleBasedDetector::standard()));
+            registry.register(Box::new(crate::detector::SemanticDetector::standard()));
+            registry.register(Box::new(crate::detector::MlDetector::new(model)));
+            let config = WorkflowConfig { jobs, dedup, ..Default::default() };
+            WorkflowEngine::with_fault_config(registry, config, FaultConfig::with_rate(7, rate))
+        };
+        for rate in [0.05, 0.2] {
+            let direct = engine(1, false, rate).process(&samples);
+            assert!(direct.degradation.assessments_lost > 0, "rate {rate} must degrade");
+            let direct = serde_json::to_string(&direct).unwrap();
+            for jobs in [1, 4] {
+                let e = engine(jobs, true, rate);
+                let report = serde_json::to_string(&e.process(&samples)).unwrap();
+                assert!(e.metrics().counter("clone.propagated").get() > 0, "no propagation");
+                assert_eq!(report, direct, "dedup changed the report (rate {rate}, jobs {jobs})");
+            }
+        }
+    }
+
+    #[test]
+    fn failing_detector_loses_its_assessment_without_a_fault_plan() {
+        struct Fails;
+        impl crate::detector::Detector for Fails {
+            fn name(&self) -> &str {
+                "fails"
+            }
+            fn assess(
+                &self,
+                _: &Sample,
+                _: &AnalysisCache,
+                _: u64,
+            ) -> Result<Assessment, AssessError> {
+                Err(AssessError { detector: "fails".into(), reason: "non-finite score NaN".into() })
+            }
+        }
+        let samples = corpus();
+        let run = |jobs: usize| {
+            let mut registry = DetectorRegistry::new();
+            registry.register(Box::new(Fails));
+            registry.register(Box::new(RuleBasedDetector::standard()));
+            let config = WorkflowConfig { jobs, ..Default::default() };
+            WorkflowEngine::new(registry, config).process(&samples)
+        };
+        let seq = run(1);
+        let n = samples.len() as u64;
+        assert_eq!(seq.degradation.ml_failures, n, "one backend failure per sample");
+        assert_eq!(seq.degradation.assessments_lost, n);
+        assert_eq!(seq.degradation.degraded_samples, samples.len());
+        assert!(seq.degradation.quarantined.is_empty(), "no fault plan, no quarantine");
+        // The surviving rule-suite assessments still flag and repair.
+        assert_eq!(seq.cases, engine().process(&samples).cases);
+        assert_eq!(serde_json::to_string(&run(4)).unwrap(), serde_json::to_string(&seq).unwrap());
+    }
+
+    #[test]
     fn sharded_report_is_byte_identical_to_sequential() {
         let samples = big_corpus();
         assert!(samples.len() >= 200, "corpus should be sizable: {}", samples.len());
@@ -1703,14 +1699,19 @@ mod tests {
             fn name(&self) -> &str {
                 "counting"
             }
-            fn assess(&self, _: &Sample) -> Assessment {
+            fn assess(
+                &self,
+                _: &Sample,
+                _: &AnalysisCache,
+                _: u64,
+            ) -> Result<Assessment, AssessError> {
                 self.0.fetch_add(1, Ordering::Relaxed);
-                Assessment {
+                Ok(Assessment {
                     vulnerable: false,
                     score: 0.0,
                     findings: vec![],
                     detector: "counting".into(),
-                }
+                })
             }
         }
         let calls = Arc::new(AtomicU64::new(0));
@@ -1770,14 +1771,19 @@ mod tests {
             fn name(&self) -> &str {
                 "panics-once"
             }
-            fn assess(&self, _: &Sample) -> Assessment {
+            fn assess(
+                &self,
+                _: &Sample,
+                _: &AnalysisCache,
+                _: u64,
+            ) -> Result<Assessment, AssessError> {
                 assert!(!self.0.swap(false, Ordering::Relaxed), "detector bug");
-                Assessment {
+                Ok(Assessment {
                     vulnerable: false,
                     score: 0.0,
                     findings: vec![],
                     detector: "panics-once".into(),
-                }
+                })
             }
         }
         let engine = |jobs: usize, armed: bool| {

@@ -20,7 +20,8 @@
 //!   never slept), per-attempt fault consultation, and the [`FaultError`]
 //!   taxonomy callers degrade on.
 //! * [`Site`] — the named injection sites: detector calls, cache get/put,
-//!   shard workers, ML predictions.
+//!   shard workers, ML predictions, semantic checker calls, serve requests
+//!   and clone-index decisions.
 //! * [`FaultObserver`] — the bridge to a metrics registry, kept as a trait
 //!   so this crate stays dependency-free.
 //!

@@ -4,8 +4,9 @@
 //! to an observer (which typically feeds a histogram and a virtual-time
 //! counter), so retry decisions are reproducible and free. The injector is
 //! the single shared accounting path for every resilience loop in the
-//! workspace — the workflow engine's detector retries, the ML pipeline's
-//! prediction guard, and the chaos tests all run through it.
+//! workspace — the workflow engine's walks over each detector's
+//! `detector_call`, `checker_call` and `ml_predict` sites, and the chaos
+//! tests, all run through it.
 
 use crate::plan::{FaultConfig, FaultKind, FaultPlan, Site};
 
@@ -72,7 +73,9 @@ impl FaultTally {
 }
 
 /// Why a fault-injected operation did not produce a value: the error
-/// taxonomy of graceful degradation.
+/// taxonomy of graceful degradation. Both variants carry the faults
+/// injected along the way, so callers account a failed operation exactly
+/// like a recovered one ([`Attempted::faults`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultError {
     /// Every attempt in the retry budget faulted.
@@ -83,6 +86,8 @@ pub enum FaultError {
         attempts: u32,
         /// Kind injected on the final attempt.
         last: FaultKind,
+        /// Faults injected across the attempts.
+        faults: FaultTally,
     },
     /// A [`FaultKind::Crash`] fired; retrying is pointless.
     Crashed {
@@ -90,6 +95,8 @@ pub enum FaultError {
         site: Site,
         /// Attempt at which the crash fired.
         attempt: u32,
+        /// Faults injected up to and including the crash.
+        faults: FaultTally,
     },
 }
 
@@ -100,15 +107,30 @@ impl FaultError {
             FaultError::Exhausted { site, .. } | FaultError::Crashed { site, .. } => *site,
         }
     }
+
+    /// Faults injected before the operation gave up.
+    pub fn faults(&self) -> FaultTally {
+        match self {
+            FaultError::Exhausted { faults, .. } | FaultError::Crashed { faults, .. } => *faults,
+        }
+    }
+
+    /// Retries consumed before giving up: every attempt but the first.
+    pub fn retries(&self) -> u32 {
+        match self {
+            FaultError::Exhausted { attempts, .. } => attempts - 1,
+            FaultError::Crashed { attempt, .. } => *attempt,
+        }
+    }
 }
 
 impl std::fmt::Display for FaultError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FaultError::Exhausted { site, attempts, last } => {
+            FaultError::Exhausted { site, attempts, last, .. } => {
                 write!(f, "{site} exhausted {attempts} attempts (last fault: {last})")
             }
-            FaultError::Crashed { site, attempt } => {
+            FaultError::Crashed { site, attempt, .. } => {
                 write!(f, "{site} crashed at attempt {attempt}")
             }
         }
@@ -217,8 +239,8 @@ impl FaultInjector {
 
     /// Consults the plan for one attempt and, when a fault fires, performs
     /// the bookkeeping (`on_fault`, plus the backoff/timeout charge for
-    /// retryable kinds). External retry loops that cannot use
-    /// [`FaultInjector::run`] directly call this so their accounting matches.
+    /// retryable kinds). Single-shot sites that never retry (cache get/put,
+    /// shard workers, clone-index decisions) call this directly.
     pub fn attempt(&self, site: Site, key: u64, attempt: u32) -> Option<FaultKind> {
         let kind = self.plan.decide(site, key, attempt)?;
         self.observer.on_fault(site, kind, attempt);
@@ -236,11 +258,6 @@ impl FaultInjector {
     /// Reports a success after `retries` retries (see [`FaultObserver`]).
     pub fn note_recovered(&self, site: Site, retries: u32) {
         self.observer.on_recovered(site, retries);
-    }
-
-    /// Reports a give-up (see [`FaultObserver`]).
-    pub fn note_exhausted(&self, site: Site) {
-        self.observer.on_exhausted(site);
     }
 
     /// Runs `op` under the plan: attempts are consumed by injected faults
@@ -264,18 +281,18 @@ impl FaultInjector {
                 }
                 Some(FaultKind::Crash) => {
                     faults.record(FaultKind::Crash);
-                    self.note_exhausted(site);
-                    return Err(FaultError::Crashed { site, attempt });
+                    self.observer.on_exhausted(site);
+                    return Err(FaultError::Crashed { site, attempt, faults });
                 }
                 Some(kind) => faults.record(kind),
             }
         }
-        self.note_exhausted(site);
+        self.observer.on_exhausted(site);
         let last = self
             .plan
             .decide(site, key, self.max_retries)
             .expect("exhausted loops end on a faulted attempt");
-        Err(FaultError::Exhausted { site, attempts: self.max_retries + 1, last })
+        Err(FaultError::Exhausted { site, attempts: self.max_retries + 1, last, faults })
     }
 }
 
@@ -405,10 +422,16 @@ mod tests {
                         assert!(a.retries <= max_retries);
                         assert_eq!(u64::from(a.retries), a.faults.total());
                     }
-                    Err(FaultError::Exhausted { attempts, .. }) => {
-                        assert_eq!(attempts, max_retries + 1)
+                    Err(e) => {
+                        match e {
+                            FaultError::Exhausted { attempts, .. } => {
+                                assert_eq!(attempts, max_retries + 1)
+                            }
+                            FaultError::Crashed { attempt, .. } => assert!(attempt <= max_retries),
+                        }
+                        // Every attempt faulted; all but the first were retries.
+                        assert_eq!(u64::from(e.retries()) + 1, e.faults().total());
                     }
-                    Err(FaultError::Crashed { attempt, .. }) => assert!(attempt <= max_retries),
                 }
             }
         }
@@ -420,9 +443,14 @@ mod tests {
             site: Site::DetectorCall,
             attempts: 4,
             last: FaultKind::Transient,
+            faults: FaultTally { transient: 4, ..Default::default() },
         };
         assert!(e.to_string().contains("detector_call"));
-        let c = FaultError::Crashed { site: Site::ShardWorker, attempt: 1 };
+        let c = FaultError::Crashed {
+            site: Site::ShardWorker,
+            attempt: 1,
+            faults: FaultTally { transient: 1, crash: 1, ..Default::default() },
+        };
         assert!(c.to_string().contains("crashed"));
     }
 

@@ -43,5 +43,5 @@ pub mod tree;
 pub use eval::{agreement, roc_auc, AgreementReport, Metrics};
 pub use features::FeatureExtractor;
 pub use model::Classifier;
-pub use pipeline::{model_zoo, DetectionModel, PredictError};
+pub use pipeline::{model_zoo, DetectionModel};
 pub use split::{kfold, split_by_project, stratified_split, Split};

@@ -12,33 +12,9 @@ use crate::mlp::Mlp;
 use crate::model::Classifier;
 use crate::naive_bayes::GaussianNb;
 use crate::tree::RandomForest;
-use std::sync::Arc;
-use vulnman_faults::{FaultError, FaultInjector, Site};
 use vulnman_lang::AnalysisCache;
 use vulnman_synth::dataset::Dataset;
 use vulnman_synth::sample::Sample;
-
-/// Why a fallible prediction could not produce a usable score.
-#[derive(Debug)]
-pub enum PredictError {
-    /// The attached fault injector exhausted its retry budget (or crashed)
-    /// at the `ml_predict` site for this sample.
-    Injected(FaultError),
-    /// The classifier emitted a non-finite score — treated as a model
-    /// failure so callers degrade instead of propagating NaN into reports.
-    NonFinite(f64),
-}
-
-impl std::fmt::Display for PredictError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PredictError::Injected(e) => write!(f, "injected fault: {e}"),
-            PredictError::NonFinite(p) => write!(f, "non-finite score {p}"),
-        }
-    }
-}
-
-impl std::error::Error for PredictError {}
 
 /// A trainable vulnerability-detection model.
 pub struct DetectionModel {
@@ -57,9 +33,6 @@ pub struct DetectionModel {
     train_micros: vulnman_obs::Histogram,
     predict_micros: vulnman_obs::Histogram,
     predictions: vulnman_obs::Counter,
-    // Fault-injection harness for the `ml_predict` site (chaos testing);
-    // `None` means predictions are infallible apart from non-finite scores.
-    faults: Option<Arc<FaultInjector>>,
 }
 
 impl std::fmt::Debug for DetectionModel {
@@ -90,7 +63,6 @@ impl DetectionModel {
             train_micros: vulnman_obs::Histogram::default(),
             predict_micros: vulnman_obs::Histogram::default(),
             predictions: vulnman_obs::Counter::default(),
-            faults: None,
         }
     }
 
@@ -161,14 +133,6 @@ impl DetectionModel {
         (x, y)
     }
 
-    /// Attaches a fault injector: every [`DetectionModel::try_predict_proba`]
-    /// call consults it at the `ml_predict` site, keyed by the sample id, so
-    /// prediction failures are deterministic per sample regardless of call
-    /// order or sharding.
-    pub fn attach_faults(&mut self, faults: Arc<FaultInjector>) {
-        self.faults = Some(faults);
-    }
-
     /// Probability the sample is vulnerable:
     /// [`DetectionModel::predict_proba_cached`] over a pass-through cache.
     pub fn predict_proba(&self, sample: &Sample) -> f64 {
@@ -194,40 +158,6 @@ impl DetectionModel {
             self.predict_micros.observe_duration(t0.elapsed());
         }
         p
-    }
-
-    /// Fallible probability:
-    /// [`DetectionModel::try_predict_proba_cached`] over a pass-through
-    /// cache.
-    pub fn try_predict_proba(&self, sample: &Sample) -> Result<f64, PredictError> {
-        let key = AnalysisCache::content_key(&sample.source);
-        self.try_predict_proba_cached(sample, uncached(), key)
-    }
-
-    /// Fallible [`DetectionModel::predict_proba_cached`]: routes through
-    /// the attached fault injector (when any) and rejects non-finite
-    /// classifier output.
-    ///
-    /// Without an injector this only adds the finiteness guard, so the `Ok`
-    /// value is always identical to [`DetectionModel::predict_proba`].
-    pub fn try_predict_proba_cached(
-        &self,
-        sample: &Sample,
-        cache: &AnalysisCache,
-        content_key: u64,
-    ) -> Result<f64, PredictError> {
-        let predict = || self.predict_proba_cached(sample, cache, content_key);
-        let p = match &self.faults {
-            Some(inj) => {
-                inj.run(Site::MlPredict, sample.id, predict).map_err(PredictError::Injected)?.value
-            }
-            None => predict(),
-        };
-        if p.is_finite() {
-            Ok(p)
-        } else {
-            Err(PredictError::NonFinite(p))
-        }
     }
 
     /// Hard prediction at the 0.5 threshold.
@@ -424,35 +354,6 @@ mod tests {
         m.fine_tune(&ds);
         let snap = metrics.snapshot();
         assert_eq!(snap.histograms["ml.token-lr.train_micros"].count, 2);
-    }
-
-    #[test]
-    fn try_predict_without_injector_matches_infallible_path() {
-        let ds = corpus(11);
-        let mut m = model_zoo(1).remove(0);
-        m.train(&ds);
-        for s in ds.iter().take(10) {
-            assert_eq!(m.try_predict_proba(s).unwrap(), m.predict_proba(s));
-        }
-    }
-
-    #[test]
-    fn injected_predict_failures_are_deterministic_per_sample() {
-        use vulnman_faults::FaultConfig;
-        let ds = corpus(13);
-        let mut m = model_zoo(1).remove(0);
-        m.train(&ds);
-        let cfg = FaultConfig { seed: 5, rate: 0.9, max_retries: 0, ..Default::default() };
-        m.attach_faults(Arc::new(FaultInjector::new(&cfg)));
-        let first: Vec<bool> = ds.iter().take(40).map(|s| m.try_predict_proba(s).is_ok()).collect();
-        let second: Vec<bool> =
-            ds.iter().take(40).map(|s| m.try_predict_proba(s).is_ok()).collect();
-        assert_eq!(first, second, "per-sample outcomes must not depend on call order");
-        assert!(first.iter().any(|ok| !ok), "a 90% rate with no retries must fail somewhere");
-        assert!(
-            first.iter().any(|ok| *ok),
-            "retry-free decisions are per-sample, not all-or-nothing"
-        );
     }
 
     #[test]
